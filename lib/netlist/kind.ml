@@ -35,30 +35,49 @@ let is_sequential = function
   | Xnor2 | Mux2 | And3 | Or3 | Nand3 | Nor3 | Xor3 | Maj3 | Mapped _ ->
       false
 
-let fn k =
-  let v2 i = Bfun.var ~arity:2 i in
-  let v3 i = Bfun.var ~arity:3 i in
-  let open Bfun in
-  match k with
+(* Truth tables of the fixed kinds (minterm [m] has input [i] at bit [i];
+   see {!Bfun}), written out once instead of rebuilt per call. *)
+let tt1 = Bfun.make ~arity:1
+let tt2 = Bfun.make ~arity:2
+let tt3 = Bfun.make ~arity:3
+let const0 = Bfun.const ~arity:0 false
+let const1 = Bfun.const ~arity:0 true
+let buf = tt1 0b10
+let inv = tt1 0b01
+let and2 = tt2 0x8
+let or2 = tt2 0xE
+let nand2 = tt2 0x7
+let nor2 = tt2 0x1
+let xor2 = tt2 0x6
+let xnor2 = tt2 0x9
+let mux2 = tt3 0xE4
+let and3 = tt3 0x80
+let or3 = tt3 0xFE
+let nand3 = tt3 0x7F
+let nor3 = tt3 0x01
+let xor3 = tt3 0x96
+let maj3 = tt3 0xE8
+
+let fn = function
   | Input -> invalid_arg "Kind.fn: Input has no function"
   | Output -> invalid_arg "Kind.fn: Output has no function"
   | Dff -> invalid_arg "Kind.fn: Dff is sequential"
-  | Const b -> const ~arity:0 b
-  | Buf -> var ~arity:1 0
-  | Inv -> lnot (var ~arity:1 0)
-  | And2 -> v2 0 &&& v2 1
-  | Or2 -> v2 0 ||| v2 1
-  | Nand2 -> lnot (v2 0 &&& v2 1)
-  | Nor2 -> lnot (v2 0 ||| v2 1)
-  | Xor2 -> v2 0 ^^^ v2 1
-  | Xnor2 -> lnot (v2 0 ^^^ v2 1)
-  | Mux2 -> mux ~sel:(v3 0) (v3 1) (v3 2)
-  | And3 -> v3 0 &&& v3 1 &&& v3 2
-  | Or3 -> v3 0 ||| v3 1 ||| v3 2
-  | Nand3 -> lnot (v3 0 &&& v3 1 &&& v3 2)
-  | Nor3 -> lnot (v3 0 ||| v3 1 ||| v3 2)
-  | Xor3 -> v3 0 ^^^ v3 1 ^^^ v3 2
-  | Maj3 -> (v3 0 &&& v3 1) ||| (v3 1 &&& v3 2) ||| (v3 0 &&& v3 2)
+  | Const b -> if b then const1 else const0
+  | Buf -> buf
+  | Inv -> inv
+  | And2 -> and2
+  | Or2 -> or2
+  | Nand2 -> nand2
+  | Nor2 -> nor2
+  | Xor2 -> xor2
+  | Xnor2 -> xnor2
+  | Mux2 -> mux2
+  | And3 -> and3
+  | Or3 -> or3
+  | Nand3 -> nand3
+  | Nor3 -> nor3
+  | Xor3 -> xor3
+  | Maj3 -> maj3
   | Mapped { fn; _ } -> fn
 
 let eval k args =

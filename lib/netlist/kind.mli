@@ -40,7 +40,8 @@ val eval : t -> bool array -> bool
     wrong-sized argument vector. *)
 
 val fn : t -> Vpga_logic.Bfun.t
-(** Truth table of a combinational kind over its fanins.
+(** Truth table of a combinational kind over its fanins.  The fixed kinds
+    return shared constant tables, so a call allocates nothing.
     @raise Invalid_argument on [Input], [Output], [Dff]. *)
 
 val name : t -> string

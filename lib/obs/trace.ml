@@ -61,10 +61,11 @@ type span =
       o_t0 : int64;
       o_depth : int;
       o_attrs : (string * Span.attr) list;
-      (* Gc.quick_stat baseline at open, so the close records per-span
-         allocation deltas.  quick_stat is O(1) and domain-local: work a
-         span farms out to other domains (region-parallel refine, the
-         sweep pool) allocates on those domains and is not charged here. *)
+      (* Allocation baseline at open (see [alloc_words]), so the close
+         records per-span deltas.  The counters are O(1) and domain-local:
+         work a span farms out to other domains (region-parallel refine,
+         the sweep pool) allocates on those domains and is not charged
+         here. *)
       o_gc_minor : float;
       o_gc_major : float;
       o_gc_colls : int;
@@ -75,13 +76,25 @@ type span =
 let observe_hist : (sink -> string -> float -> unit) ref =
   ref (fun _ _ _ -> ())
 
+(* Words this domain has allocated so far, exactly: minor words from
+   [Gc.minor_words] ([Gc.quick_stat]'s only advance at minor collections,
+   so a span's delta would be quantized to the minor heap), and words
+   allocated directly in the major heap (large blocks), i.e. major words
+   less promoted words.  Promotion is left out: it happens at whichever
+   minor collection comes next, so it measures GC timing, not the work of
+   the span it lands in. *)
+let alloc_words () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
+
 let begin_span ?(attrs = []) t name =
   match t with
   | None -> Inert
   | Some s ->
       let d = s.depth in
       s.depth <- d + 1;
-      let g = Gc.quick_stat () in
+      let colls = (Gc.quick_stat ()).Gc.major_collections in
+      let minor, major = alloc_words () in
       Open
         {
           o_sink = s;
@@ -89,9 +102,9 @@ let begin_span ?(attrs = []) t name =
           o_t0 = Clock.now_ns ();
           o_depth = d;
           o_attrs = attrs;
-          o_gc_minor = g.Gc.minor_words;
-          o_gc_major = g.Gc.major_words;
-          o_gc_colls = g.Gc.major_collections;
+          o_gc_minor = minor;
+          o_gc_major = major;
+          o_gc_colls = colls;
           o_closed = false;
         }
 
@@ -103,14 +116,14 @@ let end_span ?(attrs = []) sp =
         o.o_closed <- true;
         let s = o.o_sink in
         s.depth <- s.depth - 1;
-        let g = Gc.quick_stat () in
+        let minor, major = alloc_words () in
+        let colls = (Gc.quick_stat ()).Gc.major_collections in
         let dur_ns = Int64.sub (Clock.now_ns ()) o.o_t0 in
         let gc_attrs =
           [
-            ("gc.minor_words", Span.Float (g.Gc.minor_words -. o.o_gc_minor));
-            ("gc.major_words", Span.Float (g.Gc.major_words -. o.o_gc_major));
-            ( "gc.major_collections",
-              Span.Int (g.Gc.major_collections - o.o_gc_colls) );
+            ("gc.minor_words", Span.Float (minor -. o.o_gc_minor));
+            ("gc.major_words", Span.Float (major -. o.o_gc_major));
+            ("gc.major_collections", Span.Int (colls - o.o_gc_colls));
           ]
         in
         s.revents <-

@@ -43,11 +43,14 @@ val end_span : ?attrs:(string * Span.attr) list -> span -> unit
 
     Every closed span additionally carries allocation accounting —
     [gc.minor_words] / [gc.major_words] (floats) and
-    [gc.major_collections] (int) attrs, deltas of [Gc.quick_stat]
-    between open and close — and feeds its duration (µs) into the
-    [span:<name>] histogram of its sink.  [Gc.quick_stat] is
-    domain-local: allocation a span delegates to other domains is
-    charged to those domains, not to the span. *)
+    [gc.major_collections] (int) attrs, deltas between open and close —
+    and feeds its duration (µs) into the [span:<name>] histogram of its
+    sink.  The word counts are exact: minor words from [Gc.minor_words],
+    major words as the words allocated directly in the major heap (large
+    blocks; promotion is excluded, since it lands in whichever span runs
+    the next minor collection).  Both are domain-local: allocation a span
+    delegates to other domains is charged to those domains, not to the
+    span. *)
 
 val with_span : ?attrs:(string * Span.attr) list -> t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f] inside a span, closing it even when [f]

@@ -5,20 +5,24 @@ module Cell = Vpga_cells.Cell
 module Characterize = Vpga_cells.Characterize
 module Config = Vpga_plb.Config
 
+(* Lane 0 of the word simulator: one stimulus per cycle, drawn in the same
+   order as the bool API would take it. *)
 let activities ?(cycles = 256) ~seed nl =
   let n = Netlist.size nl in
   let rng = Random.State.make [| seed |] in
   let sim = Simulate.create nl in
   Simulate.reset sim;
-  let npi = List.length (Netlist.inputs nl) in
+  let pi = Array.make (List.length (Netlist.inputs nl)) 0 in
   let toggles = Array.make n 0 in
-  let prev = Array.make n false in
+  let prev = Array.make n 0 in
   for cycle = 1 to cycles do
-    let pi = Array.init npi (fun _ -> Random.State.bool rng) in
-    ignore (Simulate.step sim pi);
+    for i = 0 to Array.length pi - 1 do
+      pi.(i) <- Bool.to_int (Random.State.bool rng)
+    done;
+    Simulate.step_words sim pi;
     for id = 0 to n - 1 do
-      let v = Simulate.value sim id in
-      if cycle > 1 && v <> prev.(id) then toggles.(id) <- toggles.(id) + 1;
+      let v = Simulate.word sim id land 1 in
+      if cycle > 1 then toggles.(id) <- toggles.(id) + (v lxor prev.(id));
       prev.(id) <- v
     done
   done;

@@ -159,6 +159,38 @@ let test_stats () =
   let hist = Stats.histogram nl in
   Alcotest.(check int) "xor3 count" 1 (List.assoc "xor3" hist)
 
+(* [Kind.fn] returns written-out tables for the fixed kinds; each must be
+   the combinator expression it stands for. *)
+let test_kind_tables () =
+  let v1 = Bfun.var ~arity:1 in
+  let v2 = Bfun.var ~arity:2 and v3 = Bfun.var ~arity:3 in
+  let open Bfun in
+  List.iter
+    (fun (k, expect) ->
+      Alcotest.(check string) (Kind.name k) (to_string expect)
+        (to_string (Kind.fn k));
+      Alcotest.(check bool) (Kind.name k ^ " arity") true
+        (equal expect (Kind.fn k)))
+    [
+      (Kind.Const false, const ~arity:0 false);
+      (Kind.Const true, const ~arity:0 true);
+      (Kind.Buf, v1 0);
+      (Kind.Inv, lnot (v1 0));
+      (Kind.And2, v2 0 &&& v2 1);
+      (Kind.Or2, v2 0 ||| v2 1);
+      (Kind.Nand2, lnot (v2 0 &&& v2 1));
+      (Kind.Nor2, lnot (v2 0 ||| v2 1));
+      (Kind.Xor2, v2 0 ^^^ v2 1);
+      (Kind.Xnor2, lnot (v2 0 ^^^ v2 1));
+      (Kind.Mux2, mux ~sel:(v3 0) (v3 1) (v3 2));
+      (Kind.And3, v3 0 &&& v3 1 &&& v3 2);
+      (Kind.Or3, v3 0 ||| v3 1 ||| v3 2);
+      (Kind.Nand3, lnot (v3 0 &&& v3 1 &&& v3 2));
+      (Kind.Nor3, lnot (v3 0 ||| v3 1 ||| v3 2));
+      (Kind.Xor3, v3 0 ^^^ v3 1 ^^^ v3 2);
+      (Kind.Maj3, (v3 0 &&& v3 1) ||| (v3 1 &&& v3 2) ||| (v3 0 &&& v3 2));
+    ]
+
 (* Random DAG generator for property tests. *)
 let random_comb_netlist seed =
   let rng = Random.State.make [| seed |] in
@@ -215,6 +247,7 @@ let () =
           Alcotest.test_case "fanout" `Quick test_fanout;
           Alcotest.test_case "forward-only" `Quick test_comb_cycle_detected;
         ] );
+      ("kind", [ Alcotest.test_case "fixed truth tables" `Quick test_kind_tables ]);
       ( "levelize",
         [ Alcotest.test_case "levels and cycles" `Quick test_levelize ] );
       ( "simulate",

@@ -469,9 +469,8 @@ let test_observe_feeds_histograms () =
 let test_span_gc_deltas_non_negative () =
   let t = Trace.create () in
   let sink = Sys.opaque_identity (ref []) in
-  (* quick_stat's minor-word counter only refreshes at collection
-     boundaries in native code, so force a minor collection after each
-     span's allocation to make the per-span delta observable. *)
+  (* A minor collection inside each span promotes its allocation; the
+     deltas must stay non-negative with promotion excluded. *)
   let churn () =
     sink := List.init 10_000 (fun i -> string_of_int i) :: !sink;
     Gc.minor ()
@@ -507,6 +506,45 @@ let test_span_gc_deltas_non_negative () =
       | Span.Instant _ -> ())
     (Trace.events t);
   Alcotest.(check int) "both spans carried GC attrs" 2 !checked
+
+(* A span's allocation words are exact, with no collection forced: 100k
+   int list cells are 300k minor words (plus the span's own bookkeeping),
+   and a 1000-element array is one 1001-word block allocated directly in
+   the major heap.  Any promotion a minor collection does inside the span
+   is not charged to it. *)
+let test_span_gc_deltas_exact () =
+  let t = Trace.create () in
+  let rec cells acc n = if n = 0 then acc else cells (n :: acc) (n - 1) in
+  let keep = ref [] and big = ref [||] in
+  for _ = 1 to 3 do
+    Trace.with_span t "alloc" (fun () ->
+        keep := Sys.opaque_identity (cells [] 100_000);
+        big := Sys.opaque_identity (Array.make 1000 0))
+  done;
+  let spans =
+    List.filter_map
+      (function
+        | Span.Complete { attrs; _ } ->
+            let f k =
+              match List.assoc_opt k attrs with
+              | Some (Span.Float v) -> v
+              | _ -> Alcotest.failf "missing %s" k
+            in
+            Some (f "gc.minor_words", f "gc.major_words")
+        | Span.Instant _ -> None)
+      (Trace.events t)
+  in
+  Alcotest.(check int) "three spans" 3 (List.length spans);
+  List.iter
+    (fun (minor, major) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words %.0f = 300000 + bookkeeping" minor)
+        true
+        (minor >= 300_000.0 && minor < 300_256.0);
+      Alcotest.(check (float 0.0)) "major words = the array" 1001.0 major)
+    spans;
+  Alcotest.(check bool) "identical deltas" true
+    (List.for_all (( = ) (List.hd spans)) spans)
 
 (* --- Metrics snapshot and diff ---------------------------------------- *)
 
@@ -736,6 +774,8 @@ let () =
         [
           Alcotest.test_case "span deltas non-negative" `Quick
             test_span_gc_deltas_non_negative;
+          Alcotest.test_case "span deltas exact" `Quick
+            test_span_gc_deltas_exact;
         ] );
       ( "metrics diff",
         [

@@ -7,6 +7,9 @@ module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
 module Equiv = Vpga_netlist.Equiv
 module Simulate = Vpga_netlist.Simulate
+module Levelize = Vpga_netlist.Levelize
+module Bfun = Vpga_logic.Bfun
+module Power = Vpga_timing.Power
 module Aig = Vpga_aig.Aig
 module Arch = Vpga_plb.Arch
 module Techmap = Vpga_mapper.Techmap
@@ -277,6 +280,278 @@ let test_exhaustive_edge_cases () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "interface mismatch must be rejected"
 
+(* --- the word simulator against a scalar reference --- *)
+
+(* The one-vector-at-a-time simulator the word kernel replaced: [Kind.eval]
+   per node in [Levelize] order, and the gates built on it.  The kernel's
+   gates must return the same verdict records, field for field. *)
+module Scalar = struct
+  type t = { nl : Netlist.t; order : int array; values : bool array;
+             state : bool array }
+
+  let create nl =
+    let n = Netlist.size nl in
+    { nl; order = (Levelize.run nl).Levelize.order;
+      values = Array.make n false; state = Array.make n false }
+
+  let reset sim = Array.fill sim.state 0 (Array.length sim.state) false
+
+  let eval_comb sim pi =
+    List.iteri (fun k i -> sim.values.(i) <- pi.(k)) (Netlist.inputs sim.nl);
+    Array.iter
+      (fun i ->
+        let node = Netlist.node sim.nl i in
+        match node.Netlist.kind with
+        | Kind.Input -> ()
+        | Kind.Dff -> sim.values.(i) <- sim.state.(i)
+        | k ->
+            sim.values.(i) <-
+              Kind.eval k (Array.map (fun f -> sim.values.(f)) node.Netlist.fanins))
+      sim.order;
+    Array.of_list (List.map (fun o -> sim.values.(o)) (Netlist.outputs sim.nl))
+
+  let step sim pi =
+    let po = eval_comb sim pi in
+    List.iter
+      (fun i -> sim.state.(i) <- sim.values.((Netlist.node sim.nl i).Netlist.fanins.(0)))
+      (Netlist.flops sim.nl);
+    po
+
+  let first_diff poa pob =
+    let rec go k =
+      if k >= Array.length poa then None
+      else if poa.(k) <> pob.(k) then Some k
+      else go (k + 1)
+    in
+    go 0
+
+  let check ~vectors ~sequence_length ~seed a b =
+    let rng = Random.State.make [| seed |] in
+    let npi = List.length (Netlist.inputs a) in
+    let sima = create a and simb = create b in
+    let rec attempt v =
+      if v >= vectors then Equiv.Equivalent
+      else
+        let seq =
+          List.init sequence_length (fun _ ->
+              Array.init npi (fun _ -> Random.State.bool rng))
+        in
+        reset sima;
+        reset simb;
+        let rec go cycle history = function
+          | [] -> attempt (v + 1)
+          | pi :: rest -> (
+              let history = pi :: history in
+              match first_diff (step sima pi) (step simb pi) with
+              | Some output ->
+                  Equiv.Mismatch { cycle; output; vectors = List.rev history }
+              | None -> go (cycle + 1) history rest)
+        in
+        go 0 [] seq
+    in
+    attempt 0
+
+  let check_exhaustive a b =
+    let npi = List.length (Netlist.inputs a) in
+    let sima = create a and simb = create b in
+    let rec go m =
+      if m >= 1 lsl npi then Equiv.Equivalent
+      else
+        let pi = Array.init npi (fun i -> (m lsr i) land 1 = 1) in
+        match first_diff (eval_comb sima pi) (eval_comb simb pi) with
+        | Some output -> Equiv.Mismatch { cycle = 0; output; vectors = [ pi ] }
+        | None -> go (m + 1)
+    in
+    go 0
+
+  let activities ~cycles ~seed nl =
+    let n = Netlist.size nl in
+    let rng = Random.State.make [| seed |] in
+    let sim = create nl in
+    let npi = List.length (Netlist.inputs nl) in
+    let toggles = Array.make n 0 and prev = Array.make n false in
+    for cycle = 1 to cycles do
+      ignore (step sim (Array.init npi (fun _ -> Random.State.bool rng)));
+      for id = 0 to n - 1 do
+        let v = sim.values.(id) in
+        if cycle > 1 && v <> prev.(id) then toggles.(id) <- toggles.(id) + 1;
+        prev.(id) <- v
+      done
+    done;
+    Array.map
+      (fun t -> float_of_int t /. float_of_int (max 1 (cycles - 1)))
+      toggles
+end
+
+let pp_verdict = function
+  | Equiv.Equivalent -> "equivalent"
+  | Equiv.Mismatch { cycle; output; vectors } ->
+      Printf.sprintf "mismatch cycle %d output %d after %s" cycle output
+        (String.concat "|"
+           (List.map
+              (fun v ->
+                String.concat ""
+                  (Array.to_list (Array.map (fun b -> if b then "1" else "0") v)))
+              vectors))
+
+let verdict = Alcotest.testable (Fmt.of_to_string pp_verdict) ( = )
+
+(* A random sequential netlist: generic gates, constants, [Mapped] cells
+   of arity 1-5 and flops with feedback.  [mutate j] flips one minterm of
+   gate [j mod ngates]'s function (same fanins), a fault that a wide cell
+   shows on few stimuli; every other draw is unchanged. *)
+let random_seq_netlist ?mutate seed =
+  let rng = Random.State.make [| seed |] in
+  let nl = Netlist.create ~name:"rand" () in
+  let npi = 1 + Random.State.int rng 7 in
+  let pool =
+    ref (List.init npi (fun i -> Netlist.input nl (Printf.sprintf "i%d" i)))
+  in
+  let flops = List.init (Random.State.int rng 4) (fun _ -> Netlist.dff nl) in
+  pool := !pool @ flops;
+  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  let random_fn rng arity =
+    Bfun.make ~arity
+      ((Random.State.bits rng lsl 30) lor Random.State.bits rng)
+  in
+  let fixed =
+    Kind.[| Buf; Inv; And2; Or2; Nand2; Nor2; Xor2; Xnor2; Mux2; And3; Or3;
+            Nand3; Nor3; Xor3; Maj3; Const false; Const true |]
+  in
+  let ngates = 5 + Random.State.int rng 30 in
+  for j = 0 to ngates - 1 do
+    let kind =
+      if Random.State.int rng 3 = 0 then
+        let arity = 1 + Random.State.int rng 5 in
+        Kind.Mapped { cell = "cell"; fn = random_fn rng arity }
+      else fixed.(Random.State.int rng (Array.length fixed))
+    in
+    let fanins = Array.init (Kind.arity kind) (fun _ -> pick ()) in
+    let kind =
+      if Option.map (fun m -> m mod ngates) mutate <> Some j then kind
+      else
+        let arity = Kind.arity kind in
+        let rng = Random.State.make [| seed; j |] in
+        let flip = 1 lsl Random.State.int rng (1 lsl arity) in
+        let fn = Bfun.make ~arity (Bfun.table (Kind.fn kind) lxor flip) in
+        Kind.Mapped { cell = "cell"; fn }
+    in
+    pool := Netlist.gate nl kind fanins :: !pool
+  done;
+  List.iter (fun q -> Netlist.connect nl ~flop:q ~d:(pick ())) flops;
+  for o = 0 to Random.State.int rng 4 do
+    ignore (Netlist.output nl (Printf.sprintf "o%d" o) (pick ()))
+  done;
+  nl
+
+(* Vector counts around the batch width [Simulate.lanes] (62): one lane,
+   the flow gate's 24, a full batch and one and two lanes past it, and
+   three batches. *)
+let prop_check_matches_scalar =
+  QCheck.Test.make ~name:"Equiv.check = scalar reference" ~count:60
+    QCheck.(pair small_nat (int_bound 40))
+    (fun (seed, j) ->
+      let a = random_seq_netlist seed in
+      let b = random_seq_netlist ~mutate:j seed in
+      List.for_all
+        (fun (vectors, sequence_length) ->
+          List.for_all
+            (fun (x, y) ->
+              Equiv.check ~vectors ~sequence_length ~seed x y
+              = Scalar.check ~vectors ~sequence_length ~seed x y)
+            [ (a, b); (b, a) ])
+        (List.concat_map
+           (fun v -> List.map (fun l -> (v, l)) [ 1; 3; 8 ])
+           [ 1; 24; 62; 63; 64; 130 ])
+      && Equiv.check_exhaustive a b = Scalar.check_exhaustive a b)
+
+(* Every Test design through the front end on both PLBs, built once and
+   shared: the source netlist and its techmap, compact and buffer
+   outputs. *)
+type front_end = {
+  tag : string;
+  source : Netlist.t;
+  techmap : Netlist.t;
+  compact : Netlist.t;
+  buffer : Netlist.t;
+}
+
+let front_ends =
+  lazy
+    (List.concat_map
+       (fun (name, nl) ->
+         List.map
+           (fun arch ->
+             let compact = Compact.run arch nl in
+             {
+               tag = Printf.sprintf "%s/%s" name arch.Arch.name;
+               source = nl;
+               techmap = Techmap.map arch nl;
+               compact;
+               buffer = Buffering.insert ~max_fanout:8 compact;
+             })
+           [ Arch.lut_plb; Arch.granular_plb ])
+       (Vpga_flow.Experiments.designs Vpga_flow.Experiments.Test))
+
+(* Single-fault mutants of a stage netlist: an inverter after, or a
+   constant in place of, a combinational node picked by [rng]. *)
+let mutants rng nl =
+  let comb =
+    List.filter
+      (fun i ->
+        match (Netlist.node nl i).Netlist.kind with
+        | Kind.Input | Kind.Output | Kind.Dff -> false
+        | _ -> true)
+      (List.init (Netlist.size nl) Fun.id)
+  in
+  let target () = List.nth comb (Random.State.int rng (List.length comb)) in
+  let mutant fault =
+    let t = target () in
+    Netlist.map_combinational nl (fun dst node fi ->
+        if node.Netlist.id <> t then Netlist.gate dst node.Netlist.kind fi
+        else
+          match fault with
+          | `Inv ->
+              Netlist.gate dst Kind.Inv
+                [| Netlist.gate dst node.Netlist.kind fi |]
+          | `Stuck b -> Netlist.gate dst (Kind.Const b) [||])
+  in
+  List.map mutant [ `Inv; `Inv; `Inv; `Stuck false; `Stuck true ]
+
+(* The flow's Fast gate (24 sequences of 6 cycles, seed 2024) on every
+   Test-scale stage output and five mutants of each. *)
+let test_gate_matches_scalar_on_mutants () =
+  let rng = Random.State.make [| 13 |] in
+  let mismatches = ref 0 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (stage, candidate) ->
+          List.iteri
+            (fun m cand ->
+              let expect =
+                Scalar.check ~vectors:24 ~sequence_length:6 ~seed:2024 f.source
+                  cand
+              in
+              if expect <> Equiv.Equivalent then incr mismatches;
+              Alcotest.check verdict
+                (Printf.sprintf "%s/%s mutant %d" f.tag stage m)
+                expect
+                (Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024 f.source
+                   cand))
+            (candidate :: mutants rng candidate))
+        [ ("techmap", f.techmap); ("compact", f.compact); ("buffer", f.buffer) ])
+    (Lazy.force front_ends);
+  Alcotest.(check bool) "mutants caught" true (!mismatches > 0)
+
+let test_activities_match_scalar () =
+  List.iter
+    (fun f ->
+      Alcotest.(check (array (float 0.0))) f.tag
+        (Scalar.activities ~cycles:256 ~seed:8 f.buffer)
+        (Power.activities ~seed:8 f.buffer))
+    (Lazy.force front_ends)
+
 (* --- lint, against seeded violations --- *)
 
 let test_lint_clean () =
@@ -479,6 +754,14 @@ let () =
             test_cec_proves_flow_stages;
           Alcotest.test_case "exhaustive edge cases" `Quick
             test_exhaustive_edge_cases;
+        ] );
+      ( "simulate",
+        [
+          QCheck_alcotest.to_alcotest prop_check_matches_scalar;
+          Alcotest.test_case "gate mutants vs scalar" `Quick
+            test_gate_matches_scalar_on_mutants;
+          Alcotest.test_case "activities vs scalar" `Quick
+            test_activities_match_scalar;
         ] );
       ( "lint",
         [
