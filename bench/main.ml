@@ -266,15 +266,7 @@ let make_packed () =
   let pl = Placement.create nl in
   Global_place.place ~seed:3 pl;
   let q = Quadrisect.legalize Arch.granular_plb pl in
-  let side = sqrt Arch.granular_plb.Arch.tile_area in
-  let pl_b =
-    {
-      pl with
-      Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-      die_h = float_of_int q.Quadrisect.rows *. side;
-    }
-  in
-  Quadrisect.snap q pl_b;
+  let pl_b = Quadrisect.snap q pl in
   (q, pl_b)
 
 let fixture_packed = lazy (make_packed ())

@@ -549,7 +549,7 @@ let export_cmd =
     let pl = Placement.create buffered in
     Global_place.place ~seed pl;
     let q = Quadrisect.legalize arch pl in
-    Quadrisect.snap q pl;
+    let pl = Quadrisect.snap q pl in
     Export.write_file (prefix ^ ".v") (Export.verilog buffered);
     Export.write_file (prefix ^ ".def") (Export.def_ ~packing:q pl);
     Export.write_file (prefix ^ ".svg") (Export.svg q pl);

@@ -18,7 +18,7 @@ let () =
   Global_place.place ~seed:1 pl;
   ignore (Anneal.refine ~iterations:40000 ~seed:2 pl);
   let q = Quadrisect.legalize arch pl in
-  Quadrisect.snap q pl;
+  let pl = Quadrisect.snap q pl in
   ignore (Refine.run ~iterations:40000 ~seed:3 q pl);
   (* Routed + detailed. *)
   let routed = Pathfinder.route_placement pl in

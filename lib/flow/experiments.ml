@@ -64,36 +64,15 @@ let run_tasks_with_stats ?(seed = 1) ?jobs ?verify ?policy ?(traced = false)
   let tasks =
     List.mapi
       (fun i (name, nl, arch) () ->
-        (* Fault isolation: whatever one task dies with becomes its
-           own failure record; sibling tasks never see it.  The trace is
-           created here, on the worker domain, so every event it records
-           (spans, counters, resil instants) belongs to exactly one task
-           and no synchronization is ever needed. *)
-        let log = Vpga_resil.Log.create () in
-        let trace =
-          if traced then
-            Vpga_obs.Trace.create ~tid:i
-              ~label:(name ^ "/" ^ arch.Arch.name)
-              ()
-          else Vpga_obs.Trace.null
-        in
-        let result =
-          try
-            Ok
+        let result, log, trace =
+          Stage.isolate ~traced ~tid:i ~label:(name ^ "/" ^ arch.Arch.name)
+            ~stage:"flow" ~design:name (fun ~log ~trace ->
               (* [trace_labels:false]: sweep traces exist for stage
                  timings (the BENCH_sweep.json record), which must
                  reflect the production flow — observational FlowMap
                  labeling would dominate [compact] at paper scale. *)
-              (Flow.run ~seed:(task_seed ~seed name arch) ?verify ?policy
-                 ?analyze ?cache ~log ~trace ~trace_labels:false arch nl)
-          with
-          | Vpga_resil.Fail.Stage_failure f -> Error f
-          | e ->
-              Error
-                (Vpga_resil.Fail.of_exn ~stage:"flow" ~design:name
-                   ~attempts:1
-                   ~events:(Vpga_resil.Log.strings log)
-                   e)
+              Flow.run ~seed:(task_seed ~seed name arch) ?verify ?policy
+                ?analyze ?cache ~log ~trace ~trace_labels:false arch nl)
         in
         {
           t_design = name;
@@ -283,28 +262,27 @@ let via_table ?(seed = 1) scale =
    for the VPGA fabric.  Same packed design and routed topology, two
    extraction models: ASIC-style custom metal vs switched regular tracks. *)
 let routing_styles ?(seed = 1) scale =
-  let module Placement = Vpga_place.Placement in
-  let module Global = Vpga_place.Global in
-  let module Buffering = Vpga_place.Buffering in
-  let module Quadrisect = Vpga_pack.Quadrisect in
   let module Pathfinder = Vpga_route.Pathfinder in
   let module Sta = Vpga_timing.Sta in
   let arch = Arch.granular_plb in
+  let opts =
+    {
+      Stagekey.seed;
+      period = 500.0;
+      anneal_iterations = None;
+      use_criticality = false;
+      verify = 0;
+      policy = Vpga_resil.Policy.default;
+      defect = None;
+    }
+  in
   List.map
     (fun (name, nl) ->
-      let buffered = Buffering.insert ~max_fanout:8 (Compact.run arch nl) in
-      let pl = Placement.create buffered in
-      Global.place ~seed pl;
-      let q = Quadrisect.legalize arch pl in
-      let side = sqrt arch.Arch.tile_area in
-      let pl_b =
-        {
-          pl with
-          Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-          die_h = float_of_int q.Quadrisect.rows *. side;
-        }
+      let buffered, _, pl_b =
+        Stage.packed
+          (Stage.create ~opts ~log:None ~trace:Vpga_obs.Trace.null
+             ~cache:Vpga_cache.Cache.none arch nl)
       in
-      Quadrisect.snap q pl_b;
       let routed = Pathfinder.route_placement pl_b in
       let slack wire =
         Sta.average_top_slack (Sta.run ~wire buffered) 10

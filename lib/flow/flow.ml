@@ -6,9 +6,7 @@ module Config = Vpga_plb.Config
 module Techmap = Vpga_mapper.Techmap
 module Compact = Vpga_mapper.Compact
 module Placement = Vpga_place.Placement
-module Global = Vpga_place.Global
 module Anneal = Vpga_place.Anneal
-module Buffering = Vpga_place.Buffering
 module Quadrisect = Vpga_pack.Quadrisect
 module Pathfinder = Vpga_route.Pathfinder
 module Grid = Vpga_route.Grid
@@ -21,15 +19,12 @@ module Ownership = Vpga_analysis.Ownership
 module Cec = Vpga_verify.Cec
 module Phys = Vpga_verify.Phys
 module Diag = Vpga_verify.Diag
-module Fail = Vpga_resil.Fail
 module Defect = Vpga_resil.Defect
 module Policy = Vpga_resil.Policy
-module Log = Vpga_resil.Log
 module Retry = Vpga_resil.Retry
 module Trace = Vpga_obs.Trace
 module Attr = Vpga_obs.Span
 module Cache = Vpga_cache.Cache
-module Ckey = Vpga_cache.Key
 
 type kind = Flow_a | Flow_b
 
@@ -70,196 +65,96 @@ let check_structure ~stage nl =
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: invalid netlist: %s" stage msg)
 
-let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
-    ?anneal_iterations ?(refine = true) ?(use_criticality = true)
-    ?(jobs = 1) ?(verify = Fast) ?(policy = Policy.default) ?log
-    ?(trace = Trace.null) ?(trace_labels = true) ?(analyze = false) ?defect
-    ?(cache = Cache.none) arch nl =
-  let design = Netlist.design_name nl in
-  let log = match log with Some l -> l | None -> Log.create () in
-  (* An empty defect map is the healthy fabric: normalize it away so the
-     no-defect flow stays bit-identical to the pre-defect-layer code
-     (shared full-track arrays, no dead-tile plumbing). *)
-  let defect =
-    match defect with Some d when Defect.is_empty d -> None | d -> d
+let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
+    ?(use_criticality = true) ?(jobs = 1) ?(verify = Fast)
+    ?(policy = Policy.default) ?log ?(trace = Trace.null)
+    ?(trace_labels = true) ?(analyze = false) ?defect ?(cache = Cache.none)
+    arch nl =
+  (* Every stage key is built in [Stagekey] from the digests of the
+     stage's actual inputs, so a cache hit is exactly a rerun of the same
+     deterministic computation. *)
+  let s =
+    Stage.create ~log ~trace ~cache arch nl
+      ~opts:
+        {
+          Stagekey.seed;
+          period;
+          anneal_iterations;
+          use_criticality;
+          verify = (match verify with Off -> 0 | Fast -> 1 | Formal -> 2);
+          policy;
+          defect;
+        }
   in
-  let track_fn = Option.map Defect.tracks defect in
-  let dead_tile_fn = Option.map Defect.tile_dead defect in
-  (* Content-addressed memoization of the stage boundaries.  Every key is
-     built in [Stagekey] from the digests of the stage's actual inputs,
-     so a hit is exactly a rerun of the same deterministic computation;
-     values revive as fresh copies ([Cache]'s put-time serialization), so
-     the flow's in-place mutation of placements never reaches an entry. *)
-  let keyed = Cache.enabled cache in
-  let opts =
-    {
-      Stagekey.seed;
-      period;
-      utilization;
-      anneal_iterations;
-      use_criticality;
-      verify = (match verify with Off -> 0 | Fast -> 1 | Formal -> 2);
-      policy;
-      defect;
-    }
-  in
-  let d_nl = lazy (Ckey.netlist_hex nl) in
-  let d_arch = lazy (Ckey.arch_hex arch) in
-  (* Every stage boundary opens a span on [trace]; [Trace.with_span] also
-     installs the trace as the domain's ambient sink, so counters emitted
-     deep inside the annealer / PathFinder / SAT / cut enumeration land in
-     this task's registry.  With [trace = Trace.null] every span is one
-     branch and nothing else. *)
-  let span ?attrs name f = Trace.with_span ?attrs trace name f in
-  (* Replay the recovery log onto the trace timeline as instant events;
-     [Log.record] stamps the same monotonic clock the spans use, so they
-     correlate exactly. *)
-  let flush_recovery () =
-    List.iter
-      (fun { Log.at_ns; event } ->
-        let name, stage, detail =
-          match event with
-          | Log.Retry { stage; attempt; reason } ->
-              ( "resil:retry",
-                stage,
-                Printf.sprintf "attempt %d: %s" attempt reason )
-          | Log.Escalation { stage; what } -> ("resil:escalate", stage, what)
-          | Log.Degraded { stage; what } -> ("resil:degrade", stage, what)
-        in
-        Trace.instant ~ts_ns:at_ns
-          ~attrs:[ ("stage", Attr.Str stage); ("detail", Attr.Str detail) ]
-          trace name)
-      (Log.timed log)
-  in
-  (* [cmemo stage mk compute]: look the stage up under [mk ()]'s key; on
-     a hit, replay the recovery events its compute recorded (so warm
-     summaries match cold ones) and mark the timeline; on a miss, run
-     [compute] and store its value together with the event suffix it
-     appended to [log].  Failures propagate and are never cached. *)
-  let cmemo : 'a. string -> (unit -> Ckey.t) -> (unit -> 'a) -> 'a =
-   fun stage mk compute ->
-    if not keyed then compute ()
-    else
-      let k = mk () in
-      match Cache.find cache k with
-      | Some (v, events) ->
-          List.iter (Log.record log) events;
-          Trace.instant ~attrs:[ ("stage", Attr.Str stage) ] trace "cache:hit";
-          v
-      | None ->
-          let before = List.length (Log.events log) in
-          let v = compute () in
-          let suffix =
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: t -> drop (n - 1) t
-            in
-            drop before (Log.events log)
-          in
-          Cache.put cache k (v, suffix);
-          v
-  in
+  let { Stage.design; opts; _ } = s in
+  let defect = opts.Stagekey.defect in
+  let tracks = Option.map Defect.tracks defect in
+  let span ?attrs name f = Stage.span ?attrs s name f in
   let vfast = verify <> Off in
-  let vformal = verify = Formal in
   (* Verification gates abort with a *typed* failure: the stage name,
      attempt count and the diagnostics that condemned it. *)
-  let guard ?(attempts = 1) stage f =
+  let guard stage f =
     try f ()
     with Failure msg ->
-      Fail.raise_
-        (Fail.make ~stage ~design ~attempts
-           ~diags:[ Diag.error "verify-failed" "%s" msg ]
-           ~events:(Log.strings log) ())
+      Stage.fail s ~attempts:1 stage (Diag.error "verify-failed" "%s" msg)
   in
-  (* Structural well-formedness at every stage boundary. *)
-  let structure stage nl' =
-    if vfast then guard stage (fun () -> check_structure ~stage nl')
-  in
-  (* Formal proofs walk the policy's conflict-budget ladder; when every
-     budget comes back [Undecided] the stage degrades Formal -> Fast
-     (the randomized gate already passed) with a recorded warning. *)
+  (* Formal proofs walk the policy's conflict-budget ladder, one attempt
+     per budget; when every budget comes back [Undecided] the stage
+     degrades Formal -> Fast (the randomized gate already passed). *)
   let formal_prove stage candidate =
-    let refute attempts { Cec.root; root_is_flop; _ } =
-      Fail.raise_
-        (Fail.make ~stage ~design ~attempts
-           ~diags:
-             [
-               Diag.error "cec-refuted"
+    let show = function Some b -> string_of_int b | None -> "unbounded" in
+    Stage.ladder s ~stage ~max_attempts:(List.length policy.Policy.cec_budgets)
+      ~next:(fun budgets () ->
+        match budgets with
+        | b :: (n :: _ as rest) ->
+            Some (rest, Printf.sprintf "conflict budget %s -> %s" (show b) (show n))
+        | _ -> None)
+      ~exhausted:(fun _ () ->
+        Retry.Degrade
+          ( "SAT proof undecided within the policy's conflict budgets; \
+             relying on the randomized equivalence gate",
+            () ))
+      (fun attempt budgets ->
+        let verdict =
+          match budgets with
+          | [] -> Cec.Undecided
+          | None :: _ -> (
+              match Cec.check nl candidate with
+              | Cec.Equivalent -> Cec.Proved
+              | Cec.Inequivalent cex -> Cec.Refuted cex)
+          | Some mc :: _ -> Cec.check_bounded ~max_conflicts:mc nl candidate
+        in
+        match verdict with
+        | Cec.Proved -> Ok ()
+        | Cec.Undecided -> Error ("SAT proof undecided within conflict budget", ())
+        | Cec.Refuted { Cec.root; root_is_flop; _ } ->
+            Stage.fail s ~attempts:(attempt + 1) stage
+              (Diag.error "cec-refuted"
                  "SAT equivalence check refuted design %s (%s %d differs)"
                  design
                  (if root_is_flop then "flop D pin" else "output")
-                 root;
-             ]
-           ~events:(Log.strings log) ())
-    in
-    let degrade () =
-      Log.record log
-        (Log.Degraded
-           {
-             stage;
-             what =
-               "SAT proof undecided within the policy's conflict budgets; \
-                relying on the randomized equivalence gate";
-           })
-    in
-    let rec go attempt = function
-      | [] -> degrade ()
-      | budget :: rest -> (
-          let verdict =
-            match budget with
-            | None -> (
-                match Cec.check nl candidate with
-                | Cec.Equivalent -> Cec.Proved
-                | Cec.Inequivalent cex -> Cec.Refuted cex)
-            | Some mc -> Cec.check_bounded ~max_conflicts:mc nl candidate
-          in
-          match verdict with
-          | Cec.Proved -> ()
-          | Cec.Refuted cex -> refute (attempt + 1) cex
-          | Cec.Undecided -> (
-              match rest with
-              | [] -> degrade ()
-              | next :: _ ->
-                  let show = function
-                    | Some b -> string_of_int b
-                    | None -> "unbounded"
-                  in
-                  Log.record log
-                    (Log.Retry
-                       {
-                         stage;
-                         attempt = attempt + 1;
-                         reason = "SAT proof undecided within conflict budget";
-                       });
-                  Log.record log
-                    (Log.Escalation
-                       {
-                         stage;
-                         what =
-                           Printf.sprintf "conflict budget %s -> %s"
-                             (show budget) (show next);
-                       });
-                  go (attempt + 1) rest))
-    in
-    go 0 policy.Policy.cec_budgets
+                 root))
+      policy.Policy.cec_budgets
   in
-  (* Functional equivalence against the source netlist: the randomized
-     simulation gate is a fast pre-filter; at [Formal] the SAT-based
-     checker then proves what simulation only sampled. *)
-  let equiv stage candidate =
-    if vfast then guard stage (fun () -> check_equivalence nl candidate);
-    if vformal then formal_prove stage candidate
-  in
-  (* Cached equivalence gate: the simulation + SAT work dominates these
-     spans; the structural check stays live as a per-run spot check.
-     With verification off the gate is a no-op, so nothing is cached. *)
-  let equiv_gate stage candidate d_candidate =
-    if vfast then
-      cmemo stage
-        (fun () ->
-          Stagekey.verify_gate ~stage ~source:(Lazy.force d_nl)
-            ~candidate:(Lazy.force d_candidate) opts)
-        (fun () -> equiv stage candidate)
+  (* A front-end gate: structural well-formedness stays live as a per-run
+     spot check; functional equivalence against the source — the
+     randomized simulation pre-filter, then at [Formal] the SAT proof —
+     dominates the span and is cached.  Returns the candidate's digest
+     for the downstream keys. *)
+  let gate stage candidate =
+    let d = Stage.digest candidate in
+    span stage (fun () ->
+        if vfast then begin
+          guard stage (fun () -> check_structure ~stage candidate);
+          Stage.memo s stage
+            (fun () ->
+              Stagekey.verify_gate ~stage ~source:(Lazy.force s.Stage.d_nl)
+                ~candidate:(Lazy.force d) opts)
+            (fun () ->
+              guard stage (fun () -> check_equivalence nl candidate);
+              if verify = Formal then formal_prove stage candidate)
+        end);
+    d
   in
   let phys stage check =
     if vfast then
@@ -268,9 +163,10 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   in
   let body () =
   span "verify:input" (fun () ->
-      structure "verify:input" nl;
-      if vfast then
-        guard "verify:lint" (fun () -> Lint.check ~stage:"verify:lint" nl));
+      if vfast then begin
+        guard "verify:input" (fun () -> check_structure ~stage:"verify:input" nl);
+        guard "verify:lint" (fun () -> Lint.check ~stage:"verify:lint" nl)
+      end);
   (* Static dataflow analysis over the source netlist: detection only
      (no simplification inside the flow — rewrites belong to explicit
      [vpga analyze --simplify] invocations), counters onto the ambient
@@ -282,89 +178,45 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
         guard "analyze:input" (fun () ->
             Diag.fail_on_errors ~stage:"analyze:input" (Analysis.diags a)));
   let gate_count = Stats.gate_count nl in
-  (* Front-end: map, compact, buffer. *)
+  (* Front-end: map, compact, buffer, each gated against the source. *)
   let mapped =
-    span "map" (fun () ->
-        cmemo "map"
-          (fun () ->
-            Stagekey.map ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch) opts)
-          (fun () -> Techmap.map arch nl))
+    Stage.run s "map"
+      (fun () ->
+        Stagekey.map ~nl:(Lazy.force s.Stage.d_nl)
+          ~arch:(Lazy.force s.Stage.d_arch) opts)
+      (fun () -> Techmap.map arch nl)
   in
-  let d_mapped = lazy (Ckey.netlist_hex mapped) in
-  span "verify:techmap" (fun () ->
-      structure "verify:techmap" mapped;
-      equiv_gate "verify:techmap" mapped d_mapped);
+  ignore (gate "verify:techmap" mapped);
   let compacted, compaction_gain =
     span "compact" (fun () ->
-        (* Traced runs go through [run_traced]: same cover at the same pass
-           count, but the incremental FlowMap labeler runs alongside, so
-           [flowmap.*] counters land in the trace.  From-scratch labeling is
-           far costlier than the compaction DP on large inputs, so callers
-           that trace for stage {e timings} (the bench sweep) opt out via
-           [trace_labels:false]. *)
+        (* Traced runs label alongside compaction (see [Stage.compact]);
+           from-scratch labeling is far costlier than the compaction DP
+           on large inputs, so callers that trace for stage {e timings}
+           (the bench sweep) opt out via [trace_labels:false]. *)
         let compacted =
-          cmemo "compact"
-            (fun () ->
-              Stagekey.compact ~nl:(Lazy.force d_nl)
-                ~arch:(Lazy.force d_arch) opts)
-            (fun () ->
-              if trace_labels && Trace.enabled trace then
-                fst (Compact.run_traced arch nl)
-              else Compact.run arch nl)
+          Stage.compact s ~labels:(trace_labels && Trace.enabled trace)
         in
         let before = Techmap.cell_area mapped in
-        let gain =
+        ( compacted,
           if before <= 0.0 then 0.0
-          else 1.0 -. (Techmap.cell_area compacted /. before)
-        in
-        (compacted, gain))
+          else 1.0 -. (Techmap.cell_area compacted /. before) ))
   in
-  let d_compacted = lazy (Ckey.netlist_hex compacted) in
-  span "verify:compact" (fun () ->
-      structure "verify:compact" compacted;
-      equiv_gate "verify:compact" compacted d_compacted);
+  let d_compacted = gate "verify:compact" compacted in
   let buffered, cell_area, config_histogram =
     span "buffer" (fun () ->
-        let buffered =
-          cmemo "buffer"
-            (fun () ->
-              Stagekey.buffer ~compacted:(Lazy.force d_compacted)
-                ~max_fanout:8 opts)
-            (fun () -> Buffering.insert ~max_fanout:8 compacted)
-        in
+        let buffered = Stage.buffer s compacted d_compacted in
         ( buffered,
           Techmap.cell_area buffered,
           Compact.config_histogram buffered ))
   in
-  let d_buffered = lazy (Ckey.netlist_hex buffered) in
-  span "verify:buffer" (fun () ->
-      structure "verify:buffer" buffered;
-      equiv_gate "verify:buffer" buffered d_buffered);
+  let d_buffered = gate "verify:buffer" buffered in
   Trace.set trace "flow.gate_count" gate_count;
   Trace.set trace "flow.cells" (float_of_int (Netlist.size buffered));
-  (* Placement (shared).  The cached value is the coordinate arrays:
-     [Placement.create] (graph construction) reruns on a hit — cheap —
-     and the coordinates blit into the fresh placement, so downstream
-     mutation (annealing, snapping) works on this run's own arrays. *)
+  (* Placement (shared by both flows). *)
   let pl =
-    span "place:global" (fun () ->
-        let pl = Placement.create ~utilization buffered in
-        let px, py =
-          cmemo "place:global"
-            (fun () ->
-              Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
-            (fun () ->
-              Global.place ~seed pl;
-              (pl.Placement.x, pl.Placement.y))
-        in
-        (* A miss hands back [pl]'s own arrays; only a hit needs the blit. *)
-        if px != pl.Placement.x then begin
-          Array.blit px 0 pl.Placement.x 0 (Array.length px);
-          Array.blit py 0 pl.Placement.y 0 (Array.length py)
-        end;
-        pl)
+    span "place:global" (fun () -> Stage.place_global s buffered d_buffered)
   in
-  let d_pl_global = if keyed then Stagekey.placement_hex pl else "" in
+  let d_pl_global = Stage.placement_hex s pl in
   (* Criticality from a pre-route timing estimate. *)
   let crit =
     span "sta:pre" (fun () ->
@@ -381,224 +233,150 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
      derived reseed at a cooler temperature; attempt 0 reproduces the
      policy-free flow exactly.  Exhaustion is survivable — the pre-anneal
      (global) placement is already legal, so the flow continues on it. *)
-  let () =
-    span "place:anneal" @@ fun () ->
-    let stage = "place:anneal" in
-    let base_seed = seed + 1 in
-    let n = Array.length pl.Placement.x in
-    let rec go attempt t_start =
-      let sx = Array.copy pl.Placement.x and sy = Array.copy pl.Placement.y in
-      let stats =
-        Anneal.refine ?iterations ~criticality:crit ?t_start
-          ~seed:(Retry.reseed ~seed:base_seed ~attempt)
-          pl
-      in
-      if stats.Anneal.final_cost > stats.Anneal.initial_cost then begin
-        Array.blit sx 0 pl.Placement.x 0 n;
-        Array.blit sy 0 pl.Placement.y 0 n;
-        let reason =
-          Printf.sprintf "annealing cost diverged (%.0f -> %.0f)"
-            stats.Anneal.initial_cost stats.Anneal.final_cost
-        in
-        if attempt + 1 < policy.Policy.max_attempts then begin
+  span "place:anneal" (fun () ->
+      let stage = "place:anneal" in
+      Stage.memo_coords s stage
+        (fun () ->
+          Stagekey.place_anneal ~buffered:(Lazy.force d_buffered)
+            ~pl:d_pl_global opts)
+        pl
+      @@ fun () ->
+      Stage.ladder s ~stage ~max_attempts:policy.Policy.max_attempts
+        ~next:(fun t_start () ->
           let t' =
             match t_start with
             | Some t -> t *. policy.Policy.anneal_cooling
             | None -> 1.0 (* restart well below the adaptive default *)
           in
-          Log.record log (Log.Retry { stage; attempt = attempt + 1; reason });
-          Log.record log
-            (Log.Escalation
-               {
-                 stage;
-                 what =
-                   Printf.sprintf
-                     "restart with derived reseed at t_start %.3g" t';
-               });
-          go (attempt + 1) (Some t')
-        end
-        else
-          Log.record log
-            (Log.Degraded
-               { stage; what = reason ^ "; keeping the pre-anneal placement" })
-      end
-    in
-    let ax, ay =
-      cmemo stage
-        (fun () ->
-          Stagekey.place_anneal ~buffered:(Lazy.force d_buffered)
-            ~pl:d_pl_global opts)
-        (fun () ->
-          go 0 policy.Policy.anneal_t_start;
-          (pl.Placement.x, pl.Placement.y))
-    in
-    if ax != pl.Placement.x then begin
-      Array.blit ax 0 pl.Placement.x 0 n;
-      Array.blit ay 0 pl.Placement.y 0 n
-    end
-  in
+          Some
+            ( Some t',
+              Printf.sprintf "restart with derived reseed at t_start %.3g" t'
+            ))
+        ~exhausted:(fun reason () ->
+          Retry.Degrade (reason ^ "; keeping the pre-anneal placement", ()))
+        (fun attempt t_start ->
+          let sx = Array.copy pl.Placement.x
+          and sy = Array.copy pl.Placement.y in
+          let stats =
+            Anneal.refine ?iterations ~criticality:crit ?t_start
+              ~seed:(Retry.reseed ~seed:(seed + 1) ~attempt)
+              pl
+          in
+          if stats.Anneal.final_cost <= stats.Anneal.initial_cost then Ok ()
+          else begin
+            Array.blit sx 0 pl.Placement.x 0 (Array.length sx);
+            Array.blit sy 0 pl.Placement.y 0 (Array.length sy);
+            Error
+              ( Printf.sprintf "annealing cost diverged (%.0f -> %.0f)"
+                  stats.Anneal.initial_cost stats.Anneal.final_cost,
+                () )
+          end)
+        policy.Policy.anneal_t_start);
   phys "verify:placement(a)" (fun () -> Phys.check_placement pl);
-  let d_pl = if keyed then Stagekey.placement_hex pl else "" in
+  let d_pl = Stage.placement_hex s pl in
   let activities =
-    span "power:activities" (fun () ->
-        cmemo "power:activities"
-          (fun () ->
-            Stagekey.activities ~buffered:(Lazy.force d_buffered) opts)
-          (fun () -> Power.activities ~seed:(seed + 7) buffered))
+    Stage.run s "power:activities"
+      (fun () -> Stagekey.activities ~buffered:(Lazy.force d_buffered) opts)
+      (fun () -> Power.activities ~seed:(seed + 7) buffered)
   in
-  (* Global + detailed routing under the escalation ladder: leftover
-     channel overflow or a track-assignment conflict buys the next
-     attempt a wider channel and a bigger rip-up budget.  Exhaustion
-     with overflow degrades (detailed routing is skipped, vias = -1,
-     matching the policy-free flow's behavior on congested results);
-     exhaustion on a track conflict is fatal. *)
-  let route_stage tag pl =
+  (* Global + detailed routing under the escalation ladder, cached as
+     one entry per placement: leftover channel overflow or a
+     track-assignment conflict buys the next attempt a wider channel and
+     a bigger rip-up budget.  Exhaustion with overflow degrades (detailed
+     routing is skipped, vias = -1); exhaustion on a track conflict is
+     fatal. *)
+  let route tag pl d_pl =
     let stage = "route:" ^ tag in
-    let iterations_of attempt =
-      30 + (policy.Policy.route_extra_iterations * attempt)
-    in
-    let rec go attempt capacity =
-      let routed =
-        Pathfinder.route_placement ?capacity ?tracks:track_fn
-          ~max_iterations:(iterations_of attempt) pl
-      in
-      let escalate reason =
+    Stage.run s stage
+      (fun () ->
+        Stagekey.route ~tag ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
+    @@ fun () ->
+    Stage.ladder s ~stage ~max_attempts:policy.Policy.max_attempts
+      ~next:(fun (_, iters) (routed, _) ->
         let base = routed.Pathfinder.grid.Grid.capacity in
         let cap =
           max (base + 1)
             (int_of_float
                (ceil (float_of_int base *. policy.Policy.route_capacity_growth)))
         in
-        Log.record log (Log.Retry { stage; attempt = attempt + 1; reason });
-        Log.record log
-          (Log.Escalation
-             {
-               stage;
-               what =
-                 Printf.sprintf
-                   "channel capacity %d -> %d, rip-up iterations %d -> %d" base
-                   cap (iterations_of attempt)
-                   (iterations_of (attempt + 1));
-             });
-        go (attempt + 1) (Some cap)
-      in
-      let exhausted = attempt + 1 >= policy.Policy.max_attempts in
-      if routed.Pathfinder.final_overflow > 0 then begin
-        let reason =
-          Printf.sprintf "%d unit(s) of channel overflow left after %d rip-up \
-                          iteration(s)"
-            routed.Pathfinder.final_overflow routed.Pathfinder.iterations
+        let iters' = iters + policy.Policy.route_extra_iterations in
+        Some
+          ( (Some cap, iters'),
+            Printf.sprintf
+              "channel capacity %d -> %d, rip-up iterations %d -> %d" base cap
+              iters iters' ))
+      ~exhausted:(fun reason (routed, conflict) ->
+        if conflict then Retry.Fatal (Diag.error "track-overflow" "%s" reason)
+        else Retry.Degrade (reason ^ "; detailed routing skipped", (routed, -1)))
+      (fun _ (capacity, max_iterations) ->
+        let routed =
+          Pathfinder.route_placement ?capacity ?tracks ~max_iterations pl
         in
-        if not exhausted then escalate reason
-        else begin
-          Log.record log
-            (Log.Degraded { stage; what = reason ^ "; detailed routing skipped" });
-          (routed, -1)
-        end
-      end
-      else
-        match
-          span "route:detail" (fun () ->
-              Detail.run_result routed.Pathfinder.grid routed.Pathfinder.routes)
-        with
-        | Ok d ->
-            phys
-              (Printf.sprintf "verify:tracks(%s)" tag)
-              (fun () -> Phys.check_tracks d routed.Pathfinder.routes);
-            (routed, d.Detail.total_vias)
-        | Error reason ->
-            if not exhausted then escalate reason
-            else
-              Fail.raise_
-                (Fail.make ~stage ~design ~attempts:(attempt + 1)
-                   ~diags:[ Diag.error "track-overflow" "%s" reason ]
-                   ~events:(Log.strings log) ())
+        if routed.Pathfinder.final_overflow > 0 then
+          Error
+            ( Printf.sprintf
+                "%d unit(s) of channel overflow left after %d rip-up \
+                 iteration(s)"
+                routed.Pathfinder.final_overflow routed.Pathfinder.iterations,
+              (routed, false) )
+        else
+          match
+            span "route:detail" (fun () ->
+                Detail.run_result routed.Pathfinder.grid
+                  routed.Pathfinder.routes)
+          with
+          | Ok d ->
+              phys
+                (Printf.sprintf "verify:tracks(%s)" tag)
+                (fun () -> Phys.check_tracks d routed.Pathfinder.routes);
+              Ok (routed, d.Detail.total_vias)
+          | Error reason -> Error (reason, (routed, true)))
+      (policy.Policy.route_capacity, 30)
+  in
+  (* Route, check and time one flow's placement; the outcome's physical
+     fields are flow a's (die = the placement's own die), which flow b
+     overrides with its array's. *)
+  let back_end kind tag pl d_pl =
+    let routed, vias = route tag pl d_pl in
+    phys
+      (Printf.sprintf "verify:routing(%s)" tag)
+      (fun () -> Phys.check_routing routed pl);
+    let wire, sta =
+      span ("sta:" ^ tag) (fun () ->
+          let wire = Pathfinder.wire_loads routed in
+          (wire, Sta.run ~period ~wire buffered))
     in
-    go 0 policy.Policy.route_capacity
-  in
-  (* Caches the whole escalation ladder — global routing, detailed
-     routing, the embedded track gate — as one entry per placement. *)
-  let cached_route tag pl_for d_pl_for =
-    cmemo ("route:" ^ tag)
-      (fun () ->
-        Stagekey.route ~tag ~buffered:(Lazy.force d_buffered) ~pl:d_pl_for
-          opts)
-      (fun () -> route_stage tag pl_for)
-  in
-  (* ---- Flow a: ASIC-style ---- *)
-  let routed_a, vias_a = span "route:a" (fun () -> cached_route "a" pl d_pl) in
-  phys "verify:routing(a)" (fun () -> Phys.check_routing routed_a pl);
-  let wire_a, sta_a =
-    span "sta:a" (fun () ->
-        let wire = Pathfinder.wire_loads routed_a in
-        (wire, Sta.run ~period ~wire buffered))
-  in
-  let power_a =
-    span "power:a" (fun () ->
-        Power.estimate ~period ~wire:wire_a ~activities buffered)
-  in
-  let outcome_a =
+    let power =
+      span ("power:" ^ tag) (fun () ->
+          Power.estimate ~period ~wire ~activities buffered)
+    in
     {
       design;
       arch;
-      kind = Flow_a;
+      kind;
       die_area = pl.Placement.die_w *. pl.Placement.die_h;
       cell_area;
       gate_count;
-      avg_top10_slack = Sta.average_top_slack sta_a 10;
-      wns = sta_a.Sta.wns;
-      wirelength = Pathfinder.total_wirelength routed_a;
+      avg_top10_slack = Sta.average_top_slack sta 10;
+      wns = sta.Sta.wns;
+      wirelength = Pathfinder.total_wirelength routed;
       array_dims = None;
       tiles_used = 0;
       compaction_gain;
       config_histogram;
       displacement = 0.0;
       displacement_tiles = 0.0;
-      power_uw = power_a.Power.total_uw;
-      routed_vias = vias_a;
+      power_uw = power.Power.total_uw;
+      routed_vias = vias;
     }
   in
+  (* ---- Flow a: ASIC-style ---- *)
+  let outcome_a = back_end Flow_a "a" pl d_pl in
   (* ---- Flow b: pack into the PLB array ---- *)
-  (* Legalization under the relaxation ladder: an unfittable design buys
-     the next attempt a roomier array (lower target utilization).
-     Exhaustion is fatal — there is no flow b without a legal packing. *)
   let q =
-    span "pack:quadrisect" @@ fun () ->
-    let stage = "pack:quadrisect" in
-    cmemo stage
-      (fun () ->
-        Stagekey.quadrisect ~arch:(Lazy.force d_arch)
-          ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
-    @@ fun () ->
-    let rec go attempt utilization =
-      match
-        Quadrisect.legalize_result ~utilization ~criticality:crit
-          ?dead_tile:dead_tile_fn arch pl
-      with
-      | Ok q -> q
-      | Error fe ->
-          let reason = Quadrisect.fit_error_to_string fe in
-          if attempt + 1 < policy.Policy.max_attempts then begin
-            let u = utilization *. policy.Policy.pack_relaxation in
-            Log.record log (Log.Retry { stage; attempt = attempt + 1; reason });
-            Log.record log
-              (Log.Escalation
-                 {
-                   stage;
-                   what =
-                     Printf.sprintf
-                       "grow the array: target utilization %.2f -> %.2f"
-                       utilization u;
-                 });
-            go (attempt + 1) u
-          end
-          else
-            Fail.raise_
-              (Fail.make ~stage ~design ~attempts:(attempt + 1)
-                 ~diags:[ Diag.error "pack-unfit" "%s" reason ]
-                 ~events:(Log.strings log) ())
-    in
-    go 0 policy.Policy.pack_utilization
+    span "pack:quadrisect" (fun () ->
+        Stage.pack s ~stage:"pack:quadrisect" ~key:Stagekey.quadrisect
+          ~criticality:(Some crit) d_buffered pl d_pl)
   in
   (* One precomputed dead-tile view at the final packing's dims, shared
      by the checker and the refinement loop. *)
@@ -610,19 +388,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   in
   phys "verify:packing" (fun () ->
       Phys.check_packing ?dead_tile:dead_pred q buffered);
-  let pl_b =
-    span "pack:snap" (fun () ->
-        let side = sqrt arch.Arch.tile_area in
-        let pl_b =
-          {
-            pl with
-            Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-            die_h = float_of_int q.Quadrisect.rows *. side;
-          }
-        in
-        Quadrisect.snap q pl_b;
-        pl_b)
-  in
+  let pl_b = span "pack:snap" (fun () -> Quadrisect.snap q pl) in
   (* The paper's packing <-> physical-synthesis iteration: refine tile
      assignments under the criticality-weighted wirelength cost. *)
   if refine then begin
@@ -645,10 +411,10 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
               Diag.fail_on_errors ~stage:"analyze:regions" r.Ownership.diags));
     span "pack:refine" (fun () ->
         (* [Refine.run] mutates exactly the tile assignment and the
-           snapped coordinates, so that triple is the cached value; a hit
-           blits it over this run's packing. *)
+           snapped coordinates, so that triple is the cached value. *)
+        let stage = "pack:refine" in
         let tiles, rx, ry =
-          cmemo "pack:refine"
+          Stage.memo s stage
             (fun () ->
               Stagekey.refine ~buffered:(Lazy.force d_buffered)
                 ~q:(Stagekey.quad_hex q) opts)
@@ -661,80 +427,41 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
                       pl_b)
                with
               | Vpga_pack.Refine.Infeasible msg ->
-                  Fail.raise_
-                    (Fail.make ~stage:"pack:refine" ~design ~attempts:1
-                       ~diags:[ Diag.error "pack-infeasible" "%s" msg ]
-                       ~events:(Log.strings log) ())
+                  Stage.fail s ~attempts:1 stage
+                    (Diag.error "pack-infeasible" "%s" msg)
               | Vpga_plb.Occupancy.Race { owner; writer } ->
-                  Fail.raise_
-                    (Fail.make ~stage:"pack:refine" ~design ~attempts:1
-                       ~diags:
-                         [
-                           Diag.error "region-race"
-                             "cross-region occupancy write: tile owned by \
-                              region %d mutated by region %d's walk"
-                             owner writer;
-                         ]
-                       ~events:(Log.strings log) ()));
+                  Stage.fail s ~attempts:1 stage
+                    (Diag.error "region-race"
+                       "cross-region occupancy write: tile owned by region \
+                        %d mutated by region %d's walk"
+                       owner writer));
               (q.Quadrisect.tile_of_node, pl_b.Placement.x, pl_b.Placement.y))
         in
-        if tiles != q.Quadrisect.tile_of_node then begin
-          Array.blit tiles 0 q.Quadrisect.tile_of_node 0 (Array.length tiles);
-          Array.blit rx 0 pl_b.Placement.x 0 (Array.length rx);
-          Array.blit ry 0 pl_b.Placement.y 0 (Array.length ry)
-        end)
+        Stage.revive tiles q.Quadrisect.tile_of_node;
+        Stage.revive rx pl_b.Placement.x;
+        Stage.revive ry pl_b.Placement.y)
   end;
   phys "verify:placement(b)" (fun () -> Phys.check_placement pl_b);
-  let d_pl_b = if keyed then Stagekey.placement_hex pl_b else "" in
-  let routed_b, vias_b =
-    span "route:b" (fun () -> cached_route "b" pl_b d_pl_b)
-  in
-  phys "verify:routing(b)" (fun () -> Phys.check_routing routed_b pl_b);
-  let wire_b, sta_b =
-    span "sta:b" (fun () ->
-        let wire = Pathfinder.wire_loads routed_b in
-        (wire, Sta.run ~period ~wire buffered))
-  in
-  let power_b =
-    span "power:b" (fun () ->
-        Power.estimate ~period ~wire:wire_b ~activities buffered)
-  in
   let outcome_b =
     {
-      design;
-      arch;
-      kind = Flow_b;
+      (back_end Flow_b "b" pl_b (Stage.placement_hex s pl_b)) with
       die_area = Quadrisect.array_area q;
-      cell_area;
-      gate_count;
-      avg_top10_slack = Sta.average_top_slack sta_b 10;
-      wns = sta_b.Sta.wns;
-      wirelength = Pathfinder.total_wirelength routed_b;
       array_dims = Some (q.Quadrisect.cols, q.Quadrisect.rows);
       tiles_used = q.Quadrisect.tiles_used;
-      compaction_gain;
-      config_histogram;
       displacement = q.Quadrisect.displacement;
       displacement_tiles = q.Quadrisect.mean_displacement_tiles;
-      power_uw = power_b.Power.total_uw;
-      routed_vias = vias_b;
     }
   in
   { a = outcome_a; b = outcome_b }
   in
-  match
-    span "flow"
-      ~attrs:
-        [
-          ("design", Attr.Str design);
-          ("arch", Attr.Str arch.Arch.name);
-          ("seed", Attr.Int seed);
-        ]
-      body
-  with
-  | pair ->
-      flush_recovery ();
-      pair
-  | exception e ->
-      flush_recovery ();
-      raise e
+  Fun.protect
+    ~finally:(fun () -> Stage.recovery_instants s)
+    (fun () ->
+      span "flow"
+        ~attrs:
+          [
+            ("design", Attr.Str design);
+            ("arch", Attr.Str arch.Arch.name);
+            ("seed", Attr.Int seed);
+          ]
+        body)

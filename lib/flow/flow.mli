@@ -55,7 +55,6 @@ type pair = { a : outcome; b : outcome }
 val run :
   ?seed:int ->
   ?period:float ->
-  ?utilization:float ->
   ?anneal_iterations:int ->
   ?refine:bool ->
   ?use_criticality:bool ->
@@ -72,9 +71,9 @@ val run :
   Vpga_netlist.Netlist.t ->
   pair
 (** Runs both flows on a design, sharing the front-end.  [period] defaults
-    to 500 ps (the paper's 0.5 ns); [utilization] (0.7) is the flow-a
-    standard-cell row utilization; [seed] (1) drives every randomized stage
-    deterministically.  [refine] (true) enables the packing <->
+    to 500 ps (the paper's 0.5 ns); flow a places at
+    {!Vpga_place.Placement.create}'s standard-cell row utilization (0.7);
+    [seed] (1) drives every randomized stage deterministically.  [refine] (true) enables the packing <->
     physical-synthesis iteration; [use_criticality] (true) enables
     timing-criticality weighting in placement and packing — both exist for
     the ablation benches.  [jobs] (default 1) bounds the worker domains

@@ -17,27 +17,19 @@
    snapped packing, so the search isolates the routing question from the
    placement one. *)
 
-module Netlist = Vpga_netlist.Netlist
 module Arch = Vpga_plb.Arch
 module Config = Vpga_plb.Config
-module Compact = Vpga_mapper.Compact
-module Buffering = Vpga_place.Buffering
-module Placement = Vpga_place.Placement
-module Global = Vpga_place.Global
 module Quadrisect = Vpga_pack.Quadrisect
 module Pathfinder = Vpga_route.Pathfinder
 module Detail = Vpga_route.Detail
 module Sta = Vpga_timing.Sta
-module Diag = Vpga_verify.Diag
 module Fail = Vpga_resil.Fail
 module Policy = Vpga_resil.Policy
 module Defect = Vpga_resil.Defect
-module Log = Vpga_resil.Log
 module Trace = Vpga_obs.Trace
 module Attr = Vpga_obs.Span
 module Pool = Vpga_par.Pool
 module Cache = Vpga_cache.Cache
-module Ckey = Vpga_cache.Key
 
 type metrics = {
   wirelength : float;  (* um, at W_min *)
@@ -58,140 +50,29 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
     ?(w_max = 64) ?(max_iterations = 30) ?log ?(trace = Trace.null)
     ?(defect = Defect.empty) ?(cache = Cache.none) arch nl =
   if w_max < 1 then invalid_arg "Minchan.search: w_max < 1";
-  let design = Netlist.design_name nl in
-  let log = match log with Some l -> l | None -> Log.create () in
-  let span ?attrs name f = Trace.with_span ?attrs trace name f in
-  let dead_tile =
-    if Defect.is_empty defect then None else Some (Defect.tile_dead defect)
-  in
-  let tracks =
-    if Defect.is_empty defect then None else Some (Defect.tracks defect)
-  in
   (* The defect-free stages feed the same keys {!Flow.run} builds —
-     identical computes, [Placement.create]'s default 0.7 utilization —
-     so a stress sweep shares its front-end with a paper sweep, and the
-     defect maps of every rate share one (design, arch) front-end. *)
-  let keyed = Cache.enabled cache in
-  let opts =
-    {
-      Stagekey.seed;
-      period;
-      utilization = 0.7;
-      anneal_iterations = None;
-      use_criticality = false;
-      verify = 0;
-      policy;
-      defect = (if Defect.is_empty defect then None else Some defect);
-    }
+     identical computes — so a stress sweep shares its front-end with a
+     paper sweep, and the defect maps of every rate share one
+     (design, arch) front-end. *)
+  let s =
+    Stage.create ~log ~trace ~cache arch nl
+      ~opts:
+        {
+          Stagekey.seed;
+          period;
+          anneal_iterations = None;
+          use_criticality = false;
+          verify = 0;
+          policy;
+          defect = Some defect;
+        }
   in
-  let d_nl = lazy (Ckey.netlist_hex nl) in
-  let d_arch = lazy (Ckey.arch_hex arch) in
-  let cmemo : 'a. string -> (unit -> Ckey.t) -> (unit -> 'a) -> 'a =
-   fun stage mk compute ->
-    if not keyed then compute ()
-    else
-      let k = mk () in
-      match Cache.find cache k with
-      | Some (v, events) ->
-          List.iter (Log.record log) events;
-          Trace.instant ~attrs:[ ("stage", Attr.Str stage) ] trace "cache:hit";
-          v
-      | None ->
-          let before = List.length (Log.events log) in
-          let v = compute () in
-          let suffix =
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: t -> drop (n - 1) t
-            in
-            drop before (Log.events log)
-          in
-          Cache.put cache k (v, suffix);
-          v
-  in
-  (* Shared front-end, run once per search: compact, buffer, place, then
-     legalize under the policy's relaxation ladder (the same escalation
-     the flow uses, so an unfittable probe fails as a typed
-     [Stage_failure] instead of killing sibling tasks). *)
-  let q, pl_b, buffered =
-    span "minchan:frontend" @@ fun () ->
-    let compacted =
-      cmemo "compact"
-        (fun () ->
-          Stagekey.compact ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch)
-            opts)
-        (fun () -> Compact.run arch nl)
-    in
-    let d_compacted = lazy (Ckey.netlist_hex compacted) in
-    let buffered =
-      cmemo "buffer"
-        (fun () ->
-          Stagekey.buffer ~compacted:(Lazy.force d_compacted) ~max_fanout:8
-            opts)
-        (fun () -> Buffering.insert ~max_fanout:8 compacted)
-    in
-    let d_buffered = lazy (Ckey.netlist_hex buffered) in
-    let pl = Placement.create buffered in
-    let px, py =
-      cmemo "place:global"
-        (fun () ->
-          Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
-        (fun () ->
-          Global.place ~seed pl;
-          (pl.Placement.x, pl.Placement.y))
-    in
-    if px != pl.Placement.x then begin
-      Array.blit px 0 pl.Placement.x 0 (Array.length px);
-      Array.blit py 0 pl.Placement.y 0 (Array.length py)
-    end;
-    let d_pl = if keyed then Stagekey.placement_hex pl else "" in
-    let stage = "stress:pack" in
-    let rec pack attempt utilization =
-      match
-        Quadrisect.legalize_result ~utilization ?dead_tile arch pl
-      with
-      | Ok q -> q
-      | Error fe ->
-          let reason = Quadrisect.fit_error_to_string fe in
-          if attempt + 1 < policy.Policy.max_attempts then begin
-            let u = utilization *. policy.Policy.pack_relaxation in
-            Log.record log
-              (Log.Retry { stage; attempt = attempt + 1; reason });
-            Log.record log
-              (Log.Escalation
-                 {
-                   stage;
-                   what =
-                     Printf.sprintf
-                       "grow the array: target utilization %.2f -> %.2f"
-                       utilization u;
-                 });
-            pack (attempt + 1) u
-          end
-          else
-            Fail.raise_
-              (Fail.make ~stage ~design ~attempts:(attempt + 1)
-                 ~diags:[ Diag.error "pack-unfit" "%s" reason ]
-                 ~events:(Log.strings log) ())
-    in
-    let q =
-      cmemo stage
-        (fun () ->
-          Stagekey.stress_pack ~arch:(Lazy.force d_arch)
-            ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
-        (fun () -> pack 0 policy.Policy.pack_utilization)
-    in
-    let side = sqrt arch.Arch.tile_area in
-    let pl_b =
-      {
-        pl with
-        Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-        die_h = float_of_int q.Quadrisect.rows *. side;
-      }
-    in
-    Quadrisect.snap q pl_b;
-    (q, pl_b, buffered)
-  in
+  let tracks = Option.map Defect.tracks s.Stage.opts.Stagekey.defect in
+  let span ?attrs name f = Stage.span ?attrs s name f in
+  (* Shared front-end, run once per search.  Legalization walks the
+     policy's relaxation ladder, so an unfittable probe fails as a typed
+     [Stage_failure] instead of killing sibling tasks. *)
+  let buffered, q, pl_b = span "minchan:frontend" (fun () -> Stage.packed s) in
   (* One probe per capacity, memoized twice over: the per-search table
      (the bisection revisits endpoints, the metrics pass reuses the
      W_min artifacts) in front of the shared cache (identical searches —
@@ -200,7 +81,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
      cache, so a search's [probes] count is identical cold and warm. *)
   let probe_table = Hashtbl.create 8 in
   let probes = ref 0 in
-  let d_plb = if keyed then Stagekey.placement_hex pl_b else "" in
+  let d_plb = Stage.placement_hex s pl_b in
   let probe w =
     match Hashtbl.find_opt probe_table w with
     | Some r -> r
@@ -213,9 +94,9 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
              and whether it routed (1.0) or not (0.0). *)
           Trace.emit_sample "minchan.probe_w" (float_of_int w);
           let r =
-            cmemo "minchan:probe"
+            Stage.memo s "minchan:probe"
               (fun () ->
-                Stagekey.minchan_probe ~plb:d_plb ~w ~max_iterations opts)
+                Stagekey.minchan_probe ~plb:d_plb ~w ~max_iterations s.Stage.opts)
               (fun () ->
                 let routed =
                   Pathfinder.route_placement ~capacity:w ~max_iterations
@@ -324,16 +205,13 @@ type report = {
 }
 
 (* Defect-map seed from the task identity alone (never submission order
-   or worker count), the same mixing discipline as
-   [Experiments.task_seed]. *)
+   or worker count): [Experiments.task_seed] mixed on with the rate and
+   map index.  Its 30-bit mask changes nothing — the mixing is
+   arithmetic mod 2^63, so the final mask sees the same residue. *)
 let map_seed ~seed name arch rate k =
   let mix h v = (h * 65599) + v in
-  let h = ref (mix 0 seed) in
-  String.iter (fun c -> h := mix !h (Char.code c)) name;
-  String.iter (fun c -> h := mix !h (Char.code c)) arch.Arch.name;
-  h := mix !h (int_of_float (rate *. 1e6));
-  h := mix !h k;
-  !h land 0x3FFFFFFF
+  mix (mix (Experiments.task_seed ~seed name arch) (int_of_float (rate *. 1e6))) k
+  land 0x3FFFFFFF
 
 let survivors points =
   List.filter_map
@@ -393,31 +271,15 @@ let stress ?(seed = 1) ?jobs ?(policy = Policy.default)
     List.mapi
       (fun i (name, nl, arch, rate, k) () ->
         (* Fault isolation: one probe exhausting its ladder becomes its
-           own failure record; sibling probes never see it.  The trace is
-           created on the worker domain so its events belong to exactly
-           one task. *)
+           own failure record; sibling probes never see it. *)
         let ms = map_seed ~seed name arch rate k in
         let defect = Defect.at_rate ~dist ~seed:ms rate in
-        let log = Log.create () in
-        let trace =
-          if traced then
-            Trace.create ~tid:i
-              ~label:
-                (Printf.sprintf "%s/%s@%.3g#%d" name arch.Arch.name rate k)
-              ()
-          else Trace.null
-        in
-        let result =
-          try
-            Ok
-              (search ~seed:(Experiments.task_seed ~seed name arch) ~policy
-                 ~w_max ~log ~trace ~defect ?cache arch nl)
-          with
-          | Fail.Stage_failure f -> Error f
-          | e ->
-              Error
-                (Fail.of_exn ~stage:"stress" ~design:name ~attempts:1
-                   ~events:(Log.strings log) e)
+        let result, _, trace =
+          Stage.isolate ~traced ~tid:i
+            ~label:(Printf.sprintf "%s/%s@%.3g#%d" name arch.Arch.name rate k)
+            ~stage:"stress" ~design:name (fun ~log ~trace ->
+              search ~seed:(Experiments.task_seed ~seed name arch) ~policy
+                ~w_max ~log ~trace ~defect ?cache arch nl)
         in
         {
           p_design = name;

@@ -15,7 +15,6 @@ module Quadrisect = Vpga_pack.Quadrisect
 type options = {
   seed : int;
   period : float;
-  utilization : float;
   anneal_iterations : int option;
   use_criticality : bool;
   verify : int;
@@ -98,27 +97,12 @@ let quad_hex (q : Quadrisect.t) =
   E.int_array e q.Quadrisect.tile_of_node;
   E.digest_hex e
 
-(* --- per-stage keys ----------------------------------------------------
-
-   Stage value types (the one-stage-one-type discipline {!Vpga_cache.Key}
-   requires; every entry also carries the recovery-event suffix its
-   compute recorded):
-
-   - "map", "compact", "buffer": a netlist
-   - "verify:*": unit (the gate either passed or raised — failures are
-     never cached)
-   - "place:global", "place:anneal": the (x, y) coordinate arrays
-   - "power:activities": the per-node activity array
-   - "route:a", "route:b": (Pathfinder.result, via count)
-   - "pack:quadrisect", "stress:pack": a Quadrisect.t
-   - "pack:refine": (tile_of_node, x, y)
-   - "minchan:probe": (Pathfinder.result, Detail.t option) *)
+(* --- per-stage keys (each stage's value type: see stagekey.mli) ------ *)
 
 let map ~nl ~arch o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -135,7 +119,6 @@ let compact ~nl ~arch o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -152,7 +135,6 @@ let buffer ~compacted ~max_fanout o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -172,7 +154,6 @@ let verify_gate ~stage ~source ~candidate o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify;
@@ -194,7 +175,6 @@ let place_global ~buffered o =
   let {
     seed;
     period = _;
-    utilization;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -205,14 +185,12 @@ let place_global ~buffered o =
   in
   Key.make ~stage:"place:global" (fun e ->
       E.str e buffered;
-      E.int e seed;
-      E.float e utilization)
+      E.int e seed)
 
 let place_anneal ~buffered ~pl o =
   let {
     seed;
     period;
-    utilization;
     anneal_iterations;
     use_criticality;
     verify = _;
@@ -226,7 +204,6 @@ let place_anneal ~buffered ~pl o =
       E.str e pl;
       E.int e seed;
       E.float e period;
-      E.float e utilization;
       E.opt E.int e anneal_iterations;
       E.bool e use_criticality;
       policy e p)
@@ -235,7 +212,6 @@ let activities ~buffered o =
   let {
     seed;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -254,7 +230,6 @@ let route ~tag ~buffered ~pl o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify;
@@ -274,7 +249,6 @@ let quadrisect ~arch ~buffered ~pl o =
   let {
     seed = _;
     period;
-    utilization = _;
     anneal_iterations = _;
     use_criticality;
     verify = _;
@@ -296,7 +270,6 @@ let refine ~buffered ~q o =
   let {
     seed;
     period;
-    utilization = _;
     anneal_iterations = _;
     use_criticality;
     verify = _;
@@ -320,7 +293,6 @@ let stress_pack ~arch ~buffered ~pl o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -340,7 +312,6 @@ let minchan_probe ~plb ~w ~max_iterations o =
   let {
     seed = _;
     period = _;
-    utilization = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;

@@ -21,7 +21,6 @@
 type options = {
   seed : int;
   period : float;
-  utilization : float;
   anneal_iterations : int option;
   use_criticality : bool;
   verify : int;  (** 0 = Off, 1 = Fast, 2 = Formal *)

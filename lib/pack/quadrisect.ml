@@ -561,4 +561,10 @@ let snap t pl =
         pl.Placement.x.(id) <- x;
         pl.Placement.y.(id) <- y
       end)
-    t.tile_of_node
+    t.tile_of_node;
+  let side = tile_side t in
+  {
+    pl with
+    Placement.die_w = float_of_int t.cols *. side;
+    die_h = float_of_int t.rows *. side;
+  }

@@ -73,9 +73,11 @@ val tile_side : t -> float
 (** Side length of one (square) tile, um. *)
 
 val tile_center : t -> int -> float * float
-val snap : t -> Vpga_place.Placement.t -> unit
+val snap : t -> Vpga_place.Placement.t -> Vpga_place.Placement.t
 (** Move every packed node's coordinates to its tile center (the geometry
-    the router sees). *)
+    the router sees), in place, and return the placement on the
+    [cols x rows] array's die.  The result shares [pl]'s coordinate
+    arrays; only its die dims differ. *)
 
 (** {2 Region decomposition}
 

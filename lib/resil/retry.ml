@@ -1,28 +1,31 @@
-(* The generic fatal-ladder driver: run attempts until one succeeds or
-   the policy's cap is hit, recording a Retry event before each rerun
-   and raising a typed Stage_failure on exhaustion.  Stages whose
-   exhaustion is survivable (route overflow, anneal divergence) drive
-   their own loops in lib/flow and only share [reseed]. *)
+(* The one escalation-ladder driver behind every retrying stage; the
+   contract is spelled out in retry.mli. *)
 
 module Diag = Vpga_verify.Diag
 
-let run ~log ~(policy : Policy.t) ~stage ~design f =
-  let rec go attempt =
-    match f attempt with
+type 'a exhausted = Fatal of Diag.t | Degrade of string * 'a
+
+let run ~log ~stage ~design ~max_attempts ~next ~exhausted attempt rung =
+  let rec go i rung =
+    match attempt i rung with
     | Ok v -> v
-    | Error reason ->
-        let next = attempt + 1 in
-        if next >= policy.Policy.max_attempts then
-          Fail.raise_
-            (Fail.make ~stage ~design ~attempts:next
-               ~diags:[ Diag.error "retries-exhausted" "%s" reason ]
-               ~events:(Log.strings log) ())
-        else begin
-          Log.record log (Log.Retry { stage; attempt = next; reason });
-          go next
-        end
+    | Error (reason, failure) -> (
+        match if i + 1 < max_attempts then next rung failure else None with
+        | Some (rung', what) ->
+            Log.record log (Log.Retry { stage; attempt = i + 1; reason });
+            Log.record log (Log.Escalation { stage; what });
+            go (i + 1) rung'
+        | None -> (
+            match exhausted reason failure with
+            | Fatal diag ->
+                Fail.raise_
+                  (Fail.make ~stage ~design ~attempts:(i + 1) ~diags:[ diag ]
+                     ~events:(Log.strings log) ())
+            | Degrade (what, v) ->
+                Log.record log (Log.Degraded { stage; what });
+                v))
   in
-  go 0
+  go 0 rung
 
 (* Attempt [0] must reproduce the un-retried flow exactly, so the
    derived seed is the base seed itself; later attempts step by a prime

@@ -1,21 +1,45 @@
-(** Generic retry driver for stages whose exhaustion is fatal.
+(** The escalation-ladder driver shared by every retrying stage.
 
-    Stages that can survive policy exhaustion by degrading (routing
-    overflow, anneal divergence) drive their own loops in [lib/flow]
-    and share only {!reseed}. *)
+    A ladder is an attempt function, a first rung (the knob attempt [0]
+    runs with) and a [next] function that derives each later rung from
+    the one that just failed.  The contract:
+
+    - attempt [i] runs rung [i]; it fails with [Error (reason, detail)],
+      where [detail] is whatever [next] and [exhausted] need;
+    - a failed attempt [i] with a next rung (fewer than [max_attempts]
+      attempts made, and [next rung detail = Some (rung', what)]) records
+      exactly [Retry {attempt = i + 1; reason}] then [Escalation {what}]
+      and runs attempt [i + 1] on [rung'];
+    - otherwise the ladder is exhausted (a [None] from [next] ends it
+      early: a rung list shorter than [max_attempts]) and
+      [exhausted reason detail] decides: {!Fatal} raises a typed
+      {!Fail.Stage_failure} with [attempts = i + 1] and the full event
+      trail, {!Degrade} records one [Degraded] event and returns its
+      fallback value.
+
+    Rungs are pure functions of the policy and the failures seen, and
+    every reseed derives from {!reseed}, so a retried stage is as
+    deterministic as a first-try one. *)
+
+type 'a exhausted =
+  | Fatal of Vpga_verify.Diag.t  (** condemn the stage *)
+  | Degrade of string * 'a
+      (** give up the strong guarantee: the [Degraded] text and the
+          fallback value the flow continues with *)
 
 val run :
   log:Log.t ->
-  policy:Policy.t ->
   stage:string ->
   design:string ->
-  (int -> ('a, string) result) ->
+  max_attempts:int ->
+  next:('k -> 'f -> ('k * string) option) ->
+  exhausted:(string -> 'f -> 'a exhausted) ->
+  (int -> 'k -> ('a, string * 'f) result) ->
+  'k ->
   'a
-(** [run ~log ~policy ~stage ~design f] calls [f 0], [f 1], ... until
-    one attempt returns [Ok] or [policy.max_attempts] attempts have
-    failed.  A {!Log.Retry} event is recorded before each rerun.
-    @raise Fail.Stage_failure on exhaustion, carrying the last failure
-    reason and the full event trail. *)
+(** [run ~log ~stage ~design ~max_attempts ~next ~exhausted attempt rung0]
+    drives the ladder from [rung0] until an attempt returns [Ok].
+    @raise Fail.Stage_failure when [exhausted] returns {!Fatal}. *)
 
 val reseed : seed:int -> attempt:int -> int
 (** The derived seed for attempt [attempt] of a randomized stage.

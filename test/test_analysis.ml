@@ -221,15 +221,7 @@ let packed =
      let pl = Placement.create buffered in
      Global.place ~seed:3 pl;
      let q = Quadrisect.legalize arch pl in
-     let side = sqrt arch.Arch.tile_area in
-     let pl =
-       {
-         pl with
-         Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-         die_h = float_of_int q.Quadrisect.rows *. side;
-       }
-     in
-     Quadrisect.snap q pl;
+     let pl = Quadrisect.snap q pl in
      (q, pl))
 
 let test_ownership_clean_on_real_legalization () =

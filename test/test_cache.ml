@@ -326,7 +326,6 @@ let test_cached_map_is_equivalent () =
     {
       Stagekey.seed = 1;
       period = 500.0;
-      utilization = 0.7;
       anneal_iterations = None;
       use_criticality = true;
       verify = 1;

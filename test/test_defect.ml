@@ -44,15 +44,7 @@ let frontend ?dead_tile arch nl =
     | Ok q -> q
     | Error e -> Alcotest.fail (Quadrisect.fit_error_to_string e)
   in
-  let side = sqrt arch.Arch.tile_area in
-  let pl_b =
-    {
-      pl with
-      Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-      die_h = float_of_int q.Quadrisect.rows *. side;
-    }
-  in
-  Quadrisect.snap q pl_b;
+  let pl_b = Quadrisect.snap q pl in
   (q, pl_b, buffered)
 
 (* --- generators and the transparency guarantee ------------------------- *)

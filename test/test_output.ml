@@ -121,8 +121,38 @@ let packed_fixture () =
   let pl = Placement.create nl in
   Global.place ~seed:3 pl;
   let q = Quadrisect.legalize Arch.granular_plb pl in
-  Quadrisect.snap q pl;
+  let pl = Quadrisect.snap q pl in
   (nl, pl, q)
+
+(* The packed placement lives on the PLB array's die: the legality
+   checker accepts it, and every DEF component sits inside DIEAREA. *)
+let test_packed_on_array_die () =
+  let _, pl, _ = packed_fixture () in
+  Alcotest.(check (list string))
+    "placement legal" []
+    (List.map Vpga_verify.Diag.to_string (Vpga_verify.Phys.check_placement pl));
+  let lines = String.split_on_char '\n' (Export.def_ pl) in
+  let die_w, die_h =
+    match
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "DIEAREA ( 0 0 ) ( %f %f ) ;" (fun w h -> (w, h)))
+        lines
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "no DIEAREA line"
+  in
+  let placed =
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l "  - n%_d %_s PLACED ( %f %f )" (fun x y -> (x, y)))
+      lines
+  in
+  Alcotest.(check bool) "components listed" true (placed <> []);
+  List.iter
+    (fun (x, y) ->
+      if x < 0.0 || y < 0.0 || x > die_w || y > die_h then
+        Alcotest.failf "PLACED ( %.1f %.1f ) outside DIEAREA ( %.1f %.1f )" x y
+          die_w die_h)
+    placed
 
 let test_def_and_svg () =
   let nl, pl, q = packed_fixture () in
@@ -216,6 +246,8 @@ let () =
           Alcotest.test_case "verilog sop" `Quick test_verilog_sop;
           Alcotest.test_case "verilog sequential" `Quick test_verilog_sequential;
           Alcotest.test_case "def and svg" `Quick test_def_and_svg;
+          Alcotest.test_case "packed placement on the array die" `Quick
+            test_packed_on_array_die;
         ] );
       ( "objectives",
         [ Alcotest.test_case "depth vs area" `Quick test_depth_objective ] );

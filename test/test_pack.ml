@@ -125,15 +125,7 @@ let pack_pipeline arch nl =
   Global.place ~seed:3 pl;
   let q = Quadrisect.legalize arch pl in
   let cq = checksum q in
-  let side = sqrt arch.Arch.tile_area in
-  let pl_b =
-    {
-      pl with
-      Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-      die_h = float_of_int q.Quadrisect.rows *. side;
-    }
-  in
-  Quadrisect.snap q pl_b;
+  let pl_b = Quadrisect.snap q pl in
   let (_ : Refine.stats) = Refine.run ~seed:7 q pl_b in
   (cq, checksum q, q, nl)
 
@@ -204,15 +196,7 @@ let prepared =
              let pl = Placement.create nl in
              Global.place ~seed:3 pl;
              let q = Quadrisect.legalize arch pl in
-             let side = sqrt arch.Arch.tile_area in
-             let pl_b =
-               {
-                 pl with
-                 Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-                 die_h = float_of_int q.Quadrisect.rows *. side;
-               }
-             in
-             Quadrisect.snap q pl_b;
+             let pl_b = Quadrisect.snap q pl in
              (Printf.sprintf "%s/%s" dname arch.Arch.name, q, pl_b))
            Arch.all)
        designs)

@@ -389,15 +389,7 @@ let test_refine () =
   let pl = Placement.create nl in
   Global.place ~seed:5 pl;
   let q = Quadrisect.legalize Arch.granular_plb pl in
-  let side = sqrt Arch.granular_plb.Arch.tile_area in
-  let pl_b =
-    {
-      pl with
-      Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-      die_h = float_of_int q.Quadrisect.rows *. side;
-    }
-  in
-  Quadrisect.snap q pl_b;
+  let pl_b = Quadrisect.snap q pl in
   let before = Placement.hpwl pl_b in
   let stats = Vpga_pack.Refine.run ~iterations:20000 ~seed:9 q pl_b in
   let after = Placement.hpwl pl_b in

@@ -630,16 +630,7 @@ let packed =
      let pl = Placement.create buffered in
      Global.place ~seed:3 pl;
      let q = Quadrisect.legalize arch pl in
-     (* Mirror the flow: the packed placement lives on the array die. *)
-     let side = sqrt arch.Arch.tile_area in
-     let pl =
-       {
-         pl with
-         Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-         die_h = float_of_int q.Quadrisect.rows *. side;
-       }
-     in
-     Quadrisect.snap q pl;
+     let pl = Quadrisect.snap q pl in
      (buffered, pl, q))
 
 let test_phys_placement () =
