@@ -411,7 +411,8 @@ let stress_cmd =
       Minchan.stress ~seed ~jobs ~dist ~rates ~maps_per_rate:maps ~w_max
         ~traced ~cache ?designs scale
     in
-    if json then print_string (Minchan.json_report report)
+    if json then
+      print_endline (Obs.Json.to_string (Minchan.report_json report))
     else begin
       Format.printf "%a@." Minchan.pp_report report;
       print_cache_stats cache
@@ -580,14 +581,17 @@ let report_cmd =
         if json then
           print_endline (Obs.Json.to_string (Obs.Export.report_json doc))
         else Obs.Export.report Format.std_formatter doc
-    | Error msg -> Fmt.failwith "%s: %s" file msg
+    | Error msg ->
+        Format.eprintf "%s: %s@." file msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Summarize a recorded flow trace: per-stage wall time, allocation \
           and share, inner-loop counters, convergence series, and recovery \
-          instants")
+          instants.  Exits 2 when the file cannot be read or is not a \
+          Chrome trace-event document.")
     Term.(const run $ file $ json_flag)
 
 let perf_cmd =
@@ -613,17 +617,24 @@ let perf_cmd =
   in
   let diff_cmd =
     let run base_file cur_file tolerance =
+      let fail msg =
+        prerr_endline msg;
+        exit 2
+      in
       let load file =
-        match Obs.Export.load file with
-        | Ok doc -> doc
-        | Error msg ->
-            Format.eprintf "%s: %s@." file msg;
-            exit 2
+        match In_channel.with_open_bin file In_channel.input_all with
+        | exception Sys_error msg -> fail msg
+        | src -> (
+            match Obs.Json.parse src with
+            | Ok doc -> doc
+            | Error msg -> fail (file ^ ": " ^ msg))
       in
       let base = load base_file and current = load cur_file in
-      let deltas = Obs.Metrics.diff ~tolerance ~base ~current () in
-      Format.printf "%a@." Obs.Metrics.pp_diff deltas;
-      if Obs.Metrics.regressions deltas <> [] then exit 1
+      match Obs.Metrics.diff ~tolerance ~base ~current () with
+      | Error msg -> fail (Printf.sprintf "%s vs %s: %s" base_file cur_file msg)
+      | Ok deltas ->
+          Format.printf "%a@." Obs.Metrics.pp_diff deltas;
+          if Obs.Metrics.regressions deltas <> [] then exit 1
     in
     Cmd.v
       (Cmd.info "diff"
@@ -631,7 +642,7 @@ let perf_cmd =
            "Compare two metrics snapshots (counters, per-stage wall/alloc, \
             histogram percentiles, convergence iteration counts); exits 1 \
             when any metric grew past $(b,--tolerance), 2 when a snapshot \
-            cannot be read.")
+            cannot be read or is not a vpga-metrics/1 snapshot.")
       Term.(
         const run $ snapshot_file 0 "BASE" $ snapshot_file 1 "CURRENT"
         $ tolerance_arg)

@@ -27,8 +27,6 @@ type live = {
 
 type t = Disabled | Live of live
 
-type origin = Memory | Disk | Computed
-
 type stats = {
   hits : int;
   misses : int;
@@ -42,7 +40,6 @@ type stats = {
 
 let none = Disabled
 let enabled = function Disabled -> false | Live _ -> true
-let dir = function Disabled -> None | Live l -> l.dir
 
 let default_dir () =
   match Sys.getenv_opt "XDG_CACHE_HOME" with
@@ -169,7 +166,7 @@ let disk_write root k payload =
 let find_bytes l k =
   let id = Key.id k in
   match locked l (fun () -> Hashtbl.find_opt l.mem id) with
-  | Some payload -> Some (payload, Memory)
+  | Some payload -> Some payload
   | None -> (
       match l.dir with
       | None -> None
@@ -180,7 +177,7 @@ let find_bytes l k =
               locked l (fun () ->
                   if not (Hashtbl.mem l.mem id) then
                     Hashtbl.add l.mem id payload);
-              Some (payload, Disk)))
+              Some payload))
 
 let record_hit l k n =
   locked l (fun () ->
@@ -217,7 +214,7 @@ let find : type a. t -> Key.t -> a option =
       | None ->
           record_miss l k;
           None
-      | Some (payload, _) ->
+      | Some payload ->
           record_hit l k (Bytes.length payload);
           Some (Marshal.from_bytes payload 0))
 
@@ -226,21 +223,19 @@ let put t k v =
   | Disabled -> ()
   | Live l -> put_bytes l k (Marshal.to_bytes v [])
 
-let memo' t k compute =
+let memo t k compute =
   match t with
-  | Disabled -> (compute (), Computed)
+  | Disabled -> compute ()
   | Live l -> (
       match find_bytes l k with
-      | Some (payload, origin) ->
+      | Some payload ->
           record_hit l k (Bytes.length payload);
-          (Marshal.from_bytes payload 0, origin)
+          Marshal.from_bytes payload 0
       | None ->
           record_miss l k;
           let v = compute () in
           put_bytes l k (Marshal.to_bytes v []);
-          (v, Computed))
-
-let memo t k compute = fst (memo' t k compute)
+          v)
 
 let stats = function
   | Disabled ->

@@ -26,14 +26,11 @@ val create : ?dir:string -> unit -> t
     memory miss. *)
 
 val enabled : t -> bool
-val dir : t -> string option
 
 val default_dir : unit -> string
 (** [$XDG_CACHE_HOME/vpga], else [~/.cache/vpga]. *)
 
 (** {2 Lookup and insert} *)
-
-type origin = Memory | Disk | Computed
 
 val find : t -> Key.t -> 'a option
 (** Counts as a hit or miss.  The ['a] is trusted: callers must respect
@@ -46,8 +43,6 @@ val put : t -> Key.t -> 'a -> unit
 val memo : t -> Key.t -> (unit -> 'a) -> 'a
 (** [memo t k compute] returns the cached value for [k], or runs
     [compute], stores and returns its result. *)
-
-val memo' : t -> Key.t -> (unit -> 'a) -> 'a * origin
 
 (** {2 Statistics} *)
 

@@ -68,9 +68,10 @@ let run_tasks_with_stats ?(seed = 1) ?jobs ?verify ?policy ?(traced = false)
           Stage.isolate ~traced ~tid:i ~label:(name ^ "/" ^ arch.Arch.name)
             ~stage:"flow" ~design:name (fun ~log ~trace ->
               (* [trace_labels:false]: sweep traces exist for stage
-                 timings (the BENCH_sweep.json record), which must
-                 reflect the production flow — observational FlowMap
-                 labeling would dominate [compact] at paper scale. *)
+                 timings ([vpga sweep --trace], perfbench's per-layer
+                 pass), which must reflect the production flow —
+                 observational FlowMap labeling would dominate
+                 [compact] at paper scale. *)
               Flow.run ~seed:(task_seed ~seed name arch) ?verify ?policy
                 ?analyze ?cache ~log ~trace ~trace_labels:false arch nl)
         in

@@ -192,7 +192,7 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
         (* Traced runs label alongside compaction (see [Stage.compact]);
            from-scratch labeling is far costlier than the compaction DP
            on large inputs, so callers that trace for stage {e timings}
-           (the bench sweep) opt out via [trace_labels:false]. *)
+           (the traced sweep) opt out via [trace_labels:false]. *)
         let compacted =
           Stage.compact s ~labels:(trace_labels && Trace.enabled trace)
         in

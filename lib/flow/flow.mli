@@ -151,7 +151,3 @@ val run :
 val check_equivalence : Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t -> unit
 (** Randomized equivalence gate used between flow stages.
     @raise Failure on a mismatch. *)
-
-val check_structure : stage:string -> Vpga_netlist.Netlist.t -> unit
-(** {!Vpga_netlist.Netlist.validate} as a hard flow gate.
-    @raise Failure when the netlist is structurally invalid. *)

@@ -76,7 +76,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
   (* One probe per capacity, memoized twice over: the per-search table
      (the bisection revisits endpoints, the metrics pass reuses the
      W_min artifacts) in front of the shared cache (identical searches —
-     the bench's warm pass — skip the routing).  The probe counter and
+     a warm rerun — skip the routing).  The probe counter and
      trajectory samples record {e requested} probes, before the shared
      cache, so a search's [probes] count is identical cold and warm. *)
   let probe_table = Hashtbl.create 8 in
@@ -357,41 +357,31 @@ let pp_report ppf r =
     r.r_points;
   Format.fprintf ppf "@]"
 
-(* JSON fragment for the BENCH_sweep.json [robustness] block; emitted
-   with the same hand-rolled style as the bench's writer so the two stay
-   trivially mergeable. *)
-let json_report ?(indent = "  ") r =
-  let b = Buffer.create 1024 in
-  let i1 = indent and i2 = indent ^ "  " and i3 = indent ^ "    " in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "%s\"seed\": %d,\n%s\"w_max\": %d,\n%s\"maps_per_rate\": %d,\n"
-       i1 r.r_seed i1 r.r_w_max i1 r.r_maps_per_rate);
-  Buffer.add_string b
-    (Printf.sprintf "%s\"rates\": [%s],\n" i1
-       (String.concat ", " (List.map (Printf.sprintf "%g") r.r_rates)));
-  Buffer.add_string b (Printf.sprintf "%s\"cells\": [\n" i1);
-  let n_cells = List.length r.r_cells in
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b (Printf.sprintf "%s{\n" i2);
-      Buffer.add_string b
-        (Printf.sprintf "%s\"design\": %S, \"arch\": %S, \"rate\": %g,\n" i3
-           c.c_design c.c_arch c.c_rate);
-      Buffer.add_string b
-        (Printf.sprintf "%s\"maps\": %d, \"survived\": %d, \"survival\": %g,\n"
-           i3 c.c_maps c.c_survived
-           (float_of_int c.c_survived /. float_of_int (max 1 c.c_maps)));
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s\"w_min\": %g, \"wirelength_um\": %g, \"vias\": %g, \
-            \"wns_ps\": %g, \"area_um2\": %g\n"
-           i3 c.c_w_min c.c_wirelength c.c_vias c.c_wns c.c_area);
-      Buffer.add_string b
-        (Printf.sprintf "%s}%s\n" i2 (if i = n_cells - 1 then "" else ",")))
-    r.r_cells;
-  Buffer.add_string b (Printf.sprintf "%s]\n" i1);
-  (* closing brace at the parent's indentation *)
-  Buffer.add_string b
-    (String.sub indent 0 (max 0 (String.length indent - 2)) ^ "}");
-  Buffer.contents b
+let report_json r =
+  let module J = Vpga_obs.Json in
+  let int n = J.Num (float_of_int n) in
+  let cell c =
+    J.Obj
+      [
+        ("design", J.Str c.c_design);
+        ("arch", J.Str c.c_arch);
+        ("rate", J.Num c.c_rate);
+        ("maps", int c.c_maps);
+        ("survived", int c.c_survived);
+        ( "survival",
+          J.Num (float_of_int c.c_survived /. float_of_int (max 1 c.c_maps)) );
+        ("w_min", J.Num c.c_w_min);
+        ("wirelength_um", J.Num c.c_wirelength);
+        ("vias", J.Num c.c_vias);
+        ("wns_ps", J.Num c.c_wns);
+        ("area_um2", J.Num c.c_area);
+      ]
+  in
+  J.Obj
+    [
+      ("seed", int r.r_seed);
+      ("w_max", int r.r_w_max);
+      ("maps_per_rate", int r.r_maps_per_rate);
+      ("rates", J.Arr (List.map (fun f -> J.Num f) r.r_rates));
+      ("cells", J.Arr (List.map cell r.r_cells));
+    ]

@@ -100,12 +100,6 @@ type report = {
   r_cells : cell list;
 }
 
-val map_seed :
-  seed:int -> string -> Vpga_plb.Arch.t -> float -> int -> int
-(** [map_seed ~seed design arch rate k] mixes the task identity into the
-    defect-map generator seed — a pure function of the sweep seed and
-    the task's coordinates, never of submission order or worker count. *)
-
 val stress :
   ?seed:int ->
   ?jobs:int ->
@@ -133,6 +127,7 @@ val pp_report : Format.formatter -> report -> unit
 (** Human-readable Pareto table (one row per {!cell}) followed by any
     isolated task failures. *)
 
-val json_report : ?indent:string -> report -> string
-(** The report as the [robustness] JSON block of [BENCH_sweep.json]:
-    sweep parameters plus one object per Pareto {!cell}. *)
+val report_json : report -> Vpga_obs.Json.t
+(** The report as the [robustness] block of [BENCH_sweep.json] (and the
+    output of [vpga stress --json]): sweep parameters plus one object
+    per Pareto {!cell}. *)

@@ -121,74 +121,17 @@ let write_chrome ?process_name path traces =
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | src -> Json.parse src
   | exception Sys_error msg -> Error msg
+  | src -> (
+      match Json.parse src with
+      | Ok doc -> (
+          match Json.member "traceEvents" doc with
+          | Some (Json.Arr _) -> Ok doc
+          | _ ->
+              Error "not a Chrome trace-event document (no traceEvents array)")
+      | Error _ as e -> e)
 
-(* ---- direct per-stage aggregation over live traces ---- *)
-
-type stage_acc = {
-  mutable st_calls : int;
-  mutable st_wall_s : float;
-  mutable st_minor_w : float;
-  mutable st_major_w : float;
-  mutable st_colls : int;
-}
-
-let attr_float = function
-  | Span.Float f -> f
-  | Span.Int i -> float_of_int i
-  | _ -> 0.0
-
-let gc_of_attrs attrs =
-  let get k =
-    match List.assoc_opt k attrs with Some a -> attr_float a | None -> 0.0
-  in
-  (get "gc.minor_words", get "gc.major_words",
-   int_of_float (get "gc.major_collections"))
-
-let stage_accs traces =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun t ->
-      List.iter
-        (function
-          | Span.Complete { name; dur_ns; depth = 1; attrs; _ } ->
-              let acc =
-                match Hashtbl.find_opt tbl name with
-                | Some a -> a
-                | None ->
-                    let a =
-                      {
-                        st_calls = 0;
-                        st_wall_s = 0.0;
-                        st_minor_w = 0.0;
-                        st_major_w = 0.0;
-                        st_colls = 0;
-                      }
-                    in
-                    Hashtbl.add tbl name a;
-                    a
-              in
-              let minor, major, colls = gc_of_attrs attrs in
-              acc.st_calls <- acc.st_calls + 1;
-              acc.st_wall_s <- acc.st_wall_s +. Clock.ns_to_s dur_ns;
-              acc.st_minor_w <- acc.st_minor_w +. minor;
-              acc.st_major_w <- acc.st_major_w +. major;
-              acc.st_colls <- acc.st_colls + colls
-          | _ -> ())
-        (Trace.events t))
-    traces;
-  Hashtbl.fold (fun name a acc -> (name, a) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let stage_totals traces =
-  List.map (fun (name, a) -> (name, a.st_wall_s)) (stage_accs traces)
-
-let stage_allocs traces =
-  List.map
-    (fun (name, a) -> (name, (a.st_minor_w, a.st_major_w, a.st_colls)))
-    (stage_accs traces)
-
+(* All histograms of the given traces merged by name, name-sorted. *)
 let merged_histograms traces =
   let tbl = Hashtbl.create 32 in
   List.iter
@@ -208,6 +151,117 @@ let merged_histograms traces =
     traces;
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* ---- the one span fold: per-(depth, name) rows of a Chrome document;
+   the report, its JSON form and the metrics snapshot all read it ---- *)
+
+type row = {
+  mutable calls : int;
+  mutable total_us : float;
+  mutable minor_w : float;
+  mutable major_w : float;
+  mutable major_colls : float;
+}
+
+type series_row = { mutable samples : int; mutable last : float }
+
+type summary = {
+  su_spans : ((int * string) * row) list; (* (depth, name), depth then time *)
+  su_root_us : float;
+  su_counters : (string * float) list; (* name-sorted totals *)
+  su_instants : (string * int) list;
+  su_series : (string * series_row) list;
+}
+
+let summarize doc =
+  let events =
+    match Json.member "traceEvents" doc with
+    | Some (Json.Arr evs) -> evs
+    | _ -> []
+  in
+  let str k ev = Option.bind (Json.member k ev) Json.to_str in
+  let num k ev = Option.bind (Json.member k ev) Json.to_float in
+  let spans : (int * string, row) Hashtbl.t = Hashtbl.create 32 in
+  let counters : (string, float) Hashtbl.t = Hashtbl.create 32 in
+  let instants : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let series : (string, series_row) Hashtbl.t = Hashtbl.create 8 in
+  let root_us = ref 0.0 in
+  List.iter
+    (fun ev ->
+      match (str "ph" ev, str "name" ev) with
+      | Some "X", Some name ->
+          let dur = Option.value ~default:0.0 (num "dur" ev) in
+          let args k =
+            Option.value ~default:0.0
+              (Option.bind (Json.member "args" ev) (num k))
+          in
+          let depth = int_of_float (args "depth") in
+          if depth = 0 then root_us := !root_us +. dur;
+          let key = (depth, name) in
+          let row =
+            match Hashtbl.find_opt spans key with
+            | Some r -> r
+            | None ->
+                let r =
+                  {
+                    calls = 0;
+                    total_us = 0.0;
+                    minor_w = 0.0;
+                    major_w = 0.0;
+                    major_colls = 0.0;
+                  }
+                in
+                Hashtbl.add spans key r;
+                r
+          in
+          row.calls <- row.calls + 1;
+          row.total_us <- row.total_us +. dur;
+          row.minor_w <- row.minor_w +. args "gc.minor_words";
+          row.major_w <- row.major_w +. args "gc.major_words";
+          row.major_colls <- row.major_colls +. args "gc.major_collections"
+      | Some "C", Some name ->
+          let v =
+            match Option.bind (Json.member "args" ev) (num "value") with
+            | Some v -> v
+            | None -> 0.0
+          in
+          if str "cat" ev = Some "series" then begin
+            let r =
+              match Hashtbl.find_opt series name with
+              | Some r -> r
+              | None ->
+                  let r = { samples = 0; last = 0.0 } in
+                  Hashtbl.add series name r;
+                  r
+            in
+            r.samples <- r.samples + 1;
+            r.last <- v
+          end
+          else
+            Hashtbl.replace counters name
+              (v +. Option.value ~default:0.0 (Hashtbl.find_opt counters name))
+      | Some "i", Some name ->
+          Hashtbl.replace instants name
+            (1 + Option.value ~default:0 (Hashtbl.find_opt instants name))
+      | _ -> ())
+    events;
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  {
+    su_spans =
+      Hashtbl.fold (fun k r acc -> (k, r) :: acc) spans []
+      |> List.sort (fun ((d1, n1), r1) ((d2, n2), r2) ->
+             if d1 <> d2 then Int.compare d1 d2
+             else if r1.total_us <> r2.total_us then
+               Float.compare r2.total_us r1.total_us
+             else String.compare n1 n2);
+    su_root_us = !root_us;
+    su_counters = sorted counters;
+    su_instants = sorted instants;
+    su_series = sorted series;
+  }
 
 (* ---- metrics snapshot ---- *)
 
@@ -254,31 +308,26 @@ let snapshot ?(label = "") traces =
     Hashtbl.fold (fun k v acc -> (k, Json.Num v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let wall_s =
-    List.fold_left
-      (fun acc t ->
-        List.fold_left
-          (fun acc e ->
-            match e with
-            | Span.Complete { dur_ns; depth = 0; _ } ->
-                acc +. Clock.ns_to_s dur_ns
-            | _ -> acc)
-          acc (Trace.events t))
-      0.0 traces
-  in
+  let su = summarize (chrome traces) in
+  (* The stage block is the depth-1 rows (direct children of each
+     trace's root), name-sorted so revisions diff cleanly. *)
   let stages =
-    List.map
-      (fun (name, a) ->
-        ( name,
-          Json.Obj
-            [
-              ("calls", Json.Num (float_of_int a.st_calls));
-              ("wall_s", Json.Num a.st_wall_s);
-              ("minor_words", Json.Num a.st_minor_w);
-              ("major_words", Json.Num a.st_major_w);
-              ("major_collections", Json.Num (float_of_int a.st_colls));
-            ] ))
-      (stage_accs traces)
+    List.filter_map
+      (fun ((depth, name), r) ->
+        if depth <> 1 then None
+        else
+          Some
+            ( name,
+              Json.Obj
+                [
+                  ("calls", Json.Num (float_of_int r.calls));
+                  ("wall_s", Json.Num (r.total_us /. 1e6));
+                  ("minor_words", Json.Num r.minor_w);
+                  ("major_words", Json.Num r.major_w);
+                  ("major_collections", Json.Num r.major_colls);
+                ] ))
+      su.su_spans
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let hists =
     List.map (fun (name, h) -> (name, histogram_json h)) (merged_histograms traces)
@@ -311,7 +360,7 @@ let snapshot ?(label = "") traces =
     [
       ("schema", Json.Str "vpga-metrics/1");
       ("label", Json.Str label);
-      ("wall_s", Json.Num wall_s);
+      ("wall_s", Json.Num (su.su_root_us /. 1e6));
       ("counters", Json.Obj (sorted counters));
       ("gauges", Json.Obj (sorted gauges));
       ("stages", Json.Obj stages);
@@ -326,108 +375,6 @@ let write_snapshot ?label path traces =
     (fun () ->
       Json.to_channel oc (snapshot ?label traces);
       output_char oc '\n')
-
-(* ---- the per-stage report over a (possibly reloaded) document ---- *)
-
-type row = {
-  mutable calls : int;
-  mutable total_us : float;
-  mutable minor_w : float;
-  mutable major_w : float;
-}
-
-type series_row = { mutable samples : int; mutable last : float }
-
-type summary = {
-  su_spans : ((int * string) * row) list; (* (depth, name), depth then time *)
-  su_root_us : float;
-  su_counters : (string * float) list; (* name-sorted totals *)
-  su_instants : (string * int) list;
-  su_series : (string * series_row) list;
-}
-
-let summarize doc =
-  let events =
-    match Json.member "traceEvents" doc with
-    | Some (Json.Arr evs) -> evs
-    | _ -> []
-  in
-  let str k ev = Option.bind (Json.member k ev) Json.to_str in
-  let num k ev = Option.bind (Json.member k ev) Json.to_float in
-  let spans : (int * string, row) Hashtbl.t = Hashtbl.create 32 in
-  let counters : (string, float) Hashtbl.t = Hashtbl.create 32 in
-  let instants : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let series : (string, series_row) Hashtbl.t = Hashtbl.create 8 in
-  let root_us = ref 0.0 in
-  List.iter
-    (fun ev ->
-      match (str "ph" ev, str "name" ev) with
-      | Some "X", Some name ->
-          let dur = Option.value ~default:0.0 (num "dur" ev) in
-          let args k =
-            Option.value ~default:0.0
-              (Option.bind (Json.member "args" ev) (num k))
-          in
-          let depth = int_of_float (args "depth") in
-          if depth = 0 then root_us := !root_us +. dur;
-          let key = (depth, name) in
-          let row =
-            match Hashtbl.find_opt spans key with
-            | Some r -> r
-            | None ->
-                let r =
-                  { calls = 0; total_us = 0.0; minor_w = 0.0; major_w = 0.0 }
-                in
-                Hashtbl.add spans key r;
-                r
-          in
-          row.calls <- row.calls + 1;
-          row.total_us <- row.total_us +. dur;
-          row.minor_w <- row.minor_w +. args "gc.minor_words";
-          row.major_w <- row.major_w +. args "gc.major_words"
-      | Some "C", Some name ->
-          let v =
-            match Option.bind (Json.member "args" ev) (num "value") with
-            | Some v -> v
-            | None -> 0.0
-          in
-          if str "cat" ev = Some "series" then begin
-            let r =
-              match Hashtbl.find_opt series name with
-              | Some r -> r
-              | None ->
-                  let r = { samples = 0; last = 0.0 } in
-                  Hashtbl.add series name r;
-                  r
-            in
-            r.samples <- r.samples + 1;
-            r.last <- v
-          end
-          else
-            Hashtbl.replace counters name
-              (v +. Option.value ~default:0.0 (Hashtbl.find_opt counters name))
-      | Some "i", Some name ->
-          Hashtbl.replace instants name
-            (1 + Option.value ~default:0 (Hashtbl.find_opt instants name))
-      | _ -> ())
-    events;
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  {
-    su_spans =
-      Hashtbl.fold (fun k r acc -> (k, r) :: acc) spans []
-      |> List.sort (fun ((d1, n1), r1) ((d2, n2), r2) ->
-             if d1 <> d2 then Int.compare d1 d2
-             else if r1.total_us <> r2.total_us then
-               Float.compare r2.total_us r1.total_us
-             else String.compare n1 n2);
-    su_root_us = !root_us;
-    su_counters = sorted counters;
-    su_instants = sorted instants;
-    su_series = sorted series;
-  }
 
 let report fmt doc =
   let su = summarize doc in
@@ -533,5 +480,3 @@ let report_json doc =
              (fun (k, v) -> (k, Json.Num (float_of_int v)))
              su.su_instants) );
     ]
-
-let report_traces fmt traces = report fmt (chrome traces)

@@ -17,24 +17,14 @@ val write_chrome : ?process_name:string -> string -> Trace.t list -> unit
 (** [chrome] serialized to a file. *)
 
 val load : string -> (Json.t, string) result
-(** Read a Chrome trace-event file back (for [vpga report]). *)
-
-val stage_totals : Trace.t list -> (string * float) list
-(** Total seconds per {e stage} span — the depth-1 spans, i.e. the direct
-    children of each trace's root — summed across all given traces,
-    name-sorted.  This is the [stages_s] block of [BENCH_sweep.json]. *)
-
-val stage_allocs : Trace.t list -> (string * (float * float * int)) list
-(** Per-stage [(minor_words, major_words, major_collections)] from the
-    GC attrs every closed span carries, summed like {!stage_totals}.
-    This is the [stages_alloc] block of [BENCH_sweep.json]. *)
-
-val merged_histograms : Trace.t list -> (string * Metrics.Histogram.t) list
-(** All histograms of the given traces merged by name, name-sorted. *)
+(** Read a Chrome trace-event file back (for [vpga report]).  A file
+    that does not parse, or whose document has no [traceEvents] array
+    (a metrics snapshot, say), is an [Error]. *)
 
 val snapshot : ?label:string -> Trace.t list -> Json.t
 (** Self-contained metrics snapshot (schema [vpga-metrics/1]): counter
-    and gauge totals, per-stage wall/alloc accounting, merged histograms
+    and gauge totals, per-stage wall/alloc accounting (the depth-1 rows
+    of the same span aggregation {!report} prints), merged histograms
     with exact p50/p90/p99 and log-binned shape, and series trajectory
     summaries (sample counts and endpoints — full series live in the
     Chrome export).  This is the input format of [vpga perf diff]. *)
@@ -52,6 +42,3 @@ val report : Format.formatter -> Json.t -> unit
 val report_json : Json.t -> Json.t
 (** The same aggregation as {!report} but machine-readable (schema
     [vpga-report/1]) — for [vpga report --json]. *)
-
-val report_traces : Format.formatter -> Trace.t list -> unit
-(** [report] on [chrome traces] — the in-process shortcut. *)

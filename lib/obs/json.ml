@@ -24,8 +24,11 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no NaN or infinities; printing them as [null] keeps every
+   document this module writes readable by [parse]. *)
 let num_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
 let rec emit buf = function
@@ -91,9 +94,15 @@ let parse src =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub src !pos 4) in
+    let digits = String.sub src !pos 4 in
+    if
+      not
+        (String.for_all
+           (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+           digits)
+    then fail "bad \\u escape";
     pos := !pos + 4;
-    v
+    int_of_string ("0x" ^ digits)
   in
   let utf8 buf cp =
     (* BMP only; surrogate pairs are recombined by the caller. *)

@@ -15,7 +15,9 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact (no whitespace). *)
+(** Compact (no whitespace).  Non-finite numbers (NaN, infinities),
+    which JSON cannot represent, print as [null], so {!parse} reads
+    back everything this printer writes. *)
 
 val to_channel : out_channel -> t -> unit
 

@@ -159,7 +159,15 @@ let obj_members = function
 
 let block name doc = Option.value ~default:(Json.Obj []) (Json.member name doc)
 
-let diff ?(tolerance = 0.25) ~base ~current () =
+(* A document of another kind (a Chrome trace, a bench record) has none
+   of the blocks below, so it would compare zero metrics and pass;
+   refuse it instead. *)
+let check_schema side doc =
+  match Json.member "schema" doc with
+  | Some (Json.Str "vpga-metrics/1") -> Ok ()
+  | _ -> Error (side ^ " document is not a vpga-metrics/1 snapshot")
+
+let compare_blocks ~tolerance ~base ~current =
   let out = ref [] in
   let compare_num ~kind key b c =
     out :=
@@ -225,6 +233,11 @@ let diff ?(tolerance = 0.25) ~base ~current () =
         [ "count"; "p50"; "p90"; "p99" ])
     (obj_members (block "histograms" current));
   List.rev !out
+
+let diff ?(tolerance = 0.25) ~base ~current () =
+  match (check_schema "base" base, check_schema "current" current) with
+  | Error msg, _ | _, Error msg -> Error msg
+  | Ok (), Ok () -> Ok (compare_blocks ~tolerance ~base ~current)
 
 let regressions ds = List.filter (fun d -> d.d_regressed) ds
 

@@ -49,8 +49,15 @@ type delta = {
     appear from a zero baseline); time-valued quantities (names ending
     [_us]/[_ms]/[_s] or prefixed [span:]) additionally require the
     baseline to clear an absolute noise floor before they can flag.
-    Default tolerance: 0.25. *)
-val diff : ?tolerance:float -> base:Json.t -> current:Json.t -> unit -> delta list
+    Default tolerance: 0.25.  [Error] when either document is not
+    tagged [schema: "vpga-metrics/1"] — any other document would compare
+    zero metrics and pass. *)
+val diff :
+  ?tolerance:float ->
+  base:Json.t ->
+  current:Json.t ->
+  unit ->
+  (delta list, string) result
 
 val regressions : delta list -> delta list
 val pp_diff : Format.formatter -> delta list -> unit

@@ -281,7 +281,6 @@ let with_ambient t f =
 
 let ambient () = Domain.DLS.get ambient_key
 let emit name v = add (Domain.DLS.get ambient_key) name v
-let emit_set name v = set (Domain.DLS.get ambient_key) name v
 let emit_sample name v = sample (Domain.DLS.get ambient_key) name v
 let emit_observe name v = observe (Domain.DLS.get ambient_key) name v
 

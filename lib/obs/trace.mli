@@ -148,9 +148,6 @@ val ambient : unit -> t
 val emit : string -> float -> unit
 (** [add] on the ambient trace; no-op when none is installed. *)
 
-val emit_set : string -> float -> unit
-(** [set] on the ambient trace; no-op when none is installed. *)
-
 val emit_sample : string -> float -> unit
 (** [sample] on the ambient trace; no-op when none is installed. *)
 

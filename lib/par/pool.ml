@@ -269,7 +269,6 @@ let try_run ?jobs thunks =
       states
   end
 
-let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
 
 (* Publish a stats snapshot onto a trace: scheduling health as gauges,
    the per-task queue waits as a histogram (so snapshots get p50/p90/p99

@@ -13,7 +13,7 @@
     Determinism: the pool imposes no ordering on task execution, so tasks
     must not share mutable state or a common RNG.  Callers that need
     run-to-run reproducibility derive an independent seed per task (see
-    [Experiments.run_all]).  {!run} and {!map} return results in
+    [Experiments.run_all]).  {!run} returns results in
     submission order regardless of completion order, and with [jobs = 1]
     they run every thunk inline on the calling domain — the sequential
     reference semantics. *)
@@ -87,9 +87,6 @@ val try_run : ?jobs:int -> (unit -> 'a) list -> ('a, exn) result list
     instead of being re-raised, so one failing task never hides the
     results of its siblings.  [jobs = 1] runs inline with the same
     per-task capture. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs = run ~jobs (List.map (fun x () -> f x) xs)]. *)
 
 val publish_stats : stats -> Vpga_obs.Trace.t -> unit
 (** Surface a stats snapshot on a trace: [pool.tasks], [pool.workers],

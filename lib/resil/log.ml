@@ -2,7 +2,8 @@
    one, so no locking); the flow appends an event whenever a policy
    retries a stage, escalates a knob, or degrades a verification level.
    The sweep aggregates per-task summaries into the recovery counters
-   reported by [bin/vpga sweep] and BENCH_sweep.json. *)
+   reported by [vpga sweep] and the [recovery] block of the bench's
+   BENCH_sweep.json record. *)
 
 type event =
   | Retry of { stage : string; attempt : int; reason : string }

@@ -285,19 +285,22 @@ let test_minchan_search () =
   Alcotest.(check bool) "defected search completes" true
     (defected.Minchan.probes > 0)
 
+let stress jobs =
+  Minchan.stress ~seed:1 ~jobs ~rates:[ 0.0; 0.1 ] ~maps_per_rate:2 ~w_max:32
+    ~designs:[ ("alu2", Lazy.force alu2) ]
+    Experiments.Test
+
+let stress_jobs1 = lazy (stress 1)
+let stress_json r = Vpga_obs.Json.to_string (Minchan.report_json r)
+
 let test_stress_deterministic () =
-  let designs = [ ("alu2", Lazy.force alu2) ] in
-  let run jobs =
-    Minchan.stress ~seed:1 ~jobs ~rates:[ 0.0; 0.1 ] ~maps_per_rate:2
-      ~w_max:32 ~designs Experiments.Test
-  in
-  let r1 = run 1 and r4 = run 4 in
+  let r1 = Lazy.force stress_jobs1 and r4 = stress 4 in
   Alcotest.(check int) "cell count" (List.length r1.Minchan.r_cells)
     (List.length r4.Minchan.r_cells);
   Alcotest.(check bool) "jobs=1 == jobs=4 (cells bit-identical)" true
     (r1.Minchan.r_cells = r4.Minchan.r_cells);
   Alcotest.(check string) "jobs=1 == jobs=4 (JSON bit-identical)"
-    (Minchan.json_report r1) (Minchan.json_report r4);
+    (stress_json r1) (stress_json r4);
   (* shape: the defect-free rate runs one map, others maps_per_rate *)
   List.iter
     (fun c ->
@@ -306,6 +309,40 @@ let test_stress_deterministic () =
         (if c.Minchan.c_rate = 0.0 then 1 else 2)
         c.Minchan.c_maps)
     r1.Minchan.r_cells
+
+(* [vpga stress --json] parses back and carries every cell, field for
+   field. *)
+let test_stress_json_cells () =
+  let module J = Vpga_obs.Json in
+  let r = Lazy.force stress_jobs1 in
+  match J.parse (stress_json r) with
+  | Error e -> Alcotest.failf "stress JSON does not parse: %s" e
+  | Ok doc -> (
+      match J.member "cells" doc with
+      | Some (J.Arr cells) ->
+          Alcotest.(check int) "one JSON object per cell"
+            (List.length r.Minchan.r_cells) (List.length cells);
+          List.iter2
+            (fun c j ->
+              let field k conv = Option.bind (J.member k j) conv in
+              let check_num k v =
+                Alcotest.(check (option (float 0.0))) k (Some v)
+                  (field k J.to_float)
+              in
+              Alcotest.(check (option string)) "design"
+                (Some c.Minchan.c_design) (field "design" J.to_str);
+              Alcotest.(check (option string)) "arch" (Some c.Minchan.c_arch)
+                (field "arch" J.to_str);
+              check_num "rate" c.Minchan.c_rate;
+              check_num "maps" (float_of_int c.Minchan.c_maps);
+              check_num "survived" (float_of_int c.Minchan.c_survived);
+              check_num "w_min" c.Minchan.c_w_min;
+              check_num "wirelength_um" c.Minchan.c_wirelength;
+              check_num "vias" c.Minchan.c_vias;
+              check_num "wns_ps" c.Minchan.c_wns;
+              check_num "area_um2" c.Minchan.c_area)
+            r.Minchan.r_cells cells
+      | _ -> Alcotest.fail "no cells array")
 
 let () =
   Alcotest.run "vpga_defect"
@@ -341,5 +378,7 @@ let () =
           Alcotest.test_case "search finds W_min" `Slow test_minchan_search;
           Alcotest.test_case "stress jobs determinism" `Slow
             test_stress_deterministic;
+          Alcotest.test_case "stress JSON carries every cell" `Slow
+            test_stress_json_cells;
         ] );
     ]

@@ -156,9 +156,70 @@ let test_json_escapes_and_errors () =
   (match Json.parse "{\"a\": 1} garbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted");
-  match Json.parse "[1, 2" with
+  (match Json.parse "[1, 2" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unterminated array accepted"
+  | Ok _ -> Alcotest.fail "unterminated array accepted");
+  (match Json.parse {|"\uzz12"|} with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "non-hex \\u escape accepted");
+  (* JSON has no NaN: the printer writes non-finite numbers as null, so
+     everything it prints parses back. *)
+  Alcotest.(check string) "non-finite prints as null" "[null,null,null]"
+    (Json.to_string
+       (Json.Arr [ Json.Num Float.nan; Json.Num infinity; Json.Num neg_infinity ]))
+
+(* Finite JSON values of bounded depth: integral and fractional numbers
+   (the printer has a separate path for each), arbitrary byte strings
+   (control characters, quotes, non-ASCII) as values and keys. *)
+let json_gen =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map float_of_int small_signed_int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+      ]
+  in
+  let str = string_size ~gen:char (0 -- 8) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+(* Random input over JSON's own alphabet (so the parser gets past the
+   first byte) returns a result and never raises. *)
+let prop_json_parse_total =
+  let alphabet = {|{}[]:,"\u0123456789abcdefnulltrue-+.eE |} in
+  QCheck.Test.make ~name:"parse never raises on random input" ~count:2000
+    QCheck.(
+      string_gen_of_size Gen.(0 -- 40)
+        Gen.(map (String.get alphabet) (0 -- (String.length alphabet - 1))))
+    (fun src ->
+      match Json.parse src with Ok _ | Error _ -> true)
 
 (* --- Chrome export ---------------------------------------------------- *)
 
@@ -278,7 +339,7 @@ let test_report_rendering () =
   let t, _ = traced_flow () in
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  Export.report_traces fmt [ t ];
+  Export.report fmt (Export.chrome [ t ]);
   Format.pp_print_flush fmt ();
   let out = Buffer.contents buf in
   let contains sub =
@@ -292,16 +353,54 @@ let test_report_rendering () =
     (fun s -> Alcotest.(check bool) ("report mentions " ^ s) true (contains s))
     [ "flow"; "place:anneal"; "anneal.moves" ]
 
+(* The snapshot's [stages] block is the depth-1 rows of the same fold
+   the report prints: no [flow] root, null traces skipped, and calls and
+   allocation words identical to [report --json]'s depth-1 span rows. *)
 let test_stage_totals () =
   let t, _ = traced_flow () in
-  let totals = Export.stage_totals [ t; Trace.null ] in
-  Alcotest.(check bool) "nonempty" true (totals <> []);
-  let names = List.map fst totals in
+  let stages doc =
+    match Json.member "stages" doc with
+    | Some (Json.Obj fields) -> fields
+    | _ -> Alcotest.fail "no stages object"
+  in
+  let snap = Export.snapshot [ t; Trace.null ] in
+  let block = stages snap in
+  Alcotest.(check bool) "nonempty" true (block <> []);
+  let names = List.map fst block in
   Alcotest.(check (list string)) "name-sorted" (List.sort compare names) names;
   Alcotest.(check bool) "no root in stage totals" true
     (not (List.mem "flow" names));
-  Alcotest.(check bool) "all positive" true
-    (List.for_all (fun (_, s) -> s >= 0.0) totals)
+  Alcotest.(check bool) "null trace skipped" true
+    (block = stages (Export.snapshot [ t ]));
+  let num k obj =
+    match Option.bind (Json.member k obj) Json.to_float with
+    | Some f -> f
+    | None -> Alcotest.failf "missing %s" k
+  in
+  let rows =
+    match Json.member "spans" (Export.report_json (Export.chrome [ t ])) with
+    | Some (Json.Arr rows) ->
+        List.filter_map
+          (fun r ->
+            if num "depth" r <> 1.0 then None
+            else
+              Option.map
+                (fun n -> (n, r))
+                (Option.bind (Json.member "name" r) Json.to_str))
+          rows
+    | _ -> Alcotest.fail "no spans array"
+  in
+  Alcotest.(check (list string)) "stages = depth-1 report rows"
+    (List.sort compare (List.map fst rows)) names;
+  List.iter
+    (fun (name, obj) ->
+      let row = List.assoc name rows in
+      List.iter
+        (fun k ->
+          Alcotest.(check (float 0.0)) (name ^ " " ^ k) (num k row) (num k obj))
+        [ "calls"; "minor_words"; "major_words" ];
+      Alcotest.(check bool) (name ^ " wall_s >= 0") true (num "wall_s" obj >= 0.0))
+    block
 
 (* --- Sweep integration ------------------------------------------------ *)
 
@@ -548,6 +647,11 @@ let test_span_gc_deltas_exact () =
 
 (* --- Metrics snapshot and diff ---------------------------------------- *)
 
+let diff ?tolerance ~base ~current () =
+  match Metrics.diff ?tolerance ~base ~current () with
+  | Ok deltas -> deltas
+  | Error e -> Alcotest.failf "diff refused: %s" e
+
 let test_snapshot_valid_and_diff_clean () =
   let t, _ = traced_flow () in
   let doc = Export.snapshot ~label:"test" [ t ] in
@@ -566,10 +670,51 @@ let test_snapshot_valid_and_diff_clean () =
             (List.exists (fun (k, _) -> k = "span:flow") fields)
       | _ -> Alcotest.fail "no histograms object");
   (* A snapshot diffed against itself never regresses. *)
-  let deltas = Metrics.diff ~base:doc ~current:doc () in
+  let deltas = diff ~base:doc ~current:doc () in
   Alcotest.(check bool) "self-diff compares something" true (deltas <> []);
   Alcotest.(check int) "self-diff is clean" 0
     (List.length (Metrics.regressions deltas))
+
+(* Every proper prefix of a real snapshot is an [Error], never an
+   exception. *)
+let test_truncated_snapshot_prefixes () =
+  let t, _ = traced_flow () in
+  let src = Json.to_string (Export.snapshot [ t ]) in
+  for len = 0 to String.length src - 1 do
+    match Json.parse (String.sub src 0 len) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "prefix of length %d parsed" len
+    | exception e ->
+        Alcotest.failf "prefix of length %d raised %s" len
+          (Printexc.to_string e)
+  done
+
+(* The wrong document is refused, not summarized as empty: [perf diff]
+   on anything but two metrics snapshots, [report] on a file without a
+   [traceEvents] array. *)
+let test_wrong_documents_refused () =
+  let t, _ = traced_flow () in
+  let snap = Export.snapshot [ t ] and trace = Export.chrome [ t ] in
+  let refused what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "trace as current" (Metrics.diff ~base:snap ~current:trace ());
+  refused "trace as base" (Metrics.diff ~base:trace ~current:snap ());
+  refused "other schema"
+    (Metrics.diff ~base:snap
+       ~current:(Json.Obj [ ("schema", Json.Str "vpga-report/1") ])
+       ());
+  let file = Filename.temp_file "vpga_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Export.write_snapshot file [ t ];
+      refused "snapshot as a trace" (Export.load file);
+      Export.write_chrome file [ t ];
+      match Export.load file with
+      | Ok doc -> Alcotest.(check bool) "trace loads" true (doc = trace)
+      | Error e -> Alcotest.failf "trace refused: %s" e)
 
 let counters_snap kvs =
   Json.Obj
@@ -581,7 +726,7 @@ let counters_snap kvs =
 let test_diff_flags_seeded_regression () =
   let base = counters_snap [ ("route.ripups", 100.0) ] in
   let bad = counters_snap [ ("route.ripups", 1000.0) ] in
-  let deltas = Metrics.diff ~tolerance:0.25 ~base ~current:bad () in
+  let deltas = diff ~tolerance:0.25 ~base ~current:bad () in
   (match Metrics.regressions deltas with
   | [ d ] ->
       Alcotest.(check string) "key" "counter route.ripups" d.Metrics.d_key;
@@ -590,16 +735,16 @@ let test_diff_flags_seeded_regression () =
   (* A generous tolerance absorbs the same change... *)
   Alcotest.(check int) "tolerance respected" 0
     (List.length
-       (Metrics.regressions (Metrics.diff ~tolerance:20.0 ~base ~current:bad ())));
+       (Metrics.regressions (diff ~tolerance:20.0 ~base ~current:bad ())));
   (* ...improvements never flag... *)
   Alcotest.(check int) "improvement is not a regression" 0
     (List.length
-       (Metrics.regressions (Metrics.diff ~base:bad ~current:base ())));
+       (Metrics.regressions (diff ~base:bad ~current:base ())));
   (* ...and a counter appearing from a zero baseline does. *)
   let appeared = counters_snap [ ("route.ripups", 100.0); ("new", 1.0) ] in
   Alcotest.(check int) "new-from-zero flags" 1
     (List.length
-       (Metrics.regressions (Metrics.diff ~base ~current:appeared ())))
+       (Metrics.regressions (diff ~base ~current:appeared ())))
 
 let test_diff_time_noise_floor () =
   (* Sub-floor timings are measurement noise: a huge relative change on a
@@ -620,15 +765,15 @@ let test_diff_time_noise_floor () =
   Alcotest.(check int) "sub-floor jitter ignored" 0
     (List.length
        (Metrics.regressions
-          (Metrics.diff ~base:(hist_snap 5.0) ~current:(hist_snap 500.0) ())));
+          (diff ~base:(hist_snap 5.0) ~current:(hist_snap 500.0) ())));
   Alcotest.(check int) "sub-floor span duration ignored" 0
     (List.length
        (Metrics.regressions
-          (Metrics.diff ~base:(hist_snap 5000.0) ~current:(hist_snap 9000.0) ())));
+          (diff ~base:(hist_snap 5000.0) ~current:(hist_snap 9000.0) ())));
   Alcotest.(check int) "above the floor it flags" 1
     (List.length
        (Metrics.regressions
-          (Metrics.diff ~base:(hist_snap 50_000.0)
+          (diff ~base:(hist_snap 50_000.0)
              ~current:(hist_snap 500_000.0) ())))
 
 let test_report_json_shape () =
@@ -734,6 +879,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "escapes and errors" `Quick
             test_json_escapes_and_errors;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
+          Alcotest.test_case "truncated snapshot prefixes" `Quick
+            test_truncated_snapshot_prefixes;
         ] );
       ( "flow tracing",
         [
@@ -787,6 +936,8 @@ let () =
             test_diff_time_noise_floor;
           Alcotest.test_case "report --json shape" `Quick
             test_report_json_shape;
+          Alcotest.test_case "wrong documents refused" `Quick
+            test_wrong_documents_refused;
         ] );
       ( "sweep",
         [
