@@ -86,34 +86,53 @@ let tables_cmd =
     (Cmd.info "tables" ~doc:"Reproduce Tables 1 and 2 and the headline claims (E6-E9)")
     Term.(const run $ paper_flag $ seed_arg $ jobs_arg)
 
-let design_of_name paper name =
-  let scale = scale_of paper in
-  match
-    List.find_opt
-      (fun (n, _) -> String.lowercase_ascii n = String.lowercase_ascii name)
-      (Experiments.designs scale)
-  with
-  | Some (_, nl) -> nl
-  | None ->
-      Fmt.failwith "unknown design %s (alu, firewire, fpu, 'network switch')"
-        name
+(* Design and architecture names are checked while the command line is
+   parsed, so a typo is a usage error (exit 124) before any flow work
+   starts.  Design names match case-insensitively and are the same at
+   every scale. *)
+let same_design a b = String.lowercase_ascii a = String.lowercase_ascii b
 
-let arch_of_name arch_name =
-  match String.lowercase_ascii arch_name with
-  | "granular" | "granular_plb" -> Arch.granular_plb
-  | "granular2ff" | "granular_2ff" -> Arch.granular_2ff
-  | "lut" | "lut_plb" -> Arch.lut_plb
-  | other -> Fmt.failwith "unknown architecture %s" other
+let design_of_name paper name =
+  snd
+    (List.find
+       (fun (n, _) -> same_design n name)
+       (Experiments.designs (scale_of paper)))
+
+let design_conv =
+  let parse s =
+    if
+      List.exists
+        (fun (n, _) -> same_design n s)
+        (Experiments.designs Experiments.Test)
+    then Ok s
+    else
+      Error
+        (`Msg
+           (Printf.sprintf
+              "unknown design %S (alu, firewire, fpu, 'network switch')" s))
+  in
+  Arg.conv ~docv:"DESIGN" (parse, Format.pp_print_string)
 
 let design_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some design_conv) None
     & info [ "d"; "design" ] ~doc:"Design: alu, firewire, fpu, network switch.")
 
 let arch_arg =
+  let arch =
+    Arg.enum
+      [
+        ("granular", Arch.granular_plb);
+        ("granular_plb", Arch.granular_plb);
+        ("granular2ff", Arch.granular_2ff);
+        ("granular_2ff", Arch.granular_2ff);
+        ("lut", Arch.lut_plb);
+        ("lut_plb", Arch.lut_plb);
+      ]
+  in
   Arg.(
-    value & opt string "granular"
+    value & opt arch Arch.granular_plb
     & info [ "a"; "arch" ] ~doc:"PLB architecture: granular, lut, or granular2ff.")
 
 let verify_arg =
@@ -140,17 +159,6 @@ let policy_arg =
            stage with escalating channel capacity / array size / anneal \
            restarts, and Formal->Fast degradation on undecided SAT \
            proofs), or strict (one attempt, any stage failure is final).")
-
-let analyze_flag =
-  Arg.(
-    value & flag
-    & info [ "analyze" ]
-        ~doc:
-          "Run the static dataflow analyses (constant propagation, \
-           X-propagation, redundancy, fanout shape) over the source \
-           netlist and arm the region-ownership sanitizer around the \
-           packing refinement.  Detection only: results are identical \
-           with or without it.")
 
 let fail_on_warning_flag =
   Arg.(
@@ -223,19 +231,16 @@ let print_cache_stats cache =
       (100.0 *. Cache.hit_rate cs)
 
 let flow_cmd =
-  let run paper seed design arch_name verify policy trace_file metrics_file
-      jobs analyze cache =
+  let run paper seed design arch verify policy trace_file metrics_file jobs
+      cache =
     let nl = design_of_name paper design in
-    let arch = arch_of_name arch_name in
-    let label = design ^ "/" ^ arch_name in
+    let label = design ^ "/" ^ arch.Arch.name in
     let trace =
       match (trace_file, metrics_file) with
       | None, None -> Trace.null
       | _ -> Trace.create ~label ()
     in
-    let pair =
-      run_flow ~seed ~verify ~policy ~trace ~jobs ~analyze ~cache arch nl
-    in
+    let pair = Flow.run ~seed ~verify ~policy ~trace ~jobs ~cache arch nl in
     let show (o : Flow.outcome) =
       Format.printf
         "flow %s: die %.0f um^2, cells %.0f um^2, wire %.0f um, top-10 slack %.1f ps, wns %.1f ps%s@."
@@ -266,8 +271,7 @@ let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc:"Run one design through one architecture")
     Term.(
       const run $ paper_flag $ seed_arg $ design_arg $ arch_arg $ verify_arg
-      $ policy_arg $ trace_arg $ metrics_arg $ jobs_arg $ analyze_flag
-      $ cache_term)
+      $ policy_arg $ trace_arg $ metrics_arg $ jobs_arg $ cache_term)
 
 let sweep_cmd =
   let verbose_flag =
@@ -278,11 +282,11 @@ let sweep_cmd =
             "Also print the worker pool's accounting: tasks run, total \
              queue wait, and per-worker busy time.")
   in
-  let run paper seed jobs verify policy verbose analyze trace_file cache =
+  let run paper seed jobs verify policy verbose trace_file cache =
     let traced = trace_file <> None in
     let reports, pstats =
-      Experiments.run_tasks_with_stats ~seed ~jobs ~verify ~policy ~analyze
-        ~traced ~cache (scale_of paper)
+      Experiments.run_tasks_with_stats ~seed ~jobs ~verify ~policy ~traced
+        ~cache (scale_of paper)
     in
     let failed =
       List.length (List.filter (fun r -> Result.is_error r.Experiments.t_result) reports)
@@ -344,7 +348,7 @@ let sweep_cmd =
           task failed.")
     Term.(
       const run $ paper_flag $ seed_arg $ jobs_arg $ verify_arg $ policy_arg
-      $ verbose_flag $ analyze_flag $ trace_arg $ cache_term)
+      $ verbose_flag $ trace_arg $ cache_term)
 
 let stress_cmd =
   let rates_arg =
@@ -388,7 +392,7 @@ let stress_cmd =
   let design_filter =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some design_conv) None
       & info [ "d"; "design" ]
           ~doc:"Restrict the sweep to one design (default: all four).")
   in
@@ -398,12 +402,9 @@ let stress_cmd =
       match design with
       | None -> None
       | Some name ->
-          (* reuse the flow commands' lookup, keeping the canonical name *)
-          ignore (design_of_name paper name);
           Some
             (List.filter
-               (fun (n, _) ->
-                 String.lowercase_ascii n = String.lowercase_ascii name)
+               (fun (n, _) -> same_design n name)
                (Experiments.designs scale))
     in
     let traced = trace_file <> None in
@@ -446,9 +447,8 @@ let lint_cmd =
             "Also prove each front-end stage equivalent to the source \
              netlist with the SAT-based checker.")
   in
-  let run paper design arch_name formal fail_on_warning =
+  let run paper design arch formal fail_on_warning =
     let nl = design_of_name paper design in
-    let arch = arch_of_name arch_name in
     let report title nl' =
       let ds = Lint.run nl' in
       Format.printf "== %s ==@." title;
@@ -497,9 +497,8 @@ let analyze_cmd =
              stage; every rewritten netlist is proven equivalent to its \
              source by the SAT-based CEC before being reported.")
   in
-  let run paper design arch_name simplify fail_on_warning =
+  let run paper design arch simplify fail_on_warning =
     let nl = design_of_name paper design in
-    let arch = arch_of_name arch_name in
     let stages =
       [
         ("source", nl);
@@ -533,12 +532,6 @@ let analyze_cmd =
       $ fail_on_warning_flag)
 
 let export_cmd =
-  let design =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "d"; "design" ] ~doc:"Design: alu, firewire, fpu, network switch.")
-  in
   let prefix =
     Arg.(value & opt string "out" & info [ "o" ] ~doc:"Output file prefix.")
   in
@@ -558,7 +551,7 @@ let export_cmd =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Pack a design and write Verilog/DEF/SVG artifacts")
-    Term.(const run $ paper_flag $ seed_arg $ design $ prefix)
+    Term.(const run $ paper_flag $ seed_arg $ design_arg $ prefix)
 
 let report_cmd =
   let file =
@@ -731,7 +724,7 @@ let cache_cmd =
         f
       in
       let archs = [ Arch.lut_plb; Arch.granular_plb ] in
-      let flow cache arch = run_flow ~seed ~cache arch nl in
+      let flow cache arch = Flow.run ~seed ~cache arch nl in
       let cold_cache = Cache.create ~dir () in
       let cold = List.map (flow cold_cache) archs in
       (* Fresh in-memory table: every warm hit must come from disk. *)

@@ -51,7 +51,7 @@ let () =
     samples;
   Format.printf "Simulation against the software model: ok@.";
   (* Map onto the granular VPGA. *)
-  let pair = run_flow ~seed:1 Arch.granular_plb nl in
+  let pair = Flow.run ~seed:1 Arch.granular_plb nl in
   Format.printf
     "Granular VPGA: %s PLB array, die %.0f um^2, top-10 slack %.1f ps@."
     (match pair.Flow.b.Flow.array_dims with

@@ -26,7 +26,7 @@ let () =
         (Compact.config_histogram compacted);
       Format.printf "@.";
       (* And the two flows: *)
-      let pair = run_flow ~seed:1 arch design in
+      let pair = Flow.run ~seed:1 arch design in
       let show (o : Flow.outcome) =
         Format.printf
           "  flow %s: die %8.0f um^2, wire %7.0f um, top-10 slack %8.1f ps%s@."

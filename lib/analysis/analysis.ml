@@ -1,11 +1,9 @@
 (* The pass manager: runs the dataflow-based netlist analyses in a fixed
    order, collects their [Pass.report]s, and optionally runs the
-   CEC-gated simplifier on top.  Counters are published to the ambient
-   trace (lib/obs) under "analysis.*" so [vpga report] picks them up. *)
+   CEC-gated simplifier on top. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Diag = Vpga_verify.Diag
-module Trace = Vpga_obs.Trace
 
 type t = {
   reports : Pass.report list;
@@ -37,8 +35,6 @@ let diags t =
 
 let counters t =
   List.concat_map (fun (r : Pass.report) -> r.Pass.counters) t.reports
-
-let emit t = List.iter (fun (k, v) -> Trace.emit k v) (counters t)
 
 let pp fmt t =
   List.iter

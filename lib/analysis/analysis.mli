@@ -2,9 +2,8 @@
 
     Runs {!Constprop}, {!Xprop}, {!Redund} and {!Fanout} (any subset, in
     that fixed order) and optionally the CEC-gated {!Simplify} rewrite,
-    returning per-pass {!Pass.report}s.  Counters use ambient-trace
-    names ("analysis.*"); {!emit} publishes them so a traced flow
-    surfaces them in [vpga report]. *)
+    returning per-pass {!Pass.report}s.  Counters are named
+    ["analysis.*"]; [vpga analyze] prints them per stage. *)
 
 type t = {
   reports : Pass.report list;
@@ -30,8 +29,5 @@ val diags : t -> Vpga_verify.Diag.t list
 (** All diagnostics across passes (and the simplifier, when run). *)
 
 val counters : t -> (string * float) list
-
-val emit : t -> unit
-(** Publish every counter once to the ambient trace ({!Vpga_obs.Trace}). *)
 
 val pp : Format.formatter -> t -> unit

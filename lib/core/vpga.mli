@@ -1,10 +1,10 @@
 (** Public facade of the VPGA granularity-exploration library.
 
     Re-exports the stable surface of every subsystem under one roof and
-    provides the three one-call entry points a downstream user needs:
-    {!classify_functions} (the Section-2 Boolean analysis),
+    provides the one-call entry points a downstream user needs:
+    {!classify_functions} (the Section-2 Boolean analysis) and
     {!compare_architectures} (run a design through both PLBs and both
-    flows), and {!run_flow} (one architecture).
+    flows).  One architecture is one {!Flow.run}.
 
     See DESIGN.md for the system inventory and EXPERIMENTS.md for the
     paper-reproduction results. *)
@@ -109,20 +109,6 @@ module Stagekey = Vpga_flow.Stagekey
 
 val classify_functions : unit -> S3.census
 (** Exhaustive Section-2.1 classification of the 256 3-input functions. *)
-
-val run_flow :
-  ?seed:int -> ?period:float -> ?verify:Flow.verify -> ?policy:Policy.t ->
-  ?trace:Trace.t -> ?jobs:int -> ?analyze:bool -> ?cache:Cache.t ->
-  Arch.t -> Netlist.t -> Flow.pair
-(** Both flows (ASIC-style a, packed-array b) on one architecture.
-    [verify] selects the verification level (default {!Flow.Fast});
-    [policy] the retry-with-escalation policy (default
-    {!Policy.default}); [trace] (default disabled) records stage spans
-    and inner-loop counters — see {!Obs}; [jobs] (default 1) caps the
-    worker domains for region-parallel refinement — results are
-    identical for any value; [analyze] (default false) runs the static
-    dataflow analyses and arms the region-ownership sanitizer — see
-    {!Analysis} and {!Ownership}. *)
 
 val compare_architectures :
   ?seed:int -> ?period:float -> ?verify:Flow.verify -> Netlist.t ->

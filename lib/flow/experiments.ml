@@ -48,7 +48,7 @@ let task_seed ~seed name arch =
   !h land 0x3FFFFFFF
 
 let run_tasks_with_stats ?(seed = 1) ?jobs ?verify ?policy ?(traced = false)
-    ?analyze ?cache ?designs:ds scale =
+    ?cache ?designs:ds scale =
   (* Populate every shared lazy table from this domain before workers
      race for them (Lazy.force is not domain-safe in OCaml 5). *)
   Config.prewarm ();
@@ -67,13 +67,8 @@ let run_tasks_with_stats ?(seed = 1) ?jobs ?verify ?policy ?(traced = false)
         let result, log, trace =
           Stage.isolate ~traced ~tid:i ~label:(name ^ "/" ^ arch.Arch.name)
             ~stage:"flow" ~design:name (fun ~log ~trace ->
-              (* [trace_labels:false]: sweep traces exist for stage
-                 timings ([vpga sweep --trace], perfbench's per-layer
-                 pass), which must reflect the production flow —
-                 observational FlowMap labeling would dominate
-                 [compact] at paper scale. *)
               Flow.run ~seed:(task_seed ~seed name arch) ?verify ?policy
-                ?analyze ?cache ~log ~trace ~trace_labels:false arch nl)
+                ?cache ~log ~trace arch nl)
         in
         {
           t_design = name;
@@ -86,11 +81,10 @@ let run_tasks_with_stats ?(seed = 1) ?jobs ?verify ?policy ?(traced = false)
   in
   Vpga_par.Pool.run_stats ?jobs tasks
 
-let run_tasks ?seed ?jobs ?verify ?policy ?traced ?analyze ?cache ?designs
-    scale =
+let run_tasks ?seed ?jobs ?verify ?policy ?traced ?cache ?designs scale =
   fst
-    (run_tasks_with_stats ?seed ?jobs ?verify ?policy ?traced ?analyze ?cache
-       ?designs scale)
+    (run_tasks_with_stats ?seed ?jobs ?verify ?policy ?traced ?cache ?designs
+       scale)
 
 let recovery reports =
   List.fold_left

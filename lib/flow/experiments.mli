@@ -38,7 +38,6 @@ val run_tasks :
   ?verify:Flow.verify ->
   ?policy:Vpga_resil.Policy.t ->
   ?traced:bool ->
-  ?analyze:bool ->
   ?cache:Vpga_cache.Cache.t ->
   ?designs:(string * Vpga_netlist.Netlist.t) list ->
   scale ->
@@ -54,12 +53,11 @@ val run_tasks :
     {!Vpga_obs.Trace.t} — created on the worker domain, thread id = task
     index — returned in [t_trace]; merge them with
     {!Vpga_obs.Export.chrome} for one timeline of the whole sweep.
-    Tracing does not change results: every recorded quantity derives
-    from the task's own deterministic run.
+    Tracing changes neither results nor the work done: a traced task
+    runs exactly the computation of an untraced one, and every recorded
+    quantity derives from the task's own deterministic run.
 
-    [analyze] is forwarded to each {!Flow.run}: the static dataflow
-    analyses plus the region-ownership sanitizer, detection-only, so it
-    too changes no results.
+    [verify] is forwarded to each {!Flow.run} (default {!Flow.Fast}).
 
     [cache] is forwarded to each {!Flow.run}: one
     {!Vpga_cache.Cache.t} shared by every task on every worker domain
@@ -73,7 +71,6 @@ val run_tasks_with_stats :
   ?verify:Flow.verify ->
   ?policy:Vpga_resil.Policy.t ->
   ?traced:bool ->
-  ?analyze:bool ->
   ?cache:Vpga_cache.Cache.t ->
   ?designs:(string * Vpga_netlist.Netlist.t) list ->
   scale ->

@@ -14,7 +14,6 @@ module Detail = Vpga_route.Detail
 module Sta = Vpga_timing.Sta
 module Power = Vpga_timing.Power
 module Lint = Vpga_verify.Lint
-module Analysis = Vpga_analysis.Analysis
 module Ownership = Vpga_analysis.Ownership
 module Cec = Vpga_verify.Cec
 module Phys = Vpga_verify.Phys
@@ -68,8 +67,7 @@ let check_structure ~stage nl =
 let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
     ?(use_criticality = true) ?(jobs = 1) ?(verify = Fast)
     ?(policy = Policy.default) ?log ?(trace = Trace.null)
-    ?(trace_labels = true) ?(analyze = false) ?defect ?(cache = Cache.none)
-    arch nl =
+    ?trace_labels:_ ?defect ?(cache = Cache.none) arch nl =
   (* Every stage key is built in [Stagekey] from the digests of the
      stage's actual inputs, so a cache hit is exactly a rerun of the same
      deterministic computation. *)
@@ -167,16 +165,6 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
         guard "verify:input" (fun () -> check_structure ~stage:"verify:input" nl);
         guard "verify:lint" (fun () -> Lint.check ~stage:"verify:lint" nl)
       end);
-  (* Static dataflow analysis over the source netlist: detection only
-     (no simplification inside the flow — rewrites belong to explicit
-     [vpga analyze --simplify] invocations), counters onto the ambient
-     trace, errors fatal like any other verification gate. *)
-  if analyze then
-    span "analyze:input" (fun () ->
-        let a = Analysis.run ~simplify:false nl in
-        Analysis.emit a;
-        guard "analyze:input" (fun () ->
-            Diag.fail_on_errors ~stage:"analyze:input" (Analysis.diags a)));
   let gate_count = Stats.gate_count nl in
   (* Front-end: map, compact, buffer, each gated against the source. *)
   let mapped =
@@ -189,13 +177,7 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
   ignore (gate "verify:techmap" mapped);
   let compacted, compaction_gain =
     span "compact" (fun () ->
-        (* Traced runs label alongside compaction (see [Stage.compact]);
-           from-scratch labeling is far costlier than the compaction DP
-           on large inputs, so callers that trace for stage {e timings}
-           (the traced sweep) opt out via [trace_labels:false]. *)
-        let compacted =
-          Stage.compact s ~labels:(trace_labels && Trace.enabled trace)
-        in
+        let compacted = Stage.compact s in
         let before = Techmap.cell_area mapped in
         ( compacted,
           if before <= 0.0 then 0.0
@@ -399,16 +381,11 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
     let regions =
       if min q.Quadrisect.cols q.Quadrisect.rows >= 12 then 2 else 1
     in
-    (* Static ownership proof before the walks run, then the dynamic
-       guard ([sanitize]) inside them: a decomposition bug surfaces as a
-       structured diagnostic here, or as an [Occupancy.Race] at the
-       faulting write instead of silent corruption. *)
-    if analyze then
-      span "analyze:regions" (fun () ->
-          let r = Ownership.check ~regions q in
-          Trace.emit "analysis.sanitizer_checks" (float_of_int r.Ownership.checks);
-          guard "analyze:regions" (fun () ->
-              Diag.fail_on_errors ~stage:"analyze:regions" r.Ownership.diags));
+    (* Static ownership proof on this packing and region grid before the
+       walks run: a decomposition bug surfaces as a structured diagnostic
+       here instead of a silent cross-region race. *)
+    phys "verify:regions" (fun () ->
+        (Ownership.check ~regions q).Ownership.diags);
     span "pack:refine" (fun () ->
         (* [Refine.run] mutates exactly the tile assignment and the
            snapped coordinates, so that triple is the cached value. *)
@@ -423,18 +400,10 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
                  ignore
                    (Vpga_pack.Refine.run ~criticality:crit ~seed:(seed + 2)
                       ~iterations:(min 400_000 (60 * Netlist.size buffered))
-                      ~jobs ~regions ~sanitize:analyze ?dead_tile:dead_pred q
-                      pl_b)
-               with
-              | Vpga_pack.Refine.Infeasible msg ->
-                  Stage.fail s ~attempts:1 stage
-                    (Diag.error "pack-infeasible" "%s" msg)
-              | Vpga_plb.Occupancy.Race { owner; writer } ->
-                  Stage.fail s ~attempts:1 stage
-                    (Diag.error "region-race"
-                       "cross-region occupancy write: tile owned by region \
-                        %d mutated by region %d's walk"
-                       owner writer));
+                      ~jobs ~regions ?dead_tile:dead_pred q pl_b)
+               with Vpga_pack.Refine.Infeasible msg ->
+                 Stage.fail s ~attempts:1 stage
+                   (Diag.error "pack-infeasible" "%s" msg));
               (q.Quadrisect.tile_of_node, pl_b.Placement.x, pl_b.Placement.y))
         in
         Stage.revive tiles q.Quadrisect.tile_of_node;

@@ -21,8 +21,12 @@ type verify = Off | Fast | Formal
       ({!Vpga_netlist.Netlist.validate}) and lint at every stage boundary,
       gates each front-end stage with the randomized simulation
       equivalence check, and enforces the physical invariants (placement
-      legality, PLB packing coverage and feasibility, routing
-      connectivity and capacity, detailed-track consistency);
+      legality, PLB packing coverage and feasibility, the static
+      region-ownership proof for the region-parallel refinement
+      ([verify:regions], {!Vpga_analysis.Ownership.check} on the
+      legalized packing at the refiner's region grid, run whenever
+      [refine] is on), routing connectivity and capacity,
+      detailed-track consistency);
     - [Formal] additionally {e proves} each front-end stage equivalent to
       the source netlist with the SAT-based combinational equivalence
       checker in {!Vpga_verify.Cec}. *)
@@ -64,7 +68,6 @@ val run :
   ?log:Vpga_resil.Log.t ->
   ?trace:Vpga_obs.Trace.t ->
   ?trace_labels:bool ->
-  ?analyze:bool ->
   ?defect:Vpga_resil.Defect.t ->
   ?cache:Vpga_cache.Cache.t ->
   Vpga_plb.Arch.t ->
@@ -101,26 +104,10 @@ val run :
     ambient-trace mechanism, and the recovery log replayed as instant
     events on the same monotonic timeline.  Export with
     {!Vpga_obs.Export}.  A [null] trace reduces every probe to a single
-    branch, so the instrumented flow's cost is unchanged when tracing is
-    off.  [trace_labels] (default true) makes a {e traced} run compact
-    through {!Vpga_mapper.Compact.run_traced} — the identical cover, with
-    the incremental FlowMap labeler running alongside so the
-    [flowmap.maxflow_calls] / [flowmap.labels_reused] counters land in
-    the trace; pass [false] when the trace is collected for stage timings
-    (from-scratch labeling can dwarf the compaction DP on large
-    designs).
-
-    [analyze] (default false) runs the static dataflow analyses
-    ({!Vpga_analysis.Analysis}) over the source netlist — constant
-    propagation, X-propagation, structural redundancy, fanout/depth
-    shape — publishing [analysis.*] counters to the ambient trace, plus
-    the region-ownership sanitizer around the packing refinement: the
-    static proof ({!Vpga_analysis.Ownership.check}) before the region
-    walks run, and the dynamic cross-region write guard
-    ([Refine.run ~sanitize]) inside them.  Detection only: analysis
-    never rewrites the netlist inside the flow, and the sanitizer
-    changes no refinement verdicts, so results are identical with it on
-    or off.  Analysis errors abort the flow like any verification gate.
+    branch, and a traced run does exactly the work of an untraced one:
+    observing a flow changes neither its result nor what it computes.
+    [trace_labels] is ignored; it remains only for callers that still
+    pass it and goes away with the next revision of this signature.
 
     [defect] (default none) threads a manufacturing-defect map
     ({!Vpga_resil.Defect}) through the physical stages: legalization and

@@ -139,17 +139,12 @@ let recovery_instants s =
 (* --- shared stage definitions: memoized, without spans (each driver
    shapes its own trace around them) ----------------------------------- *)
 
-(* [labels]: compact through [Compact.run_traced] — the identical cover,
-   with the incremental FlowMap labeler alongside so its counters land
-   in the trace. *)
-let compact s ~labels =
+let compact s =
   memo s "compact"
     (fun () ->
       Stagekey.compact ~nl:(Lazy.force s.d_nl) ~arch:(Lazy.force s.d_arch)
         s.opts)
-    (fun () ->
-      if labels then fst (Compact.run_traced s.arch s.nl)
-      else Compact.run s.arch s.nl)
+    (fun () -> Compact.run s.arch s.nl)
 
 let buffer s compacted d_compacted =
   memo s "buffer"
@@ -201,7 +196,7 @@ let pack s ~stage ~key ~criticality d_buffered pl d_pl =
    criticality-free legalization ([stress:pack]) -> snap.  Returns the
    buffered netlist, the packing and the snapped placement. *)
 let packed s =
-  let compacted = compact s ~labels:false in
+  let compacted = compact s in
   let buffered = buffer s compacted (digest compacted) in
   let d_buffered = digest buffered in
   let pl = place_global s buffered d_buffered in

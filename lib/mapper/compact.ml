@@ -18,31 +18,23 @@ let config_of_tt arch tt = Config.choose arch (Bfun.extend tt ~arity:3)
 (* Cover selection over the AIG.  [`Area] minimizes area flow (the paper's
    compaction objective); [`Depth] minimizes estimated arrival first, with
    area flow as the tiebreak (the Design-Compiler-style timing-driven
-   mode).  [refs] overrides the structural reference estimate — the
-   area-recovery passes of {!select_iterated} feed back the reference
-   counts of the previously chosen cover. *)
-let select_cover ?(objective = `Area) ?refs:refs_override arch bound =
+   mode). *)
+let select_cover ?(objective = `Area) arch bound =
   let aig = bound.Aig.aig in
   let n = Aig.size aig in
   let cuts = Cut.enumerate aig ~k:cut_k ~max_cuts in
   (* Reference estimate: structural fanout plus root references. *)
-  let refs =
-    match refs_override with
-    | Some r -> r
-    | None ->
-        let refs = Array.make n 0 in
-        for id = 1 to n - 1 do
-          if not (Aig.is_pi aig id) then begin
-            let l0, l1 = Aig.fanins aig id in
-            refs.(Aig.node_of l0) <- refs.(Aig.node_of l0) + 1;
-            refs.(Aig.node_of l1) <- refs.(Aig.node_of l1) + 1
-          end
-        done;
-        List.iter
-          (fun (_, l) -> refs.(Aig.node_of l) <- refs.(Aig.node_of l) + 1)
-          bound.Aig.roots;
-        refs
-  in
+  let refs = Array.make n 0 in
+  for id = 1 to n - 1 do
+    if not (Aig.is_pi aig id) then begin
+      let l0, l1 = Aig.fanins aig id in
+      refs.(Aig.node_of l0) <- refs.(Aig.node_of l0) + 1;
+      refs.(Aig.node_of l1) <- refs.(Aig.node_of l1) + 1
+    end
+  done;
+  List.iter
+    (fun (_, l) -> refs.(Aig.node_of l) <- refs.(Aig.node_of l) + 1)
+    bound.Aig.roots;
   (* Per-cut PLB config memo: a cut's truth table has arity <= cut_k = 3,
      so (arity, table) packs into 10 bits and the NPN canonization +
      [Config.choose] behind [config_of_tt] runs once per distinct function
@@ -103,30 +95,7 @@ let select_cover ?(objective = `Area) ?refs:refs_override arch bound =
           arrival.(id) <- t
     end
   done;
-  (cuts, best_cut)
-
-(* Reference counts of the *chosen* cover: each needed supernode references
-   its cut leaves once, each root its node once.  Feeding these back into
-   [select_cover] is classic area recovery — nodes the cover duplicates or
-   drops get truthful (not structural) sharing estimates on the next
-   pass. *)
-let cover_refs aig roots best_cut needed =
-  let refs = Array.make (Aig.size aig) 0 in
-  Hashtbl.iter
-    (fun id () ->
-      if (not (Aig.is_const id)) && not (Aig.is_pi aig id) then
-        match best_cut.(id) with
-        | Some c ->
-            Array.iter (fun l -> refs.(l) <- refs.(l) + 1) c.Cut.leaves
-        | None -> assert false)
-    needed;
-  List.iter
-    (fun (_, l) -> refs.(Aig.node_of l) <- refs.(Aig.node_of l) + 1)
-    roots;
-  refs
-
-let cut_equal (a : Cut.t) (b : Cut.t) =
-  a.Cut.leaves = b.Cut.leaves && Bfun.equal a.Cut.tt b.Cut.tt
+  best_cut
 
 (* Nodes actually used by the cover, reachable from the roots through the
    chosen cuts. *)
@@ -143,36 +112,6 @@ let needed_nodes aig roots best_cut =
   in
   List.iter (fun (_, l) -> visit (Aig.node_of l)) roots;
   needed
-
-(* Iterated cover selection: pass 1 is the single-shot default; each
-   further pass re-runs the DP with reference counts taken from the cover
-   before it (area recovery), so sharing estimates reflect the actual
-   cover rather than structural fanout.  [on_pass] observes, per extra
-   pass, the ids whose chosen cut changed — {!run_traced} uses it to drive
-   incremental FlowMap relabeling. *)
-let select_iterated ?objective ?(passes = 1) ?on_pass arch bound =
-  let aig = bound.Aig.aig in
-  let _, best0 = select_cover ?objective arch bound in
-  let best = ref best0 in
-  for pass = 2 to passes do
-    let needed = needed_nodes aig bound.Aig.roots !best in
-    let refs = cover_refs aig bound.Aig.roots !best needed in
-    let _, best' = select_cover ?objective ~refs arch bound in
-    (match on_pass with
-    | Some f ->
-        let changed = ref [] in
-        for id = Aig.size aig - 1 downto 1 do
-          match (!best.(id), best'.(id)) with
-          | None, None -> ()
-          | Some a, Some b ->
-              if not (cut_equal a b) then changed := id :: !changed
-          | Some _, None | None, Some _ -> changed := id :: !changed
-        done;
-        f ~pass ~changed:!changed
-    | None -> ());
-    best := best'
-  done;
-  !best
 
 (* Full-adder extraction (paper Section 2.2): among supernodes sharing the
    same three leaves, a 3-input-XOR "sum" will be realized as an XOAMX whose
@@ -317,32 +256,9 @@ let emit arch nl bound best_cut =
     bound.Aig.roots;
   dst
 
-let run ?objective ?passes arch nl =
+let run ?objective arch nl =
   let bound = Aig.of_netlist nl in
-  let best_cut = select_iterated ?objective ?passes arch bound in
-  emit arch nl bound best_cut
-
-type pass_trace = { pass : int; changed : int list; labels : int array }
-
-let run_traced ?objective ?passes arch nl =
-  let bound = Aig.of_netlist nl in
-  let inc = Flowmap.Incremental.create bound.Aig.aig ~k:cut_k in
-  let snapshot pass changed =
-    { pass; changed; labels = Array.copy (Flowmap.Incremental.labels inc) }
-  in
-  let traces = ref [ snapshot 1 [] ] in
-  let relabeled = ref false in
-  let on_pass ~pass ~changed =
-    relabeled := true;
-    Flowmap.Incremental.relabel inc ~dirty:changed;
-    traces := snapshot pass changed :: !traces
-  in
-  let best_cut = select_iterated ?objective ?passes ~on_pass arch bound in
-  (* Single-pass runs never relabel; certify the from-scratch labels with
-     an empty dirty set so the reuse counters still reach the trace (every
-     label reused, zero max-flow decisions re-run). *)
-  if not !relabeled then Flowmap.Incremental.relabel inc ~dirty:[];
-  (emit arch nl bound best_cut, List.rev !traces)
+  emit arch nl bound (select_cover ?objective arch bound)
 
 let config_histogram nl =
   let counts = Hashtbl.create 16 in

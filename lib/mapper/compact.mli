@@ -14,39 +14,13 @@
 
 val run :
   ?objective:[ `Area | `Depth ] ->
-  ?passes:int ->
   Vpga_plb.Arch.t ->
   Vpga_netlist.Netlist.t ->
   Vpga_netlist.Netlist.t
 (** Equivalent compacted netlist.  Accepts generic or technology-mapped
     input.  [`Area] (default) is the paper's compaction objective — minimum
     area flow; [`Depth] is timing-driven covering (minimum estimated
-    arrival, area as tiebreak).  [passes] (default 1) adds area-recovery
-    iterations: each extra pass re-runs cover selection with reference
-    counts taken from the previous cover instead of structural fanout.
-    [passes = 1] is byte-identical to the historical single-shot cover. *)
-
-type pass_trace = {
-  pass : int;
-  changed : int list;
-      (** ids whose chosen cut differs from the previous pass (empty for
-          pass 1) *)
-  labels : int array;
-      (** the incrementally maintained FlowMap labels after this pass *)
-}
-
-val run_traced :
-  ?objective:[ `Area | `Depth ] ->
-  ?passes:int ->
-  Vpga_plb.Arch.t ->
-  Vpga_netlist.Netlist.t ->
-  Vpga_netlist.Netlist.t * pass_trace list
-(** {!run}, also maintaining exact FlowMap labels across the compaction
-    passes through {!Flowmap.Incremental}: after each pass the nodes whose
-    chosen cut changed are marked dirty and only their dependent cones are
-    relabeled.  Returns one {!pass_trace} per pass (diagnostics and the
-    incremental-labeling validation tests).  Exact labeling is quadratic —
-    intended for test-scale blocks, not the production flow. *)
+    arrival, area as tiebreak). *)
 
 val config_histogram :
   Vpga_netlist.Netlist.t -> (Vpga_plb.Config.t * int) list

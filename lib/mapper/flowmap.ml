@@ -117,73 +117,13 @@ let label_node a labels id =
   let p = max labels.(Aig.node_of l0) labels.(Aig.node_of l1) in
   if decide a id labels then p else p + 1
 
-let labels_into a labels =
-  let n = Aig.size a.aig in
-  for id = 1 to n - 1 do
-    if not (Aig.is_pi a.aig id) then labels.(id) <- label_node a labels id
-  done
-
 let labels aig ~k =
   let a = arena aig ~k in
   let labels = Array.make (Aig.size aig) 0 in
-  labels_into a labels;
+  for id = 1 to Aig.size aig - 1 do
+    if not (Aig.is_pi aig id) then labels.(id) <- label_node a labels id
+  done;
   Vpga_obs.Trace.emit "flowmap.maxflow_calls" (float_of_int a.maxflow_calls);
   labels
 
 let depth aig ~k = Array.fold_left max 0 (labels aig ~k)
-
-module Incremental = struct
-  type t = {
-    arena : arena;
-    labels : int array;
-    affected : bool array; (* scratch, valid only during [relabel] *)
-  }
-
-  let create aig ~k =
-    let a = arena aig ~k in
-    let labels = Array.make (Aig.size aig) 0 in
-    labels_into a labels;
-    Vpga_obs.Trace.emit "flowmap.maxflow_calls" (float_of_int a.maxflow_calls);
-    { arena = a; labels; affected = Array.make (max 1 (Aig.size aig)) false }
-
-  let labels t = t.labels
-
-  (* Invalidation rule: a node's max-flow decision depends on the labels of
-     its whole fanin cone, and cone(t) = {t} ∪ cone(fanin0) ∪ cone(fanin1),
-     so [affected t = dirty t || affected fanin0 || affected fanin1]
-     (computed in ascending = topological id order) over-approximates "some
-     node of cone(t) is dirty".  Unaffected nodes keep their label: their
-     cone is untouched, so the collapsed set and the flow network — hence
-     the decision — are unchanged.  The flag deliberately stays set even
-     when recomputation confirms the old label: downstream cones contain
-     this node's *ancestors* too, and one of those may still differ. *)
-  let relabel t ~dirty =
-    let a = t.arena in
-    let aig = a.aig in
-    let n = Aig.size aig in
-    Array.fill t.affected 0 n false;
-    List.iter
-      (fun id ->
-        if id < 0 || id >= n then invalid_arg "Flowmap.Incremental.relabel";
-        t.affected.(id) <- true)
-      dirty;
-    let calls0 = a.maxflow_calls in
-    let reused = ref 0 in
-    for id = 1 to n - 1 do
-      if not (Aig.is_pi aig id) then begin
-        let l0, l1 = Aig.fanins aig id in
-        if
-          t.affected.(id)
-          || t.affected.(Aig.node_of l0)
-          || t.affected.(Aig.node_of l1)
-        then begin
-          t.affected.(id) <- true;
-          t.labels.(id) <- label_node a t.labels id
-        end
-        else incr reused
-      end
-    done;
-    Vpga_obs.Trace.emit "flowmap.maxflow_calls"
-      (float_of_int (a.maxflow_calls - calls0));
-    Vpga_obs.Trace.emit "flowmap.labels_reused" (float_of_int !reused)
-end

@@ -9,7 +9,7 @@
 
     Per-node decisions run on a reused arena (stamp-array cone collection
     plus one {!Vpga_maxflow.Maxflow} network rewound per node), and emit
-    the ambient counters [flowmap.maxflow_calls] / [flowmap.labels_reused].
+    the ambient counter [flowmap.maxflow_calls].
 
     Exact labeling is quadratic; use it on blocks up to a few thousand AND
     nodes (the production cover in {!Compact} uses priority cuts instead,
@@ -25,26 +25,3 @@ val min_height_cut_exists : Vpga_aig.Aig.t -> k:int -> int -> int array -> bool
 (** [min_height_cut_exists aig ~k v labels] decides, via max-flow, whether
     node [v] has a k-feasible cut all of whose leaves have labels strictly
     below the maximum fanin label (exposed for testing). *)
-
-(** Labels maintained incrementally across compaction passes.  A node is
-    relabeled only when its fanin cone may contain a dirty node — the
-    invalidation rule is [affected t = dirty t || affected fanin0 ||
-    affected fanin1], folded in topological order — and every other node
-    reuses its stored label, which is sound because an untouched cone
-    yields the same collapsed set and flow network. *)
-module Incremental : sig
-  type t
-
-  val create : Vpga_aig.Aig.t -> k:int -> t
-  (** From-scratch labeling (equal to {!val:labels}) plus the reusable
-      decision arena. *)
-
-  val labels : t -> int array
-  (** The current labels; owned by [t], do not mutate. *)
-
-  val relabel : t -> dirty:int list -> unit
-  (** Recompute the labels of every node whose cone may contain a node in
-      [dirty] (and of the dirty nodes themselves); all other labels are
-      reused.  Emits [flowmap.maxflow_calls] (decisions re-run) and
-      [flowmap.labels_reused] (decisions skipped). *)
-end

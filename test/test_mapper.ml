@@ -178,6 +178,66 @@ let test_flowmap_xor_chain () =
   (* xor5 chain: xor3 in one 3-cut, then two more vars in a second level *)
   Alcotest.(check int) "xor5 chain depth 2" 2 (labels.(Aig.node_of x4))
 
+(* Random AIGs deep enough that fanin cones overlap, so the max-flow cut
+   decision sees reconvergence rather than trees only. *)
+let random_aig seed =
+  let rng = Random.State.make [| seed |] in
+  let t = Aig.create () in
+  let pis = List.init 6 (fun _ -> Aig.add_pi t) in
+  let pool = ref pis in
+  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  for _ = 1 to 60 do
+    let a = pick () and b = pick () in
+    let a = if Random.State.bool rng then Aig.not_ a else a in
+    let b = if Random.State.bool rng then Aig.not_ b else b in
+    pool := Aig.and_ t a b :: !pool
+  done;
+  t
+
+(* Label bounds every exact FlowMap labeling obeys, checked against
+   quantities computed independently of the max-flow: an AND node's label is
+   the max fanin label or one more, never exceeds its unit-delay AIG level,
+   is 1 whenever its whole PI support fits in one k-cut, and never grows
+   with k. *)
+let prop_flowmap_label_bounds =
+  QCheck.Test.make ~name:"labels within fanin, level and support bounds"
+    ~count:25 QCheck.small_int (fun seed ->
+      let t = random_aig seed in
+      let n = Aig.size t in
+      let level = Array.make n 0 and support = Array.make n [] in
+      for id = 1 to n - 1 do
+        if Aig.is_pi t id then support.(id) <- [ id ]
+        else if not (Aig.is_const id) then begin
+          let l0, l1 = Aig.fanins t id in
+          let f0 = Aig.node_of l0 and f1 = Aig.node_of l1 in
+          level.(id) <- 1 + max level.(f0) level.(f1);
+          support.(id) <- List.sort_uniq compare (support.(f0) @ support.(f1))
+        end
+      done;
+      let l3 = Flowmap.labels t ~k:3 and l4 = Flowmap.labels t ~k:4 in
+      for id = 0 to n - 1 do
+        if Aig.is_pi t id || Aig.is_const id then begin
+          if l3.(id) <> 0 then QCheck.Test.fail_reportf "leaf %d labelled" id
+        end
+        else begin
+          let l0, l1 = Aig.fanins t id in
+          let p = max l3.(Aig.node_of l0) l3.(Aig.node_of l1) in
+          if l3.(id) < max p 1 || l3.(id) > p + 1 then
+            QCheck.Test.fail_reportf "node %d: label %d, fanin max %d" id
+              l3.(id) p;
+          if l3.(id) > level.(id) then
+            QCheck.Test.fail_reportf "node %d: label %d above level %d" id
+              l3.(id) level.(id);
+          if List.length support.(id) <= 3 && l3.(id) <> 1 then
+            QCheck.Test.fail_reportf "node %d: 3-input cone labelled %d" id
+              l3.(id);
+          if l4.(id) > l3.(id) then
+            QCheck.Test.fail_reportf "node %d: k=4 label %d above k=3 %d" id
+              l4.(id) l3.(id)
+        end
+      done;
+      Flowmap.depth t ~k:3 = Array.fold_left max 0 l3)
+
 (* --- Techmap ------------------------------------------------------------ *)
 
 let full_adder () =
@@ -238,50 +298,6 @@ let test_techmap_sequential () =
       | Equiv.Mismatch _ -> Alcotest.fail (arch.Arch.name ^ ": sequential"))
     Arch.all
 
-(* --- Incremental FlowMap labeling --------------------------------------- *)
-
-(* A mid-sized random AIG: deep enough that cones overlap and the
-   invalidation rule has real propagation work to do. *)
-let random_aig seed =
-  let rng = Random.State.make [| seed |] in
-  let t = Aig.create () in
-  let pis = List.init 6 (fun _ -> Aig.add_pi t) in
-  let pool = ref pis in
-  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
-  for _ = 1 to 60 do
-    let a = pick () and b = pick () in
-    let a = if Random.State.bool rng then Aig.not_ a else a in
-    let b = if Random.State.bool rng then Aig.not_ b else b in
-    pool := Aig.and_ t a b :: !pool
-  done;
-  t
-
-(* Whatever the dirty sets are, the incremental tracker must always agree
-   with from-scratch labeling (here the AIG never changes, so every
-   recompute confirms — the compact-iteration scenario). *)
-let prop_incremental_labels =
-  QCheck.Test.make ~name:"incremental relabel == from-scratch labels"
-    ~count:25 QCheck.small_int (fun seed ->
-      let t = random_aig seed in
-      let n = Aig.size t in
-      let want = Flowmap.labels t ~k:3 in
-      let inc = Flowmap.Incremental.create t ~k:3 in
-      if Flowmap.Incremental.labels inc <> want then
-        QCheck.Test.fail_reportf "create disagrees with labels";
-      let rng = Random.State.make [| seed + 1 |] in
-      for _ = 1 to 4 do
-        let dirty =
-          List.init
-            (Random.State.int rng 8)
-            (fun _ -> Random.State.int rng n)
-        in
-        Flowmap.Incremental.relabel inc ~dirty;
-        if Flowmap.Incremental.labels inc <> want then
-          QCheck.Test.fail_reportf "relabel with dirty=[%s] diverged"
-            (String.concat ";" (List.map string_of_int dirty))
-      done;
-      true)
-
 (* --- Compact ------------------------------------------------------------ *)
 
 let random_comb_netlist seed =
@@ -306,48 +322,6 @@ let random_comb_netlist seed =
   ignore (Netlist.output nl "o1" (pick ()));
   ignore (Netlist.output nl "o2" (pick ()));
   nl
-
-(* The traced multi-pass cover selection relabels incrementally after each
-   pass; on a fixed AIG the labels must be stable across every pass and
-   match the from-scratch reference indirectly via the tracker. *)
-let test_compact_traced_passes () =
-  let nl = random_comb_netlist 11 in
-  List.iter
-    (fun arch ->
-      let compacted, traces = Compact.run_traced ~passes:3 arch nl in
-      Alcotest.(check int)
-        (arch.Arch.name ^ ": one trace per pass")
-        3 (List.length traces);
-      (match traces with
-      | first :: rest ->
-          Alcotest.(check (list int))
-            (arch.Arch.name ^ ": pass 1 has no dirty nodes")
-            [] first.Compact.changed;
-          List.iter
-            (fun tr ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: pass %d labels stable" arch.Arch.name
-                   tr.Compact.pass)
-                true
-                (tr.Compact.labels = first.Compact.labels))
-            rest
-      | [] -> Alcotest.fail "no traces");
-      (* The traced path must agree with the untraced one. *)
-      match Equiv.check_exhaustive nl compacted with
-      | Equiv.Equivalent -> ()
-      | Equiv.Mismatch _ ->
-          Alcotest.fail (arch.Arch.name ^ ": traced compaction broke design"))
-    Arch.all
-
-let test_compact_multipass_equivalence () =
-  let nl = random_comb_netlist 13 in
-  List.iter
-    (fun arch ->
-      match Equiv.check_exhaustive nl (Compact.run ~passes:3 arch nl) with
-      | Equiv.Equivalent -> ()
-      | Equiv.Mismatch _ ->
-          Alcotest.fail (arch.Arch.name ^ ": multi-pass broke design"))
-    Arch.all
 
 let prop_compact_equivalence =
   QCheck.Test.make ~name:"compaction preserves function (both archs)"
@@ -434,6 +408,7 @@ let () =
           Alcotest.test_case "monotone in k" `Quick test_flowmap_monotone_k;
           Alcotest.test_case "xor chain" `Quick test_flowmap_xor_chain;
         ] );
+      ("flowmap label bounds", [ qt prop_flowmap_label_bounds ]);
       ( "techmap",
         [
           Alcotest.test_case "equivalence" `Quick test_techmap_equivalence;
@@ -446,13 +421,5 @@ let () =
           Alcotest.test_case "sequential" `Quick test_compact_sequential;
           Alcotest.test_case "area reduction" `Quick test_compact_reduces_area;
           Alcotest.test_case "histogram" `Quick test_compact_histogram;
-          Alcotest.test_case "multi-pass equivalence" `Quick
-            test_compact_multipass_equivalence;
-        ] );
-      ( "incremental labeling",
-        [
-          qt prop_incremental_labels;
-          Alcotest.test_case "traced passes stable" `Quick
-            test_compact_traced_passes;
         ] );
     ]
