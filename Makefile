@@ -13,6 +13,12 @@
 #                   sweep wall + recovery, robustness cells, kernel
 #                   estimates; JOBS=N to set worker domains).  End-to-end
 #                   and per-stage timing lives in perfbench/
+#   make ab         same-host A/B of the working tree against REV (default
+#                   HEAD~1, exported with git archive): 10 interleaved
+#                   perfbench pairs per workload (median, IQR, wins), then
+#                   one traced pass per side; exits nonzero if failures
+#                   rise, a QoR metric moves, or an exact per-layer metric
+#                   changes that EXPECT (space-separated names) does not list
 #   make perfdiff   re-run just the kernels and diff against the committed
 #                   BENCH_sweep.json; exits nonzero past TOLERANCE
 #                   (fractional, default 0.25)
@@ -37,8 +43,10 @@
 
 JOBS ?=
 TOLERANCE ?=
+REV ?= HEAD~1
+EXPECT ?=
 
-.PHONY: all build test verify faults obs analyze bench perfdiff stress metrics metricsdiff cachecheck check trace clean
+.PHONY: all build test verify faults obs analyze bench ab perfdiff stress metrics metricsdiff cachecheck check trace clean
 
 all: build test
 
@@ -66,6 +74,9 @@ trace:
 
 bench:
 	dune exec bench/main.exe -- $(if $(JOBS),-jobs $(JOBS),)
+
+ab:
+	python3 bench/ab.py --rev $(REV) $(foreach m,$(EXPECT),--expect-change $(m))
 
 perfdiff:
 	dune exec bench/main.exe -- -perfdiff $(if $(TOLERANCE),-tolerance $(TOLERANCE),)

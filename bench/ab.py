@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Same-host A/B comparison of the working tree against a git revision.
+
+  python3 bench/ab.py [--rev REV] [--expect-change METRIC ...]
+
+Exports REV (default HEAD~1) with `git archive` into a temporary directory
+(no worktree, nothing written to .git) and builds both trees.  Then, for
+every workload in BENCHMARK.json, runs 10 interleaved pairs of
+
+  python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0
+
+(S = BENCHMARK.json's run_seconds), alternating which side goes first,
+and prints each end-to-end metric's median, interquartile range and win
+count (pairs in which the working tree is better).  Finally it runs one
+traced pass per side and compares the per-layer metrics that
+perfbench/layers.json marks exact.
+
+Exits 1 when, on any workload, the working tree fails more operations in
+total over its runs, a QoR metric (die_area_mm2, path_delay_ps,
+wirelength_mm) differs, or an exact per-layer metric differs and is not
+named with --expect-change.  `make ab [REV=...] [EXPECT=...]` runs it.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+QOR = ("die_area_mm2", "path_delay_ps", "wirelength_mm")
+PAIRS = 10
+SEED = 1
+
+
+def log(msg):
+    print(msg, file=sys.stderr, flush=True)
+
+
+def export(rev, dest):
+    """Unpack the tree of REV into DEST; returns the full commit id."""
+    commit = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+        capture_output=True, text=True)
+    if commit.returncode != 0:
+        sys.exit("ab: unknown revision %s" % rev)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        sys.exit("ab: git archive %s failed" % rev)
+    return commit.stdout.strip()
+
+
+def bench(tree, workload, seconds, trace):
+    """One perfbench run in TREE; returns its JSON result."""
+    r = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    lines = r.stdout.splitlines()
+    if r.returncode != 0 or not lines:
+        sys.stderr.write(r.stderr)
+        sys.exit("ab: perfbench failed in %s on %s" % (tree, workload))
+    return json.loads(lines[-1])
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(workload, base, new, lower_better):
+    """Print one workload's comparison; returns its failures."""
+    bad = []
+    print("== %s: %d pairs (base = parent, new = working tree)"
+          % (workload, len(base)))
+    print("%-16s %14s %10s %14s %10s %8s %6s"
+          % ("metric", "base median", "base IQR", "new median", "new IQR",
+             "delta", "wins"))
+    for name in lower_better:
+        if name not in base[0]["metrics"]:
+            continue
+        b = [r["metrics"][name]["value"] for r in base]
+        n = [r["metrics"][name]["value"] for r in new]
+        bq1, bmed, bq3 = quartiles(b)
+        nq1, nmed, nq3 = quartiles(n)
+        sign = 1 if lower_better[name] else -1
+        wins = sum(1 for x, y in zip(n, b) if sign * (x - y) < 0)
+        delta = (nmed - bmed) / bmed * 100 if bmed else 0.0
+        print("%-16s %14.6g %10.3g %14.6g %10.3g %+7.1f%% %3d/%d"
+              % (name, bmed, bq3 - bq1, nmed, nq3 - nq1, delta, wins, len(n)))
+        if name in QOR and sorted(set(b)) != sorted(set(n)):
+            bad.append("%s: %s differs: %s vs %s"
+                       % (workload, name, sorted(set(b)), sorted(set(n))))
+    bf = sum(r["failed"] for r in base)
+    nf = sum(r["failed"] for r in new)
+    print("failed operations over all runs: base %d of %d, new %d of %d"
+          % (bf, sum(r["attempted"] for r in base),
+             nf, sum(r["attempted"] for r in new)))
+    if nf > bf:
+        bad.append("%s: failed operations rose from %d to %d"
+                   % (workload, bf, nf))
+    return bad
+
+
+def compare_exact(workload, base, new, exact, expect):
+    bad = []
+    for name in exact:
+        b = base["metrics"][name]["value"]
+        n = new["metrics"][name]["value"]
+        if b == n:
+            continue
+        tag = "expected" if name in expect else "UNEXPECTED"
+        print("exact %-28s %14.6g -> %-14.6g %s" % (name, b, n, tag))
+        if name not in expect:
+            bad.append("%s: exact metric %s changed: %r -> %r"
+                       % (workload, name, b, n))
+    return bad
+
+
+def main():
+    spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
+    layers = json.load(open(os.path.join(ROOT, "perfbench", "layers.json")))
+    workloads = [w["name"] for w in spec["workloads"]]
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--rev", default="HEAD~1")
+    p.add_argument("--expect-change", action="append", default=[],
+                   metavar="METRIC")
+    a = p.parse_args()
+    seconds = spec["run_seconds"]
+    unknown = [m for m in a.expect_change if m not in layers["exact"]]
+    if unknown:
+        sys.exit("ab: not an exact metric: %s" % ", ".join(unknown))
+    lower_better = {m["name"]: m["better"] == "lower"
+                    for m in spec["end_to_end"]}
+    tmp = tempfile.mkdtemp(prefix="vpga-ab-")
+    try:
+        commit = export(a.rev, tmp)
+        log("ab: base %s (%s) in %s" % (a.rev, commit[:12], tmp))
+        bad = []
+        for w in workloads:
+            base, new = [], []
+            for i in range(PAIRS):
+                sides = [(tmp, base), (ROOT, new)]
+                if i % 2:
+                    sides.reverse()
+                for tree, out in sides:
+                    out.append(bench(tree, w, seconds, 0))
+                log("ab: %s pair %d/%d done" % (w, i + 1, PAIRS))
+            bad += compare(w, base, new, lower_better)
+            bad += compare_exact(w, bench(tmp, w, 1, 1), bench(ROOT, w, 1, 1),
+                                 layers["exact"], a.expect_change)
+            sys.stdout.flush()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    for b in bad:
+        print("FAILED " + b)
+    sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -172,10 +172,30 @@ let diag_exit ~fail_on_warning ~errors ~warnings =
   if errors then exit 1;
   if fail_on_warning && warnings then exit 2
 
+(* An output path: its directory must exist when the command line is
+   parsed, so a typo is a usage error (exit 124) before any flow work. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok s
+    else
+      Error
+        (`Msg (Printf.sprintf "cannot write %s: no directory %s" s dir))
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
+
+(* A write that still fails (a directory in the way, no permission) is a
+   diagnostic with exit 2, not an uncaught exception. *)
+let write_or_exit file write =
+  try write ()
+  with Sys_error msg ->
+    Format.eprintf "vpga: cannot write %s: %s@." file msg;
+    exit 2
+
 let trace_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Record a hierarchical span trace of the flow (stage timings, \
@@ -186,7 +206,7 @@ let trace_arg =
 let metrics_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some out_file) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Write a self-contained metrics snapshot of the run to $(docv): \
@@ -260,12 +280,14 @@ let flow_cmd =
     (match trace_file with
     | None -> ()
     | Some file ->
-        Obs.Export.write_chrome ~process_name:"vpga flow" file [ trace ];
+        write_or_exit file (fun () ->
+            Obs.Export.write_chrome ~process_name:"vpga flow" file [ trace ]);
         Format.printf "wrote %s@." file);
     match metrics_file with
     | None -> ()
     | Some file ->
-        Obs.Export.write_snapshot ~label file [ trace ];
+        write_or_exit file (fun () ->
+            Obs.Export.write_snapshot ~label file [ trace ]);
         Format.printf "wrote %s@." file
   in
   Cmd.v (Cmd.info "flow" ~doc:"Run one design through one architecture")
@@ -334,8 +356,10 @@ let sweep_cmd =
           Trace.create ~tid:(List.length reports) ~label:"pool" ()
         in
         Pool.publish_stats pstats pool_trace;
-        Obs.Export.write_chrome ~process_name:"vpga sweep" file
-          (List.map (fun r -> r.Experiments.t_trace) reports @ [ pool_trace ]);
+        write_or_exit file (fun () ->
+            Obs.Export.write_chrome ~process_name:"vpga sweep" file
+              (List.map (fun r -> r.Experiments.t_trace) reports
+              @ [ pool_trace ]));
         Format.printf "wrote %s@." file);
     if failed > 0 then exit 1
   in
@@ -351,10 +375,21 @@ let sweep_cmd =
       $ verbose_flag $ trace_arg $ cache_term)
 
 let stress_cmd =
+  (* A defect rate is a fraction; anything else is a usage error. *)
+  let rate =
+    let parse s =
+      match Arg.conv_parser Arg.float s with
+      | Error _ as e -> e
+      | Ok r when not (r >= 0.0 && r <= 1.0) ->
+          Error (`Msg (Printf.sprintf "expected a rate in [0, 1], got %s" s))
+      | Ok r -> Ok r
+    in
+    Arg.conv ~docv:"R" (parse, Arg.conv_printer Arg.float)
+  in
   let rates_arg =
     Arg.(
       value
-      & opt (list float) [ 0.0; 0.02; 0.05; 0.10 ]
+      & opt (list rate) [ 0.0; 0.02; 0.05; 0.10 ]
       & info [ "rates" ] ~docv:"R,..."
           ~doc:"Defect rates to sweep (comma-separated fractions).")
   in
@@ -421,8 +456,9 @@ let stress_cmd =
     match trace_file with
     | None -> ()
     | Some file ->
-        Obs.Export.write_chrome ~process_name:"vpga stress" file
-          (List.map (fun p -> p.Minchan.p_trace) report.Minchan.r_points);
+        write_or_exit file (fun () ->
+            Obs.Export.write_chrome ~process_name:"vpga stress" file
+              (List.map (fun p -> p.Minchan.p_trace) report.Minchan.r_points));
         Format.printf "wrote %s@." file
   in
   Cmd.v
@@ -533,7 +569,7 @@ let analyze_cmd =
 
 let export_cmd =
   let prefix =
-    Arg.(value & opt string "out" & info [ "o" ] ~doc:"Output file prefix.")
+    Arg.(value & opt out_file "out" & info [ "o" ] ~doc:"Output file prefix.")
   in
   let run paper seed design prefix =
     let nl = design_of_name paper design in
@@ -544,9 +580,13 @@ let export_cmd =
     Global_place.place ~seed pl;
     let q = Quadrisect.legalize arch pl in
     let pl = Quadrisect.snap q pl in
-    Export.write_file (prefix ^ ".v") (Export.verilog buffered);
-    Export.write_file (prefix ^ ".def") (Export.def_ ~packing:q pl);
-    Export.write_file (prefix ^ ".svg") (Export.svg q pl);
+    let write ext contents =
+      let file = prefix ^ ext in
+      write_or_exit file (fun () -> Export.write_file file contents)
+    in
+    write ".v" (Export.verilog buffered);
+    write ".def" (Export.def_ ~packing:q pl);
+    write ".svg" (Export.svg q pl);
     Format.printf "wrote %s.v, %s.def, %s.svg@." prefix prefix prefix
   in
   Cmd.v

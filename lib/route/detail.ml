@@ -25,9 +25,29 @@ let bins_of grid e =
 
 exception Over_capacity of string
 
-(* Raises [Over_capacity] when an edge holds more nets than tracks. *)
+(* Raises [Over_capacity] when an edge holds more nets than tracks.
+
+   Occupancy is a byte per (edge, track), indexed [e * stride + t] with
+   [stride] above every usable track index.  [owner.(e) = net] marks the
+   edges the current net has been assigned so far, and [net_track.(e)]
+   holds that net's (latest) track on [e]: the lookups that used to go
+   through [(edge, net)] keys.  [counted.(e) = net] once the via count
+   has visited [e].  Two distinct grid edges share at most one bin, so
+   the net's vias are the pairs of its distinct edges that meet at a bin
+   and change direction or track. *)
 let assign grid routes =
-  let occupancy : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let n_edges = Array.length grid.Grid.tracks in
+  let stride =
+    Array.fold_left
+      (fun m tr ->
+        let n = Array.length tr in
+        if n = 0 then m else max m (tr.(n - 1) + 1))
+      (max 1 grid.Grid.capacity) grid.Grid.tracks
+  in
+  let occupied = Bytes.make (n_edges * stride) '\000' in
+  let owner = Array.make n_edges (-1) in
+  let net_track = Array.make n_edges 0 in
+  let counted = Array.make n_edges (-1) in
   let track = Hashtbl.create 1024 in
   let n_nets = List.length routes in
   let net_vias = Array.make n_nets 0 in
@@ -35,93 +55,81 @@ let assign grid routes =
   List.iteri
     (fun net rt ->
       let edges = rt.Router.edges in
-      (* Adjacency between this net's edges: edges sharing a bin. *)
-      let by_bin = Hashtbl.create 16 in
-      List.iter
-        (fun e ->
-          let a, b = bins_of grid e in
-          List.iter
-            (fun bin ->
-              Hashtbl.replace by_bin bin
-                (e :: Option.value ~default:[] (Hashtbl.find_opt by_bin bin)))
-            [ a; b ])
-        edges;
       (* Assign in list order (back-traced tree order keeps runs together):
-         prefer the track of an already-assigned collinear neighbour. *)
+         prefer the track of an already-assigned collinear neighbour.
+         Each end bin of [e] has one collinear edge besides [e], so the
+         candidates are at most [a]'s then [b]'s, whatever order
+         [Grid.iter_neighbors] visits a bin's edges in. *)
       List.iter
         (fun e ->
           let a, b = bins_of grid e in
-          let preferred =
-            List.concat_map
-              (fun bin -> Option.value ~default:[] (Hashtbl.find_opt by_bin bin))
-              [ a; b ]
-            |> List.filter_map (fun e' ->
-                   if e' <> e && horizontal grid e' = horizontal grid e then
-                     Hashtbl.find_opt track (e', net)
-                   else None)
-          in
-          let free t = not (Hashtbl.mem occupancy (e, t)) in
+          let h = horizontal grid e in
+          let free t = Bytes.get occupied ((e * stride) + t) = '\000' in
           (* Only tracks listed usable on this edge are candidates: a
              preferred (continuation) track must survive the defect filter
              here too, and the fallback scan walks the edge's usable-track
              array, skipping dead tracks entirely. *)
+          let chosen = ref (-1) in
+          let prefer e' _ =
+            if
+              !chosen < 0 && e' <> e && owner.(e') = net
+              && horizontal grid e' = h
+            then
+              let t = net_track.(e') in
+              if free t && Grid.track_usable grid e t then chosen := t
+          in
+          Grid.iter_neighbors grid a prefer;
+          Grid.iter_neighbors grid b prefer;
           let usable = grid.Grid.tracks.(e) in
-          let chosen =
-            match
-              List.find_opt
-                (fun t -> free t && Grid.track_usable grid e t)
-                preferred
-            with
-            | Some t -> Some t
-            | None ->
-                let n = Array.length usable in
-                let rec first i =
-                  if i >= n then None
-                  else if free usable.(i) then Some usable.(i)
-                  else first (i + 1)
-                in
-                first 0
-          in
-          match chosen with
-          | Some t ->
-              Hashtbl.replace occupancy (e, t) ();
-              Hashtbl.replace track (e, net) t;
-              if t > !max_track then max_track := t
-          | None ->
-              let a, b = bins_of grid e in
-              let ca, ra = Grid.coords grid a and cb, rb = Grid.coords grid b in
-              let crossing =
-                List.fold_left
-                  (fun acc rt ->
-                    if List.mem e rt.Router.edges then acc + 1 else acc)
-                  0 routes
-              in
-              raise
-                (Over_capacity
-                   (Printf.sprintf
-                      "edge %d between bins (%d,%d) and (%d,%d) over \
-                       capacity: %d usable track(s), %d net(s) crossing"
-                      e ca ra cb rb (Array.length usable) crossing)))
+          let n = Array.length usable in
+          let i = ref 0 in
+          while !chosen < 0 && !i < n do
+            if free usable.(!i) then chosen := usable.(!i);
+            incr i
+          done;
+          let t = !chosen in
+          if t >= 0 then begin
+            Bytes.set occupied ((e * stride) + t) '\001';
+            owner.(e) <- net;
+            net_track.(e) <- t;
+            Hashtbl.replace track (e, net) t;
+            if t > !max_track then max_track := t
+          end
+          else begin
+            let ca, ra = Grid.coords grid a and cb, rb = Grid.coords grid b in
+            let crossing =
+              List.fold_left
+                (fun acc rt ->
+                  if List.mem e rt.Router.edges then acc + 1 else acc)
+                0 routes
+            in
+            raise
+              (Over_capacity
+                 (Printf.sprintf
+                    "edge %d between bins (%d,%d) and (%d,%d) over \
+                     capacity: %d usable track(s), %d net(s) crossing"
+                    e ca ra cb rb n crossing))
+          end)
         edges;
-      (* Count vias: within each bin, adjacent edge pairs of this net that
-         change direction or track. *)
+      (* Count vias once per pair (e1 < e2), from each distinct edge's
+         first occurrence. *)
       let vias = ref 0 in
-      Hashtbl.iter
-        (fun _bin es ->
-          let rec pairs = function
-            | [] | [ _ ] -> ()
-            | e1 :: rest ->
-                List.iter
-                  (fun e2 ->
-                    let t1 = Hashtbl.find track (e1, net) in
-                    let t2 = Hashtbl.find track (e2, net) in
-                    if horizontal grid e1 <> horizontal grid e2 || t1 <> t2
-                    then incr vias)
-                  rest;
-                pairs rest
-          in
-          pairs (List.sort_uniq Int.compare es))
-        by_bin;
+      List.iter
+        (fun e1 ->
+          if counted.(e1) <> net then begin
+            counted.(e1) <- net;
+            let h1 = horizontal grid e1 and t1 = net_track.(e1) in
+            let pair e2 _ =
+              if
+                e2 > e1 && owner.(e2) = net
+                && (horizontal grid e2 <> h1 || net_track.(e2) <> t1)
+              then incr vias
+            in
+            let a, b = bins_of grid e1 in
+            Grid.iter_neighbors grid a pair;
+            Grid.iter_neighbors grid b pair
+          end)
+        edges;
       net_vias.(net) <- !vias)
     routes;
   {

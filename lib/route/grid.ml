@@ -145,14 +145,17 @@ let coords t b = (b mod t.cols, b / t.cols)
 let h_edge t c r = (r * (t.cols - 1)) + c
 let v_edge t c r = num_h t + (r * t.cols) + c
 
+let iter_neighbors t b f =
+  let c = b mod t.cols and r = b / t.cols in
+  if r < t.rows - 1 then f (v_edge t c r) (b + t.cols);
+  if r > 0 then f (v_edge t c (r - 1)) (b - t.cols);
+  if c < t.cols - 1 then f (h_edge t c r) (b + 1);
+  if c > 0 then f (h_edge t (c - 1) r) (b - 1)
+
 let neighbors t b =
-  let c, r = coords t b in
   let acc = ref [] in
-  if c > 0 then acc := (h_edge t (c - 1) r, b - 1) :: !acc;
-  if c < t.cols - 1 then acc := (h_edge t c r, b + 1) :: !acc;
-  if r > 0 then acc := (v_edge t c (r - 1), b - t.cols) :: !acc;
-  if r < t.rows - 1 then acc := (v_edge t c r, b + t.cols) :: !acc;
-  !acc
+  iter_neighbors t b (fun e nb -> acc := (e, nb) :: !acc);
+  List.rev !acc
 
 let edge_between t a b =
   let ca, ra = coords t a and cb, rb = coords t b in

@@ -81,8 +81,19 @@ val coords : t -> int -> int * int
 val num_bins : t -> int
 val num_edges : t -> int
 
+val h_edge : t -> int -> int -> int
+(** [h_edge t c r]: the edge between bins [(c, r)] and [(c + 1, r)]. *)
+
+val v_edge : t -> int -> int -> int
+(** [v_edge t c r]: the edge between bins [(c, r)] and [(c, r + 1)]. *)
+
 val neighbors : t -> int -> (int * int) list
-(** [(edge, bin)] pairs adjacent to a bin. *)
+(** [(edge, bin)] pairs adjacent to a bin, in the order down (row + 1),
+    up, right, left. *)
+
+val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
+(** [iter_neighbors t b f] calls [f edge bin] for each neighbour of [b] in
+    {!neighbors}' order, allocating nothing itself. *)
 
 val edge_between : t -> int -> int -> int
 (** Edge index between two adjacent bins. @raise Invalid_argument otherwise. *)

@@ -15,25 +15,25 @@ let local_wire_um = 15.0 (* same-bin nets still have some local wire *)
 let route_placement ?grid_cols ?capacity ?tracks ?(max_iterations = 30) pl =
   let grid = Grid.of_placement ?target_cols:grid_cols ?capacity ?tracks pl in
   let nets = Placement.nets_with_io pl in
+  (* Each net's pin bins, sorted and deduplicated once for every pass. *)
   let pins_of net =
     Array.to_list net
     |> List.map (fun id ->
            Grid.bin_of grid ~x:pl.Placement.x.(id) ~y:pl.Placement.y.(id))
+    |> List.sort_uniq Int.compare
   in
   let net_list =
     Array.to_list nets |> List.map (fun net -> (net, pins_of net))
   in
-  let current = Hashtbl.create (List.length net_list) in
+  let current = Array.make (Array.length nets) [] in
   let route_pass ~pres_fac =
     List.iteri
       (fun i (_, pins) ->
-        (match Hashtbl.find_opt current i with
-        | Some edges -> Router.uncommit grid edges
-        | None -> ());
+        Router.uncommit grid current.(i);
         match Router.route_net grid ~pres_fac ~pins with
         | Some edges ->
             Router.commit grid edges;
-            Hashtbl.replace current i edges
+            current.(i) <- edges
         | None -> assert false (* grids are connected *))
       net_list
   in
@@ -64,7 +64,7 @@ let route_placement ?grid_cols ?capacity ?tracks ?(max_iterations = 30) pl =
   let routes =
     List.mapi
       (fun i (net, _) ->
-        let edges = Hashtbl.find current i in
+        let edges = current.(i) in
         {
           Router.net;
           edges;

@@ -75,6 +75,181 @@ let test_detail_on_design () =
     (d.Detail.max_track < r.Pathfinder.grid.Grid.capacity);
   Alcotest.(check bool) "some vias on a real design" true (d.Detail.total_vias > 0)
 
+(* The track assigner as it stood before its flat tables: [(edge, track)]
+   occupancy and [(edge, net)] track lookups in hash tables, and a per-net
+   bin -> edges table for continuation preferences and via counting.
+   [Detail.run_result] must agree with it on every field, or fail with the
+   same message. *)
+module Reference_detail = struct
+  exception Over_capacity of string
+
+  let assign grid routes =
+    let occupancy : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let track = Hashtbl.create 1024 in
+    let horizontal e = e < (grid.Grid.cols - 1) * grid.Grid.rows in
+    let net_vias = Array.make (List.length routes) 0 in
+    let max_track = ref 0 in
+    List.iteri
+      (fun net rt ->
+        let edges = rt.Router.edges in
+        let by_bin = Hashtbl.create 16 in
+        List.iter
+          (fun e ->
+            let a, b = Detail.bins_of grid e in
+            List.iter
+              (fun bin ->
+                Hashtbl.replace by_bin bin
+                  (e :: Option.value ~default:[] (Hashtbl.find_opt by_bin bin)))
+              [ a; b ])
+          edges;
+        List.iter
+          (fun e ->
+            let a, b = Detail.bins_of grid e in
+            let preferred =
+              List.concat_map
+                (fun bin ->
+                  Option.value ~default:[] (Hashtbl.find_opt by_bin bin))
+                [ a; b ]
+              |> List.filter_map (fun e' ->
+                     if e' <> e && horizontal e' = horizontal e then
+                       Hashtbl.find_opt track (e', net)
+                     else None)
+            in
+            let free t = not (Hashtbl.mem occupancy (e, t)) in
+            let usable = grid.Grid.tracks.(e) in
+            let chosen =
+              match
+                List.find_opt
+                  (fun t -> free t && Grid.track_usable grid e t)
+                  preferred
+              with
+              | Some t -> Some t
+              | None ->
+                  let n = Array.length usable in
+                  let rec first i =
+                    if i >= n then None
+                    else if free usable.(i) then Some usable.(i)
+                    else first (i + 1)
+                  in
+                  first 0
+            in
+            match chosen with
+            | Some t ->
+                Hashtbl.replace occupancy (e, t) ();
+                Hashtbl.replace track (e, net) t;
+                if t > !max_track then max_track := t
+            | None ->
+                let ca, ra = Grid.coords grid a
+                and cb, rb = Grid.coords grid b in
+                let crossing =
+                  List.fold_left
+                    (fun acc rt ->
+                      if List.mem e rt.Router.edges then acc + 1 else acc)
+                    0 routes
+                in
+                raise
+                  (Over_capacity
+                     (Printf.sprintf
+                        "edge %d between bins (%d,%d) and (%d,%d) over \
+                         capacity: %d usable track(s), %d net(s) crossing"
+                        e ca ra cb rb (Array.length usable) crossing)))
+          edges;
+        let vias = ref 0 in
+        Hashtbl.iter
+          (fun _bin es ->
+            let rec pairs = function
+              | [] | [ _ ] -> ()
+              | e1 :: rest ->
+                  List.iter
+                    (fun e2 ->
+                      let t1 = Hashtbl.find track (e1, net) in
+                      let t2 = Hashtbl.find track (e2, net) in
+                      if horizontal e1 <> horizontal e2 || t1 <> t2 then
+                        incr vias)
+                    rest;
+                  pairs rest
+            in
+            pairs (List.sort_uniq Int.compare es))
+          by_bin;
+        net_vias.(net) <- !vias)
+      routes;
+    (track, net_vias, !max_track)
+
+  let run_result grid routes =
+    match assign grid routes with
+    | r -> Ok r
+    | exception Over_capacity msg -> Error msg
+end
+
+let bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* Random global routes on a random defective grid, committed without
+   negotiation so that some edges end up over capacity; now and then a
+   route repeats one of its edges. *)
+let random_routes seed =
+  let rng = Random.State.make [| seed |] in
+  let cols = 2 + Random.State.int rng 11
+  and rows = 2 + Random.State.int rng 11 in
+  let capacity = 1 + Random.State.int rng 5 in
+  let tracks ~cx:_ ~cy:_ ~hw:_ ~hh:_ ~vertical:_ ~capacity =
+    match Random.State.int rng 8 with
+    | 0 -> [||]
+    | 1 ->
+        Array.of_list
+          (List.filter
+             (fun _ -> Random.State.bool rng)
+             (List.init capacity Fun.id))
+    | _ -> Array.init capacity Fun.id
+  in
+  let tracks = if Random.State.bool rng then Some tracks else None in
+  let grid =
+    Grid.create ?tracks ~cols ~rows ~bin_w:10.0 ~bin_h:12.0 ~capacity ()
+  in
+  let n_bins = Grid.num_bins grid in
+  let routes =
+    List.init (1 + Random.State.int rng 14) (fun i ->
+        let pins =
+          List.init
+            (1 + Random.State.int rng 6)
+            (fun _ -> Random.State.int rng n_bins)
+        in
+        let edges =
+          let pres_fac = Random.State.float rng 4.0 in
+          match
+            Router.route_net grid ~pres_fac
+              ~pins:(List.sort_uniq Int.compare pins)
+          with
+          | Some es -> es
+          | None -> []
+        in
+        Router.commit grid edges;
+        let edges =
+          match edges with
+          | e :: _ when Random.State.int rng 6 = 0 -> edges @ [ e ]
+          | _ -> edges
+        in
+        { Router.net = [| i |]; edges; wirelength = 0.0 })
+  in
+  (grid, routes)
+
+let prop_detail_matches_reference =
+  QCheck.Test.make ~name:"run_result = hash-table reference" ~count:300
+    QCheck.small_nat (fun seed ->
+      let grid, routes = random_routes seed in
+      match
+        ( Detail.run_result grid routes,
+          Reference_detail.run_result grid routes )
+      with
+      | Ok d, Ok (track, net_vias, max_track) ->
+          bindings d.Detail.track = bindings track
+          && d.Detail.net_vias = net_vias
+          && d.Detail.total_vias = Array.fold_left ( + ) 0 net_vias
+          && d.Detail.max_track = max_track
+      | Error got, Error want -> got = want
+      | Ok _, Error msg -> QCheck.Test.fail_reportf "reference failed: %s" msg
+      | Error msg, Ok _ -> QCheck.Test.fail_reportf "failed: %s" msg)
+
 (* --- Export ------------------------------------------------------------- *)
 
 let full_adder () =
@@ -239,6 +414,7 @@ let () =
           Alcotest.test_case "straight run" `Quick test_detail_straight;
           Alcotest.test_case "bend costs a via" `Quick test_detail_bend_costs_via;
           Alcotest.test_case "full design" `Quick test_detail_on_design;
+          QCheck_alcotest.to_alcotest prop_detail_matches_reference;
         ] );
       ( "export",
         [

@@ -191,10 +191,19 @@ let test_route_single_net () =
       (* manhattan distance between opposite corners is 8 bins *)
       Alcotest.(check int) "shortest path" 8 (List.length edges)
   | None -> Alcotest.fail "unroutable");
-  match Router.route_net g ~pres_fac:1.0 ~pins:[ 7; 7 ] with
+  (match Router.route_net g ~pres_fac:1.0 ~pins:[ 7 ] with
   | Some [] -> ()
   | Some _ -> Alcotest.fail "same-bin net should use no edges"
-  | None -> Alcotest.fail "unroutable"
+  | None -> Alcotest.fail "unroutable");
+  (* Pins must come sorted and deduplicated. *)
+  List.iter
+    (fun pins ->
+      match Router.route_net g ~pres_fac:1.0 ~pins with
+      | exception Invalid_argument _ -> ()
+      | _ ->
+          Alcotest.failf "pins [%s] accepted"
+            (String.concat ";" (List.map string_of_int pins)))
+    [ []; [ 7; 7 ]; [ 24; 0 ]; [ -1; 3 ]; [ 3; 25 ]; [ 25 ] ]
 
 let test_route_steiner () =
   let g = Grid.create ~cols:5 ~rows:5 ~bin_w:10.0 ~bin_h:10.0 ~capacity:4 () in
@@ -252,13 +261,208 @@ let prop_route_wirelength =
     QCheck.(pair (int_range 0 24) (int_range 0 24))
     (fun (p1, p2) ->
       let g = Grid.create ~cols:5 ~rows:5 ~bin_w:10.0 ~bin_h:10.0 ~capacity:8 () in
-      match Router.route_net g ~pres_fac:1.0 ~pins:[ p1; p2 ] with
+      let pins = List.sort_uniq Int.compare [ p1; p2 ] in
+      match Router.route_net g ~pres_fac:1.0 ~pins with
       | Some edges ->
           Float.abs
             (Router.wirelength_of g edges
             -. (10.0 *. float_of_int (List.length edges)))
           < 1e-9
       | None -> false)
+
+(* --- Router reference equivalence ------------------------------------- *)
+
+(* The router as it stood before its allocation-free kernel: Dijkstra tree
+   growth with a [Set] frontier, three fresh [n_bins] arrays per net, and a
+   scan of every bin to seed each sink's search.  [Router.route_net] must
+   return exactly what this returns. *)
+module Reference_router = struct
+  let dead_edge_penalty = 1e15
+
+  let edge_cost grid ~pres_fac e =
+    let len = Grid.edge_length grid e /. max grid.Grid.bin_w grid.Grid.bin_h in
+    let cap = Grid.cap grid e in
+    if cap = 0 then len *. dead_edge_penalty
+    else
+      let u = grid.Grid.usage.(e) in
+      let congestion =
+        if u < cap then 1.0 else 1.0 +. (float_of_int (u + 1 - cap) *. pres_fac)
+      in
+      len *. (1.0 +. grid.Grid.history.(e)) *. congestion
+
+  module Pq = Set.Make (struct
+    type t = float * int
+
+    let compare (c1, b1) (c2, b2) =
+      match Float.compare c1 c2 with 0 -> Int.compare b1 b2 | c -> c
+  end)
+
+  let route_net grid ~pres_fac ~pins =
+    match List.sort_uniq Int.compare pins with
+    | [] -> invalid_arg "Router.route_net: no pins"
+    | [ _ ] -> Some []
+    | first :: rest ->
+        let n_bins = Grid.num_bins grid in
+        let in_tree = Array.make n_bins false in
+        in_tree.(first) <- true;
+        let tree_edges = ref [] in
+        let remaining = ref rest in
+        let dist = Array.make n_bins infinity in
+        let via = Array.make n_bins (-1) in
+        let ok = ref true in
+        while !remaining <> [] && !ok do
+          Array.fill dist 0 n_bins infinity;
+          Array.fill via 0 n_bins (-1);
+          let pq = ref Pq.empty in
+          for b = 0 to n_bins - 1 do
+            if in_tree.(b) then begin
+              dist.(b) <- 0.0;
+              pq := Pq.add (0.0, b) !pq
+            end
+          done;
+          let is_target = Array.make n_bins false in
+          List.iter (fun p -> is_target.(p) <- true) !remaining;
+          let found = ref (-1) in
+          while !found < 0 && not (Pq.is_empty !pq) do
+            let d, b = Pq.min_elt !pq in
+            pq := Pq.remove (d, b) !pq;
+            if d <= dist.(b) then begin
+              if is_target.(b) then found := b
+              else
+                List.iter
+                  (fun (e, nb) ->
+                    let nd = d +. edge_cost grid ~pres_fac e in
+                    if nd < dist.(nb) then begin
+                      dist.(nb) <- nd;
+                      via.(nb) <- b;
+                      pq := Pq.add (nd, nb) !pq
+                    end)
+                  (Grid.neighbors grid b)
+            end
+          done;
+          if !found < 0 then ok := false
+          else begin
+            let rec back b =
+              if not in_tree.(b) then begin
+                in_tree.(b) <- true;
+                let p = via.(b) in
+                tree_edges := Grid.edge_between grid p b :: !tree_edges;
+                back p
+              end
+            in
+            back !found;
+            remaining := List.filter (fun p -> not in_tree.(p)) !remaining
+          end
+        done;
+        if !ok then Some !tree_edges else None
+end
+
+(* A random routing problem, all drawn from one seed: a 2-12 x 2-12 grid
+   with non-square bins, dead and derated edges, random usage and history
+   (zero half the time, so equal-cost ties are common), a congestion
+   factor, and pin lists with duplicates and single pins.  The reference
+   takes the raw list; [Router.route_net] takes it normalized, as
+   [Pathfinder] passes it. *)
+let random_grid ?(max_side = 12) rng =
+  let cols = 2 + Random.State.int rng (max_side - 1)
+  and rows = 2 + Random.State.int rng (max_side - 1) in
+  let capacity = 1 + Random.State.int rng 6 in
+  let tracks ~cx:_ ~cy:_ ~hw:_ ~hh:_ ~vertical:_ ~capacity =
+    match Random.State.int rng 8 with
+    | 0 -> [||]
+    | 1 ->
+        Array.of_list
+          (List.filter
+             (fun _ -> Random.State.bool rng)
+             (List.init capacity Fun.id))
+    | _ -> Array.init capacity Fun.id
+  in
+  let tracks = if Random.State.bool rng then Some tracks else None in
+  let bin_w = 5.0 +. Random.State.float rng 40.0 in
+  let bin_h =
+    if Random.State.bool rng then bin_w
+    else 5.0 +. Random.State.float rng 40.0
+  in
+  let g = Grid.create ?tracks ~cols ~rows ~bin_w ~bin_h ~capacity () in
+  let zero_history = Random.State.bool rng in
+  for e = 0 to Grid.num_edges g - 1 do
+    g.Grid.usage.(e) <- Random.State.int rng (capacity + 3);
+    if not zero_history then
+      g.Grid.history.(e) <-
+        Float.round (Random.State.float rng 3.0 *. 4.0) /. 4.0
+  done;
+  g
+
+let random_pins rng g =
+  let n_bins = Grid.num_bins g in
+  let pool = 1 + Random.State.int rng n_bins in
+  List.init (1 + Random.State.int rng 8) (fun _ -> Random.State.int rng pool)
+
+let sorted = List.sort_uniq Int.compare
+
+let random_pres_fac rng = 0.1 *. (10.0 ** Random.State.float rng 4.0)
+
+(* Route a sequence of nets, committing each (as one PathFinder pass
+   does), with the router under test and with the reference. *)
+let route_both rng g =
+  let pres_fac = random_pres_fac rng in
+  List.init (1 + Random.State.int rng 10) (fun _ ->
+      let pins = random_pins rng g in
+      let got = Router.route_net g ~pres_fac ~pins:(sorted pins) in
+      let want = Reference_router.route_net g ~pres_fac ~pins in
+      Option.iter (Router.commit g) want;
+      (got, want))
+
+let prop_router_matches_reference =
+  QCheck.Test.make ~name:"route_net = Set-frontier reference" ~count:300
+    QCheck.small_nat (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (got, want) -> got = want)
+        (route_both rng (random_grid rng)))
+
+(* The per-domain scratch is reused across grids of different sizes and
+   across calls on several domains; no call may see another's state. *)
+let test_router_scratch_reuse () =
+  let net_routes ~side seed =
+    let rng = Random.State.make [| seed |] in
+    let g = random_grid ~max_side:side rng in
+    let pres_fac = random_pres_fac rng in
+    List.init 8 (fun _ ->
+        let pins = random_pins rng g in
+        (g, pres_fac, pins))
+  in
+  let check label cases =
+    List.iter
+      (fun (g, pres_fac, pins) ->
+        let want = Reference_router.route_net g ~pres_fac ~pins in
+        if Router.route_net g ~pres_fac ~pins:(sorted pins) <> want then
+          Alcotest.failf "%s: pins [%s]" label
+            (String.concat ";" (List.map string_of_int pins)))
+      cases
+  in
+  let large = net_routes ~side:48 7 and small = net_routes ~side:3 8 in
+  check "large" large;
+  check "small after large" small;
+  check "large again" large;
+  let cases =
+    List.concat_map
+      (fun s -> net_routes ~side:(4 + (s mod 30)) s)
+      (List.init 24 Fun.id)
+  in
+  let want =
+    List.map
+      (fun (g, pres_fac, pins) -> Reference_router.route_net g ~pres_fac ~pins)
+      cases
+  in
+  let got =
+    Vpga_par.Pool.run ~jobs:2
+      (List.map
+         (fun (g, pres_fac, pins) () ->
+           Router.route_net g ~pres_fac ~pins:(sorted pins))
+         cases)
+  in
+  Alcotest.(check bool) "two domains agree with the reference" true (got = want)
 
 (* --- STA ------------------------------------------------------------------------ *)
 
@@ -472,6 +676,8 @@ let () =
           Alcotest.test_case "congestion negotiation" `Quick test_congestion_negotiation;
           qt prop_grid_roundtrip;
           qt prop_route_wirelength;
+          qt prop_router_matches_reference;
+          Alcotest.test_case "scratch reuse" `Quick test_router_scratch_reuse;
         ] );
       ( "sta",
         [
