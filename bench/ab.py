@@ -13,7 +13,9 @@ every workload in BENCHMARK.json, runs 10 interleaved pairs of
 and prints each end-to-end metric's median, interquartile range and win
 count (pairs in which the working tree is better).  Finally it runs one
 traced pass per side and compares the per-layer metrics that
-perfbench/layers.json marks exact.
+perfbench/layers.json marks exact.  Last, it runs 3 interleaved pairs of
+the Bechamel kernels (`bench/main.exe -perfdiff`) and prints each
+kernel's median ns/run per side; that table is report-only.
 
 Exits 1 when, on any workload, the working tree fails more operations in
 total over its runs, a QoR metric (die_area_mm2, path_delay_ps,
@@ -24,6 +26,7 @@ named with --expect-change.  `make ab [REV=...] [EXPECT=...]` runs it.
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -33,7 +36,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QOR = ("die_area_mm2", "path_delay_ps", "wirelength_mm")
 PAIRS = 10
+KERNEL_PAIRS = 3
 SEED = 1
+KERNEL_LINE = re.compile(r"^\s+(\S+)\s+([0-9.]+) ns/run")
 
 
 def log(msg):
@@ -67,6 +72,36 @@ def bench(tree, workload, seconds, trace):
         sys.stderr.write(r.stderr)
         sys.exit("ab: perfbench failed in %s on %s" % (tree, workload))
     return json.loads(lines[-1])
+
+
+def kernels(tree):
+    """One `bench/main.exe -perfdiff` run in TREE: {kernel: ns/run}.
+
+    The exit code is ignored: it compares against the committed
+    BENCH_sweep.json, which another host recorded."""
+    exe = os.path.join(tree, "_build", "default", "bench", "main.exe")
+    r = subprocess.run([exe, "-perfdiff"], cwd=tree, capture_output=True,
+                       text=True)
+    out = {}
+    for line in r.stdout.splitlines():
+        m = KERNEL_LINE.match(line)
+        if m:
+            out[m.group(1)] = float(m.group(2))
+    if not out:
+        sys.stderr.write(r.stdout + r.stderr)
+        sys.exit("ab: no kernel timings from %s" % tree)
+    return out
+
+
+def compare_kernels(base, new):
+    print("== bench kernels: %d pairs, report only (ns/run medians)"
+          % len(base))
+    print("%-24s %14s %14s %8s" % ("kernel", "base", "new", "delta"))
+    for name in sorted(base[0]):
+        b = statistics.median(r[name] for r in base)
+        n = statistics.median(r[name] for r in new if name in r)
+        print("%-24s %14.0f %14.0f %+7.1f%%"
+              % (name, b, n, (n - b) / b * 100 if b else 0.0))
 
 
 def quartiles(xs):
@@ -158,6 +193,19 @@ def main():
             bad += compare_exact(w, bench(tmp, w, 1, 1), bench(ROOT, w, 1, 1),
                                  layers["exact"], a.expect_change)
             sys.stdout.flush()
+        for tree in (tmp, ROOT):
+            subprocess.run(["dune", "build", "--root", tree,
+                            "bench/main.exe"], cwd=tree, check=True,
+                           capture_output=True)
+        base, new = [], []
+        for i in range(KERNEL_PAIRS):
+            sides = [(tmp, base), (ROOT, new)]
+            if i % 2:
+                sides.reverse()
+            for tree, out in sides:
+                out.append(kernels(tree))
+            log("ab: kernel pair %d/%d done" % (i + 1, KERNEL_PAIRS))
+        compare_kernels(base, new)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     for b in bad:

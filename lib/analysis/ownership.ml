@@ -28,7 +28,8 @@ type result = {
   checks : int;  (* elementary assertions evaluated *)
 }
 
-let check ?(radius = 4) ~regions (q : Quadrisect.t) =
+let check ~regions (q : Quadrisect.t) =
+  let radius = Vpga_pack.Refine.radius in
   let regions = max 1 regions in
   let cols = q.Quadrisect.cols and rows = q.Quadrisect.rows in
   let n_tiles = cols * rows in
@@ -91,7 +92,8 @@ let check ?(radius = 4) ~regions (q : Quadrisect.t) =
   (* Closure under move generation: Refine clamps a displaced tile with
      nc = min (c1-1) (max c0 (c+dc)) (same for rows).  The clamp is
      monotone in the displacement, so checking the four extreme corners
-     per tile bounds every (dc, dr) in [-radius, radius]^2. *)
+     per tile bounds every (dc, dr) in [-radius, radius]^2, with
+     Refine's own [radius]. *)
   for t = 0 to n_tiles - 1 do
     let r = Quadrisect.region_of_tile ~regions q t in
     if r >= 0 && r < n_regions then begin

@@ -14,7 +14,7 @@ type result = {
   checks : int;  (** elementary assertions evaluated *)
 }
 
-val check : ?radius:int -> regions:int -> Vpga_pack.Quadrisect.t -> result
+val check : regions:int -> Vpga_pack.Quadrisect.t -> result
 (** [check ~regions q] verifies the ownership contract for a [regions] x
-    [regions] grid over [q].  [radius] (default 4, matching
-    [Refine.run]) bounds the move displacement checked for closure. *)
+    [regions] grid over [q].  Closure is checked for moves of up to
+    {!Vpga_pack.Refine.radius} tiles, the bound [Refine.run] draws from. *)

@@ -2,7 +2,7 @@ module Netlist = Vpga_netlist.Netlist
 module Packer = Vpga_plb.Packer
 module Occupancy = Vpga_plb.Occupancy
 module Placement = Vpga_place.Placement
-module Bbox = Placement.Bbox
+module Wirecost = Vpga_place.Wirecost
 module Pool = Vpga_par.Pool
 
 type stats = {
@@ -16,9 +16,7 @@ type stats = {
 
 exception Infeasible of string
 
-(* Nets at or below this pin count are cheaper to rescan than to track
-   with a cached bounding box (the annealer's cutoff). *)
-let small_cutoff = 4
+let radius = 4
 
 (* Immutable per-run data shared by every walk (and safe to read from
    worker domains: nothing here is mutated once built). *)
@@ -27,21 +25,15 @@ type shared = {
   cols : int;
   rows : int;
   side : float; (* tile side, um *)
-  radius : int;
   item_of : Packer.item option array;
-  nets : int array array;
-  weight : float array;
-  incident : int array array; (* per node: incident net ids, ascending *)
-  small : bool array;
-  n_nets : int;
-  scratch : int; (* touched-net scratch capacity: 2 * max packed degree *)
+  model : Wirecost.model;
   dead_tile : int -> bool; (* defective tiles: no move may land on one *)
 }
 
 (* One annealing walk: a tile rectangle [c0,c1) x [r0,r1), the ids it may
-   move, and a full bookkeeping slice — membership, incremental occupancy,
-   per-net cost and bounding box — over its own coordinate/tile views.
-   Views either alias the caller's arrays (sequential walks mutate in
+   move, and a full bookkeeping slice — membership, incremental occupancy
+   and the wirelength cost state — over its own coordinate/tile views.
+   Views either alias the caller's arrays (the full-die pass mutates in
    place) or are private copies (region walks, merged afterwards). *)
 type ctx = {
   sh : shared;
@@ -56,15 +48,7 @@ type ctx = {
   mem_n : int array;
   cache : Occupancy.cache;
   occ : Occupancy.t array;
-  net_cost : float array;
-  bbs : Bbox.b array;
-  (* per-move scratch: touched nets (ascending), moved-pin counts, which
-     mover touched them (bit 1 = first, bit 2 = second), tentative costs *)
-  touched : int array;
-  t_pins : int array;
-  t_which : int array;
-  tentative : float array;
-  mutable total : float;
+  cost : Wirecost.state;
 }
 
 (* Tile membership: per-tile dynamic arrays storing ids in reverse list
@@ -106,6 +90,21 @@ let set_tile ctx id tile =
 let make_ctx sh ~bounds:(bc0, br0, bc1, br1) ~ids ~tile_of ~view =
   let n_tiles = sh.cols * sh.rows in
   let cache = Occupancy.create_cache sh.arch in
+  let occ = Array.init n_tiles (fun _ -> Occupancy.create cache) in
+  (* Dead tiles answer every feasibility query false, so neither plain
+     moves nor swaps ever land on them; an initial packing that already
+     occupies one fails the population below as infeasible. *)
+  for t = 0 to n_tiles - 1 do
+    if sh.dead_tile t then Occupancy.set_dead occ.(t) true
+  done;
+  Array.iter
+    (fun id ->
+      match sh.item_of.(id) with
+      | Some it ->
+          if not (Occupancy.add occ.(tile_of.(id)) it) then
+            raise (Infeasible "Refine.run: initial packing is infeasible")
+      | None -> assert false)
+    ids;
   let ctx =
     {
       sh;
@@ -119,175 +118,30 @@ let make_ctx sh ~bounds:(bc0, br0, bc1, br1) ~ids ~tile_of ~view =
       mem = Array.make n_tiles [||];
       mem_n = Array.make n_tiles 0;
       cache;
-      occ = Array.init n_tiles (fun _ -> Occupancy.create cache);
-      net_cost = Array.make (max 1 sh.n_nets) 0.0;
-      bbs = Array.make (max 1 sh.n_nets) Bbox.dummy;
-      touched = Array.make sh.scratch 0;
-      t_pins = Array.make sh.scratch 0;
-      t_which = Array.make sh.scratch 0;
-      tentative = Array.make sh.scratch 0.0;
-      total = 0.0;
+      occ;
+      cost = Wirecost.state sh.model view;
     }
   in
-  (* Dead tiles answer every feasibility query false, so neither plain
-     moves nor swaps ever land on them; an initial packing that already
-     occupies one fails the population below as infeasible. *)
-  for t = 0 to n_tiles - 1 do
-    if sh.dead_tile t then Occupancy.set_dead ctx.occ.(t) true
-  done;
-  Array.iter
-    (fun id ->
-      let t = tile_of.(id) in
-      push ctx t id;
-      match sh.item_of.(id) with
-      | Some it ->
-          if not (Occupancy.add ctx.occ.(t) it) then
-            raise (Infeasible "Refine.run: initial packing is infeasible")
-      | None -> assert false)
-    ids;
-  for e = 0 to sh.n_nets - 1 do
-    ctx.net_cost.(e) <-
-      (if sh.small.(e) then
-         sh.weight.(e) *. Placement.net_hpwl view sh.nets.(e)
-       else begin
-         let b = Bbox.of_net view sh.nets.(e) in
-         ctx.bbs.(e) <- b;
-         sh.weight.(e) *. Bbox.hpwl b
-       end)
-  done;
-  ctx.total <- Array.fold_left ( +. ) 0.0 ctx.net_cost;
+  Array.iter (fun id -> push ctx tile_of.(id) id) ids;
   ctx
-
-(* Touched nets of a single mover: its incident array is already ascending
-   in net id (nets are numbered in construction order), so the scratch is
-   filled by one sweep; a net listed twice (a node driving itself through
-   two pins of the same net) coalesces into a pin count of 2. *)
-let collect1 ctx ida =
-  let inc = ctx.sh.incident.(ida) in
-  let k = ref 0 in
-  Array.iter
-    (fun e ->
-      if !k > 0 && ctx.touched.(!k - 1) = e then
-        ctx.t_pins.(!k - 1) <- ctx.t_pins.(!k - 1) + 1
-      else begin
-        ctx.touched.(!k) <- e;
-        ctx.t_pins.(!k) <- 1;
-        ctx.t_which.(!k) <- 1;
-        incr k
-      end)
-    inc;
-  !k
-
-(* Touched nets of a swap: a two-way merge of the movers' ascending
-   incident arrays, so the result is ascending with shared nets
-   coalesced — the same order (and the same dedup) as the original
-   [List.sort_uniq] of their union. *)
-let collect2 ctx ida idb =
-  let a = ctx.sh.incident.(ida) and b = ctx.sh.incident.(idb) in
-  let na = Array.length a and nb = Array.length b in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push_net e which =
-    if !k > 0 && ctx.touched.(!k - 1) = e then begin
-      ctx.t_pins.(!k - 1) <- ctx.t_pins.(!k - 1) + 1;
-      ctx.t_which.(!k - 1) <- ctx.t_which.(!k - 1) lor which
-    end
-    else begin
-      ctx.touched.(!k) <- e;
-      ctx.t_pins.(!k) <- 1;
-      ctx.t_which.(!k) <- which;
-      incr k
-    end
-  in
-  while !i < na || !j < nb do
-    if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
-      push_net a.(!i) 1;
-      incr i
-    end
-    else begin
-      push_net b.(!j) 2;
-      incr j
-    end
-  done;
-  !k
-
-(* Delta of the current move over the touched nets, folded in ascending
-   net order exactly like the original full-recomputation loop (the float
-   sums must stay bit-identical).  Coordinates are already updated; the
-   cached pre-move bounding box plus the mover's old/new tile centers give
-   the post-move HPWL without a rescan unless the bound collapses
-   ([Bbox.Rescan]), the net is small, or more than one pin moved. *)
-let eval_delta ctx nt ~oax ~oay ~nax ~nay ~obx ~oby ~nbx ~nby =
-  let sh = ctx.sh in
-  let d = ref 0.0 in
-  for i = 0 to nt - 1 do
-    let e = ctx.touched.(i) in
-    let w =
-      if sh.small.(e) || ctx.t_pins.(i) > 1 then
-        Placement.net_hpwl ctx.view sh.nets.(e)
-      else begin
-        let b = ctx.bbs.(e) in
-        if ctx.t_which.(i) land 1 <> 0 then
-          match Bbox.shift_hpwl b ~ox:oax ~oy:oay ~nx:nax ~ny:nay with
-          | v -> v
-          | exception Bbox.Rescan -> Placement.net_hpwl ctx.view sh.nets.(e)
-        else
-          match Bbox.shift_hpwl b ~ox:obx ~oy:oby ~nx:nbx ~ny:nby with
-          | v -> v
-          | exception Bbox.Rescan -> Placement.net_hpwl ctx.view sh.nets.(e)
-      end
-    in
-    let c = sh.weight.(e) *. w in
-    ctx.tentative.(i) <- c;
-    d := !d +. (c -. ctx.net_cost.(e))
-  done;
-  !d
-
-(* Commit the move: bounding boxes shift (or rebuild on [Rescan] / multi-
-   pin nets) and the stashed tentative costs become current. *)
-let commit ctx nt ~oax ~oay ~nax ~nay ~obx ~oby ~nbx ~nby =
-  let sh = ctx.sh in
-  for i = 0 to nt - 1 do
-    let e = ctx.touched.(i) in
-    if not sh.small.(e) then begin
-      if ctx.t_pins.(i) > 1 then
-        ctx.bbs.(e) <- Bbox.of_net ctx.view sh.nets.(e)
-      else begin
-        let b = ctx.bbs.(e) in
-        if ctx.t_which.(i) land 1 <> 0 then (
-          match Bbox.shift b ~ox:oax ~oy:oay ~nx:nax ~ny:nay with
-          | () -> ()
-          | exception Bbox.Rescan ->
-              ctx.bbs.(e) <- Bbox.of_net ctx.view sh.nets.(e))
-        else
-          match Bbox.shift b ~ox:obx ~oy:oby ~nx:nbx ~ny:nby with
-          | () -> ()
-          | exception Bbox.Rescan ->
-              ctx.bbs.(e) <- Bbox.of_net ctx.view sh.nets.(e)
-      end
-    end;
-    ctx.net_cost.(e) <- ctx.tentative.(i)
-  done
 
 (* One annealing walk over [ctx]'s rectangle.  With the full-die rectangle
    and the full packed id set this consumes the RNG and produces exactly
-   the same move/accept sequence as the original implementation. *)
+   the same move/accept sequence as the original implementation.  Each
+   proposal names its movers to the cost state before [set_tile] moves
+   them; a swap's nets are summed in ascending net order. *)
 let walk ctx ~rng ~iterations =
-  let sh = ctx.sh in
+  let sh = ctx.sh and st = ctx.cost in
   let n_ids = Array.length ctx.ids in
   let accepted = ref 0 in
   if n_ids > 0 && iterations > 0 then begin
-    let t_start = max 1.0 (ctx.total /. float_of_int (max 1 sh.n_nets)) in
-    let t_end = t_start /. 1000.0 in
-    let alpha =
-      exp (log (t_end /. t_start) /. float_of_int (max 1 iterations))
-    in
-    let temp = ref t_start in
+    Wirecost.schedule st ~iterations;
     for _ = 1 to iterations do
       let id = ctx.ids.(Random.State.int rng n_ids) in
       let cur = ctx.tile_of.(id) in
       let cc = cur mod sh.cols and cr = cur / sh.cols in
-      let dc = Random.State.int rng ((2 * sh.radius) + 1) - sh.radius in
-      let dr = Random.State.int rng ((2 * sh.radius) + 1) - sh.radius in
+      let dc = Random.State.int rng ((2 * radius) + 1) - radius in
+      let dr = Random.State.int rng ((2 * radius) + 1) - radius in
       let nc = min (ctx.c1 - 1) (max ctx.c0 (cc + dc)) in
       let nr = min (ctx.r1 - 1) (max ctx.r0 (cr + dr)) in
       let dest = (nr * sh.cols) + nc in
@@ -295,28 +149,15 @@ let walk ctx ~rng ~iterations =
         let item =
           match sh.item_of.(id) with Some i -> i | None -> assert false
         in
-        let cx = (float_of_int cc +. 0.5) *. sh.side in
-        let cy = (float_of_int cr +. 0.5) *. sh.side in
-        let dx = (float_of_int nc +. 0.5) *. sh.side in
-        let dy = (float_of_int nr +. 0.5) *. sh.side in
         (* Try a plain move; if the destination is full, try swapping with
            a random resident.  Occupancy verdicts are exact functions of
            the resident multiset, so commits can be deferred to accepted
            moves — the rejected-move path never touches occupancy. *)
         if Occupancy.query ctx.occ.(dest) item then begin
+          Wirecost.touch st id;
           set_tile ctx id dest;
-          let nt = collect1 ctx id in
-          let d =
-            eval_delta ctx nt ~oax:cx ~oay:cy ~nax:dx ~nay:dy ~obx:0.0
-              ~oby:0.0 ~nbx:0.0 ~nby:0.0
-          in
-          if
-            d <= 0.0
-            || Random.State.float rng 1.0 < exp (-.d /. max 1e-9 !temp)
-          then begin
-            commit ctx nt ~oax:cx ~oay:cy ~nax:dx ~nay:dy ~obx:0.0 ~oby:0.0
-              ~nbx:0.0 ~nby:0.0;
-            ctx.total <- ctx.total +. d;
+          if Wirecost.metropolis st rng then begin
+            Wirecost.commit st;
             incr accepted;
             Occupancy.remove ctx.occ.(cur) item;
             if not (Occupancy.add ctx.occ.(dest) item) then assert false
@@ -346,20 +187,11 @@ let walk ctx ~rng ~iterations =
                  other_item
           in
           if fwd && bwd then begin
+            Wirecost.touch_pair_ascending st id other;
             set_tile ctx id dest;
             set_tile ctx other cur;
-            let nt = collect2 ctx id other in
-            let d =
-              eval_delta ctx nt ~oax:cx ~oay:cy ~nax:dx ~nay:dy ~obx:dx
-                ~oby:dy ~nbx:cx ~nby:cy
-            in
-            if
-              d <= 0.0
-              || Random.State.float rng 1.0 < exp (-.d /. max 1e-9 !temp)
-            then begin
-              commit ctx nt ~oax:cx ~oay:cy ~nax:dx ~nay:dy ~obx:dx ~oby:dy
-                ~nbx:cx ~nby:cy;
-              ctx.total <- ctx.total +. d;
+            if Wirecost.metropolis st rng then begin
+              Wirecost.commit st;
               incr accepted;
               Occupancy.remove ctx.occ.(dest) other_item;
               if not (Occupancy.add ctx.occ.(dest) item) then assert false;
@@ -374,7 +206,7 @@ let walk ctx ~rng ~iterations =
           end
         end
       end;
-      temp := !temp *. alpha
+      Wirecost.cool st
     done
   end;
   !accepted
@@ -382,9 +214,8 @@ let walk ctx ~rng ~iterations =
 (* Ownership stamping for the dynamic race sanitizer: every tile of the
    walk's occupancy array gets its owning region, the walk's cache gets
    the region it writes for.  Stamps go on *after* [make_ctx] populated
-   the tiles, so only walk mutations are guarded.  A full-die walk (the
-   sequential path and the boundary pass) legitimately writes anywhere,
-   so it is stamped as one region. *)
+   the tiles, so only walk mutations are guarded.  The full-die pass
+   legitimately writes anywhere, so it is stamped as one region. *)
 let arm_full ctx =
   Occupancy.set_writer ctx.cache 0;
   Array.iter (fun o -> Occupancy.set_owner o 0) ctx.occ
@@ -395,8 +226,8 @@ let arm_region ctx ~grid q r =
     (fun t o -> Occupancy.set_owner o (Quadrisect.region_of_tile ~regions:grid q t))
     ctx.occ
 
-let run ?iterations ?(radius = 4) ?criticality ?(jobs = 1) ?(regions = 1)
-    ?(sanitize = false) ?(dead_tile = fun _ -> false) ~seed q pl =
+let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
+    ?(dead_tile = fun _ -> false) ~seed q pl =
   if jobs < 1 then invalid_arg "Refine.run: jobs must be positive";
   if regions < 1 then invalid_arg "Refine.run: regions must be positive";
   let nl = pl.Placement.graph.Vpga_place.Hypergraph.nl in
@@ -422,111 +253,33 @@ let run ?iterations ?(radius = 4) ?criticality ?(jobs = 1) ?(regions = 1)
       boundary_moves = 0;
     }
   else begin
-    (* Net bookkeeping (criticality-weighted HPWL), as in the annealer. *)
-    let nets = Placement.nets_with_io pl in
-    let n_nets = Array.length nets in
-    let crit id = match criticality with None -> 0.0 | Some c -> c.(id) in
-    let weight =
-      Array.map
-        (fun net ->
-          1.0 +. (3.0 *. Array.fold_left (fun a id -> max a (crit id)) 0.0 net))
-        nets
-    in
-    let deg = Array.make n 0 in
-    Array.iter
-      (fun net -> Array.iter (fun id -> deg.(id) <- deg.(id) + 1) net)
-      nets;
-    let incident = Array.init n (fun id -> Array.make deg.(id) 0) in
-    let fill = Array.make n 0 in
-    Array.iteri
-      (fun e net ->
-        Array.iter
-          (fun id ->
-            incident.(id).(fill.(id)) <- e;
-            fill.(id) <- fill.(id) + 1)
-          net)
-      nets;
-    let small =
-      Array.map (fun net -> Array.length net <= small_cutoff) nets
-    in
-    let scratch =
-      2 * Array.fold_left (fun a id -> max a deg.(id)) 1 packed
-    in
+    let model = Wirecost.model ?criticality pl in
     let sh =
       {
         arch = q.Quadrisect.arch;
         cols = q.Quadrisect.cols;
         rows = q.Quadrisect.rows;
         side = Quadrisect.tile_side q;
-        radius;
         item_of;
-        nets;
-        weight;
-        incident;
-        small;
-        n_nets;
-        scratch;
+        model;
         dead_tile;
       }
     in
+    let initial_cost = Wirecost.cost model pl in
     let iterations =
       match iterations with Some i -> i | None -> 60 * n_packed
     in
     (* The region grid is a function of the array dims only (clamped so a
-       region is at least one tile wide), never of [jobs]. *)
+       region is at least one tile wide), never of [jobs].  A single
+       region runs no region walks: the full-die pass below takes every
+       iteration, which is the sequential reference walk. *)
     let g = max 1 (min regions (min sh.cols sh.rows)) in
-    let emit_occupancy fits hits =
-      Vpga_obs.Trace.emit "pack.fits_calls" (float_of_int fits);
-      Vpga_obs.Trace.emit "pack.fits_cache_hits" (float_of_int hits)
-    in
-    let emit_moves region boundary =
-      Vpga_obs.Trace.emit "refine.region_moves" (float_of_int region);
-      Vpga_obs.Trace.emit "refine.boundary_moves" (float_of_int boundary)
-    in
-    let emit_guards checks =
-      if sanitize then
-        Vpga_obs.Trace.emit "analysis.sanitizer_checks" (float_of_int checks)
-    in
-    if g = 1 then begin
-      (* Single region: the sequential reference walk, bit-identical to
-         the original implementation. *)
-      let ctx =
-        make_ctx sh
-          ~bounds:(0, 0, sh.cols, sh.rows)
-          ~ids:packed ~tile_of:q.Quadrisect.tile_of_node ~view:pl
-      in
-      if sanitize then arm_full ctx;
-      let initial_cost = ctx.total in
-      let rng = Random.State.make [| seed |] in
-      let accepted = walk ctx ~rng ~iterations in
-      emit_occupancy (Occupancy.fits_calls ctx.cache)
-        (Occupancy.cache_hits ctx.cache);
-      emit_moves iterations 0;
-      emit_guards (Occupancy.guard_checks ctx.cache);
-      Vpga_obs.Trace.emit_sample "refine.region_accepted"
-        (float_of_int accepted);
-      {
-        moves = iterations;
-        accepted;
-        initial_cost;
-        final_cost = ctx.total;
-        region_moves = iterations;
-        boundary_moves = 0;
-      }
-    end
-    else begin
-      let initial_cost =
-        let tot = ref 0.0 in
-        Array.iteri
-          (fun e net -> tot := !tot +. (weight.(e) *. Placement.net_hpwl pl net))
-          nets;
-        !tot
-      in
-      let n_regions = g * g in
-      (* Region ownership: a packed id belongs to the region whose tile
-         rectangle holds its current tile, so every region walk is
-         conflict-free by construction. *)
-      let owned = Array.make n_regions [] in
+    let n_regions = if g = 1 then 0 else g * g in
+    (* Region ownership: a packed id belongs to the region whose tile
+       rectangle holds its current tile, so every region walk is
+       conflict-free by construction. *)
+    let owned = Array.make n_regions [] in
+    if n_regions > 0 then
       Array.iter
         (fun id ->
           let r =
@@ -535,105 +288,113 @@ let run ?iterations ?(radius = 4) ?criticality ?(jobs = 1) ?(regions = 1)
           in
           owned.(r) <- id :: owned.(r))
         packed;
-      let region_ids = Array.map (fun l -> Array.of_list (List.rev l)) owned in
-      (* Budget: about two thirds of the iterations run inside the regions
-         (split proportionally to their populations), the rest go to the
-         sequential cross-boundary pass that restores inter-region
-         mobility. *)
-      let region_budget = iterations - (iterations / 3) in
-      let share =
-        Array.map
-          (fun ids -> region_budget * Array.length ids / n_packed)
-          region_ids
-      in
-      let region_total = Array.fold_left ( + ) 0 share in
-      let boundary_iters = iterations - region_total in
-      (* Region walks read only frozen snapshots (private tile/coordinate
-         copies taken before any walk runs) and their own RNG stream
-         derived from (seed, region), so results are independent of
-         worker count and scheduling. *)
-      let thunk r () =
-        let ids = region_ids.(r) in
-        if Array.length ids = 0 then None
-        else begin
-          let tile_of = Array.copy q.Quadrisect.tile_of_node in
-          let view =
-            {
-              pl with
-              Placement.x = Array.copy pl.Placement.x;
-              y = Array.copy pl.Placement.y;
-            }
-          in
-          let ctx =
-            make_ctx sh
-              ~bounds:(Quadrisect.region_bounds ~regions:g q r)
-              ~ids ~tile_of ~view
-          in
-          if sanitize then arm_region ctx ~grid:g q r;
-          let rng = Random.State.make [| seed; r |] in
-          let accepted = walk ctx ~rng ~iterations:share.(r) in
-          Some (ctx, accepted)
-        end
-      in
-      let thunks = List.init n_regions thunk in
-      let results =
-        if jobs > 1 then
-          Pool.with_pool ~jobs:(min jobs n_regions) (fun p ->
-              let futs = List.map (Pool.submit p) thunks in
-              List.map Pool.await futs)
-        else List.map (fun f -> f ()) thunks
-      in
-      (* Merge region results in region order (deterministic; regions own
-         disjoint id sets, so order only matters for reproducibility, not
-         for the outcome). *)
-      let accepted = ref 0 in
-      let fits = ref 0 and hits = ref 0 and guards = ref 0 in
-      (* Per-region accepted-moves series, sampled on the calling domain
-         during the deterministic region-order merge — worker domains
-         never see the ambient trace, so this is the one place the
-         samples are both ordered and visible. *)
-      List.iter
-        (function
-          | None -> ()
-          | Some (ctx, acc) ->
-              Vpga_obs.Trace.emit_sample "refine.region_accepted"
-                (float_of_int acc);
-              accepted := !accepted + acc;
-              fits := !fits + Occupancy.fits_calls ctx.cache;
-              hits := !hits + Occupancy.cache_hits ctx.cache;
-              guards := !guards + Occupancy.guard_checks ctx.cache;
-              Array.iter
-                (fun id ->
-                  q.Quadrisect.tile_of_node.(id) <- ctx.tile_of.(id);
-                  pl.Placement.x.(id) <- ctx.view.Placement.x.(id);
-                  pl.Placement.y.(id) <- ctx.view.Placement.y.(id))
-                ctx.ids)
-        results;
-      (* Sequential cross-boundary pass with the original seed: swaps may
-         now cross region borders, so the decomposition costs no
-         reachability. *)
-      let bctx =
-        make_ctx sh
-          ~bounds:(0, 0, sh.cols, sh.rows)
-          ~ids:packed ~tile_of:q.Quadrisect.tile_of_node ~view:pl
-      in
-      if sanitize then arm_full bctx;
-      let rng = Random.State.make [| seed |] in
-      let bacc = walk bctx ~rng ~iterations:boundary_iters in
-      emit_occupancy
-        (!fits + Occupancy.fits_calls bctx.cache)
-        (!hits + Occupancy.cache_hits bctx.cache);
-      emit_moves region_total boundary_iters;
-      emit_guards (!guards + Occupancy.guard_checks bctx.cache);
-      Vpga_obs.Trace.emit_sample "refine.boundary_accepted"
-        (float_of_int bacc);
-      {
-        moves = iterations;
-        accepted = !accepted + bacc;
-        initial_cost;
-        final_cost = bctx.total;
-        region_moves = region_total;
-        boundary_moves = boundary_iters;
-      }
-    end
+    let region_ids = Array.map (fun l -> Array.of_list (List.rev l)) owned in
+    (* Budget: about two thirds of the iterations run inside the regions
+       (split proportionally to their populations), the rest go to the
+       sequential cross-boundary pass that restores inter-region
+       mobility. *)
+    let region_budget = iterations - (iterations / 3) in
+    let share =
+      Array.map
+        (fun ids -> region_budget * Array.length ids / n_packed)
+        region_ids
+    in
+    let region_total = Array.fold_left ( + ) 0 share in
+    let boundary_iters = iterations - region_total in
+    (* Region walks read only frozen snapshots (private tile/coordinate
+       copies taken before any walk runs) and their own RNG stream
+       derived from (seed, region), so results are independent of
+       worker count and scheduling. *)
+    let thunk r () =
+      let ids = region_ids.(r) in
+      if Array.length ids = 0 then None
+      else begin
+        let tile_of = Array.copy q.Quadrisect.tile_of_node in
+        let view =
+          {
+            pl with
+            Placement.x = Array.copy pl.Placement.x;
+            y = Array.copy pl.Placement.y;
+          }
+        in
+        let ctx =
+          make_ctx sh
+            ~bounds:(Quadrisect.region_bounds ~regions:g q r)
+            ~ids ~tile_of ~view
+        in
+        if sanitize then arm_region ctx ~grid:g q r;
+        let rng = Random.State.make [| seed; r |] in
+        let accepted = walk ctx ~rng ~iterations:share.(r) in
+        Some (ctx, accepted)
+      end
+    in
+    let thunks = List.init n_regions thunk in
+    let results =
+      if jobs > 1 && n_regions > 0 then
+        Pool.with_pool ~jobs:(min jobs n_regions) (fun p ->
+            let futs = List.map (Pool.submit p) thunks in
+            List.map Pool.await futs)
+      else List.map (fun f -> f ()) thunks
+    in
+    (* Merge region results in region order (deterministic; regions own
+       disjoint id sets, so order only matters for reproducibility, not
+       for the outcome). *)
+    let accepted = ref 0 in
+    let fits = ref 0 and hits = ref 0 and guards = ref 0 in
+    (* Per-region accepted-moves series, sampled on the calling domain
+       during the deterministic region-order merge — worker domains
+       never see the ambient trace, so this is the one place the
+       samples are both ordered and visible. *)
+    List.iter
+      (function
+        | None -> ()
+        | Some (ctx, acc) ->
+            Vpga_obs.Trace.emit_sample "refine.region_accepted"
+              (float_of_int acc);
+            accepted := !accepted + acc;
+            fits := !fits + Occupancy.fits_calls ctx.cache;
+            hits := !hits + Occupancy.cache_hits ctx.cache;
+            guards := !guards + Occupancy.guard_checks ctx.cache;
+            Array.iter
+              (fun id ->
+                q.Quadrisect.tile_of_node.(id) <- ctx.tile_of.(id);
+                pl.Placement.x.(id) <- ctx.view.Placement.x.(id);
+                pl.Placement.y.(id) <- ctx.view.Placement.y.(id))
+              ctx.ids)
+      results;
+    (* The full-die pass with the original seed, in place: after region
+       walks it is the cross-boundary pass (swaps may now cross region
+       borders, so the decomposition costs no reachability); with one
+       region it is the whole walk. *)
+    let bctx =
+      make_ctx sh
+        ~bounds:(0, 0, sh.cols, sh.rows)
+        ~ids:packed ~tile_of:q.Quadrisect.tile_of_node ~view:pl
+    in
+    if sanitize then arm_full bctx;
+    let rng = Random.State.make [| seed |] in
+    let bacc = walk bctx ~rng ~iterations:boundary_iters in
+    (* A single-region run reports every move as a region move. *)
+    let region_moves, boundary_moves, series =
+      if g = 1 then (iterations, 0, "refine.region_accepted")
+      else (region_total, boundary_iters, "refine.boundary_accepted")
+    in
+    Vpga_obs.Trace.emit "pack.fits_calls"
+      (float_of_int (!fits + Occupancy.fits_calls bctx.cache));
+    Vpga_obs.Trace.emit "pack.fits_cache_hits"
+      (float_of_int (!hits + Occupancy.cache_hits bctx.cache));
+    Vpga_obs.Trace.emit "refine.region_moves" (float_of_int region_moves);
+    Vpga_obs.Trace.emit "refine.boundary_moves" (float_of_int boundary_moves);
+    if sanitize then
+      Vpga_obs.Trace.emit "analysis.sanitizer_checks"
+        (float_of_int (!guards + Occupancy.guard_checks bctx.cache));
+    Vpga_obs.Trace.emit_sample series (float_of_int bacc);
+    {
+      moves = iterations;
+      accepted = !accepted + bacc;
+      initial_cost;
+      final_cost = Wirecost.total bctx.cost;
+      region_moves;
+      boundary_moves;
+    }
   end

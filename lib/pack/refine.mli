@@ -10,6 +10,14 @@
     half-perimeter wirelength.  Mutates the quadrisection result and the
     snapped placement coordinates in place.
 
+    The cost model, its incremental bookkeeping, the Metropolis test and
+    the cooling schedule are {!Vpga_place.Wirecost}'s, shared with
+    detailed placement ({!Vpga_place.Anneal}); this module proposes tile
+    moves and answers occupancy.  A swap's touched nets are summed in
+    ascending net order ({!Vpga_place.Wirecost.touch_pair_ascending}),
+    not the annealer's registration order: the order fixes the float
+    rounding of every delta, so keeping it keeps every walk unchanged.
+
     With [regions > 1] the die is cut into a [regions x regions] grid
     ({!Quadrisect.region_bounds}); each region anneals its own items
     (ownership by current tile, so walks are conflict-free) on a private
@@ -27,6 +35,10 @@ type stats = {
   boundary_moves : int;  (** moves spent in the cross-boundary pass *)
 }
 
+val radius : int
+(** How far, in tiles along each axis, one move may go (4).  The static
+    region-ownership proof ([Vpga_analysis.Ownership.check]) reads it. *)
+
 exception Infeasible of string
 (** The initial packing violates per-tile feasibility — a stage
     precondition failure, adopted as a typed
@@ -34,7 +46,6 @@ exception Infeasible of string
 
 val run :
   ?iterations:int ->
-  ?radius:int ->
   ?criticality:float array ->
   ?jobs:int ->
   ?regions:int ->
@@ -45,10 +56,10 @@ val run :
   Vpga_place.Placement.t ->
   stats
 (** [run ~seed q pl] — [pl] must already be snapped to [q]'s tile grid;
-    [radius] (default 4) bounds how far (in tiles) a single move may go;
     [iterations] defaults to [60 * packed items].  [regions] (default 1)
-    selects the region grid; with the default the run is the sequential
-    reference walk, bit-identical to the historical implementation.
+    selects the region grid; with one region no region walks run and the
+    full-die pass takes every iteration: the sequential reference walk,
+    bit-identical to the historical implementation.
     [jobs] (default 1) bounds the worker domains used for region walks;
     it affects wall time only, never results.
 

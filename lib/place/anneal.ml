@@ -5,87 +5,21 @@ type stats = {
   accepted : int;
 }
 
-module Bbox = Placement.Bbox
-
-let refine ?iterations ?(t_start = 0.0) ?(t_end = 0.0) ?criticality ~seed pl =
-  let g = pl.Placement.graph in
-  let movable = g.Hypergraph.node_of_vertex in
+let refine ?iterations ?t_start ?criticality ~seed pl =
+  let movable = pl.Placement.graph.Hypergraph.node_of_vertex in
   let n_cells = Array.length movable in
-  let nets = Placement.nets_with_io pl in
-  let n_nets = Array.length nets in
-  let n_nodes = Array.length pl.Placement.x in
   if n_cells = 0 then
     { initial_cost = 0.0; final_cost = 0.0; moves = 0; accepted = 0 }
   else begin
     let rng = Random.State.make [| seed |] in
-    (* Net weights: critical nets count more. *)
-    let crit id =
-      match criticality with None -> 0.0 | Some c -> c.(id)
-    in
-    let weight =
-      Array.map
-        (fun net -> 1.0 +. (3.0 *. Array.fold_left (fun a id -> max a (crit id)) 0.0 net))
-        nets
-    in
-    (* Incidence: node id -> net indices. *)
-    let deg = Array.make n_nodes 0 in
-    Array.iter (fun net -> Array.iter (fun id -> deg.(id) <- deg.(id) + 1) net) nets;
-    let incident = Array.init n_nodes (fun id -> Array.make deg.(id) 0) in
-    let fill = Array.make n_nodes 0 in
-    Array.iteri
-      (fun e net ->
-        Array.iter
-          (fun id ->
-            incident.(id).(fill.(id)) <- e;
-            fill.(id) <- fill.(id) + 1)
-          net)
-      nets;
-    (* Cached per-net bounding boxes: proposals cost O(1) per touched net
-       instead of an O(degree) rescan, except when a mover leaves a bound
-       it held alone (Bbox's rescan fallback).  Nets at or below the cutoff
-       always rescan: with 2-4 pins the mover holds a bound alone so often
-       that the fallback fires constantly, and a direct scan is cheaper
-       than bookkeeping plus the exception. *)
-    let small_cutoff = 4 in
-    let small = Array.map (fun net -> Array.length net <= small_cutoff) nets in
-    let bbs =
-      Array.mapi
-        (fun e net -> if small.(e) then Bbox.dummy else Bbox.of_net pl net)
-        nets
-    in
-    let net_cost =
-      Array.mapi
-        (fun e net ->
-          weight.(e)
-          *. (if small.(e) then Placement.net_hpwl pl net else Bbox.hpwl bbs.(e)))
-        nets
-    in
-    let total = ref (Array.fold_left ( +. ) 0.0 net_cost) in
-    let initial_cost = !total in
+    let st = Wirecost.state (Wirecost.model ?criticality pl) pl in
+    let initial_cost = Wirecost.total st in
     let iterations =
       match iterations with Some i -> i | None -> 100 * n_cells
     in
-    let t_start =
-      if t_start > 0.0 then t_start
-      else max 1.0 (initial_cost /. float_of_int (max 1 n_nets))
-    in
-    let t_end = if t_end > 0.0 then t_end else t_start /. 1000.0 in
-    let alpha =
-      exp (log (t_end /. t_start) /. float_of_int (max 1 iterations))
-    in
-    let temp = ref t_start in
+    Wirecost.schedule ?t_start st ~iterations;
     let accepted = ref 0 in
-    (* Per-proposal scratch: which nets the movers touch, how many movers
-       touch each (a swap can land both endpoints in one net), and which
-       mover stamped it first.  [stamp] doubles as the dedup set. *)
-    let stamp = Array.make n_nets 0 in
-    let movers_in = Array.make n_nets 0 in
-    let mover_of = Array.make n_nets (-1) in
-    let max_deg = Array.fold_left max 0 deg in
-    let buf_len = max 1 (2 * max_deg) in
-    let touched = Array.make buf_len 0 in
-    let tentative = Array.make buf_len 0.0 in
-    let n_touched = ref 0 in
+    let xs = pl.Placement.x and ys = pl.Placement.y in
     let window_w = ref (pl.Placement.die_w /. 2.0) in
     let window_h = ref (pl.Placement.die_h /. 2.0) in
     (* Convergence series: ~64 samples per walk of temperature, running
@@ -95,114 +29,46 @@ let refine ?iterations ?(t_start = 0.0) ?(t_end = 0.0) ?criticality ~seed pl =
     let sample_every = max 1 (iterations / 64) in
     let accepted_at_sample = ref 0 in
     for step = 1 to iterations do
+      (* A swap with another cell, or a displacement inside the shrinking
+         window, clamped to the die. *)
       let id = movable.(Random.State.int rng n_cells) in
       let swap = Random.State.bool rng && n_cells > 1 in
-      let ox = pl.Placement.x.(id) and oy = pl.Placement.y.(id) in
-      let other =
-        if swap then
-          let id2 = movable.(Random.State.int rng n_cells) in
-          if id2 <> id then
-            Some (id2, pl.Placement.x.(id2), pl.Placement.y.(id2))
-          else None
-        else None
-      in
-      (match other with
-      | Some (id2, ox2, oy2) ->
-          pl.Placement.x.(id) <- ox2;
-          pl.Placement.y.(id) <- oy2;
-          pl.Placement.x.(id2) <- ox;
-          pl.Placement.y.(id2) <- oy
-      | None ->
-          let clamp v lo hi = max lo (min hi v) in
-          pl.Placement.x.(id) <-
-            clamp (ox +. Random.State.float rng (2.0 *. !window_w) -. !window_w)
-              0.0 pl.Placement.die_w;
-          pl.Placement.y.(id) <-
-            clamp (oy +. Random.State.float rng (2.0 *. !window_h) -. !window_h)
-              0.0 pl.Placement.die_h);
-      let register m =
-        Array.iter
-          (fun e ->
-            if stamp.(e) <> step then begin
-              stamp.(e) <- step;
-              movers_in.(e) <- 1;
-              mover_of.(e) <- m;
-              touched.(!n_touched) <- e;
-              incr n_touched
-            end
-            else movers_in.(e) <- movers_in.(e) + 1)
-          incident.(m)
-      in
-      n_touched := 0;
-      register id;
-      (match other with Some (id2, _, _) -> register id2 | None -> ());
-      (* Tentative cost per touched net — pure float math against the cached
-         record, no mutation, no per-net allocation.  Caches are only touched
-         on accept. *)
-      let d = ref 0.0 in
-      for i = 0 to !n_touched - 1 do
-        let e = touched.(i) in
-        let w =
-          if small.(e) || movers_in.(e) > 1 then Placement.net_hpwl pl nets.(e)
-          else if mover_of.(e) = id then (
-            try
-              Bbox.shift_hpwl bbs.(e) ~ox ~oy ~nx:pl.Placement.x.(id)
-                ~ny:pl.Placement.y.(id)
-            with Bbox.Rescan -> Placement.net_hpwl pl nets.(e))
-          else
-            match other with
-            | Some (id2, ox2, oy2) -> (
-                try
-                  Bbox.shift_hpwl bbs.(e) ~ox:ox2 ~oy:oy2
-                    ~nx:pl.Placement.x.(id2) ~ny:pl.Placement.y.(id2)
-                with Bbox.Rescan -> Placement.net_hpwl pl nets.(e))
-            | None -> assert false
-        in
-        let cost = weight.(e) *. w in
-        tentative.(i) <- cost;
-        d := !d +. (cost -. net_cost.(e))
-      done;
-      let d = !d in
-      let accept =
-        d <= 0.0
-        || Random.State.float rng 1.0 < exp (-.d /. max 1e-9 !temp)
-      in
-      if accept then begin
-        for i = 0 to !n_touched - 1 do
-          let e = touched.(i) in
-          (if small.(e) then ()
-           else if movers_in.(e) > 1 then bbs.(e) <- Bbox.of_net pl nets.(e)
-           else if mover_of.(e) = id then (
-             try
-               Bbox.shift bbs.(e) ~ox ~oy ~nx:pl.Placement.x.(id)
-                 ~ny:pl.Placement.y.(id)
-             with Bbox.Rescan -> bbs.(e) <- Bbox.of_net pl nets.(e))
-           else
-             match other with
-             | Some (id2, ox2, oy2) -> (
-                 try
-                   Bbox.shift bbs.(e) ~ox:ox2 ~oy:oy2
-                     ~nx:pl.Placement.x.(id2) ~ny:pl.Placement.y.(id2)
-                 with Bbox.Rescan -> bbs.(e) <- Bbox.of_net pl nets.(e))
-             | None -> assert false);
-          net_cost.(e) <- tentative.(i)
-        done;
-        total := !total +. d;
+      let id2 = if swap then movable.(Random.State.int rng n_cells) else id in
+      let ox = xs.(id) and oy = ys.(id) in
+      if id2 <> id then begin
+        Wirecost.touch_pair_registered st id id2;
+        xs.(id) <- xs.(id2);
+        ys.(id) <- ys.(id2);
+        xs.(id2) <- ox;
+        ys.(id2) <- oy
+      end
+      else begin
+        Wirecost.touch st id;
+        let clamp v lo hi = max lo (min hi v) in
+        xs.(id) <-
+          clamp (ox +. Random.State.float rng (2.0 *. !window_w) -. !window_w)
+            0.0 pl.Placement.die_w;
+        ys.(id) <-
+          clamp (oy +. Random.State.float rng (2.0 *. !window_h) -. !window_h)
+            0.0 pl.Placement.die_h
+      end;
+      if Wirecost.metropolis st rng then begin
+        Wirecost.commit st;
         incr accepted
       end
       else begin
-        pl.Placement.x.(id) <- ox;
-        pl.Placement.y.(id) <- oy;
-        match other with
-        | Some (id2, ox2, oy2) ->
-            pl.Placement.x.(id2) <- ox2;
-            pl.Placement.y.(id2) <- oy2
-        | None -> ()
+        if id2 <> id then begin
+          xs.(id2) <- xs.(id);
+          ys.(id2) <- ys.(id)
+        end;
+        xs.(id) <- ox;
+        ys.(id) <- oy
       end;
-      temp := !temp *. alpha;
+      Wirecost.cool st;
       if step mod sample_every = 0 then begin
-        Vpga_obs.Trace.emit_sample "anneal.temperature" !temp;
-        Vpga_obs.Trace.emit_sample "anneal.cost" !total;
+        Vpga_obs.Trace.emit_sample "anneal.temperature"
+          (Wirecost.temperature st);
+        Vpga_obs.Trace.emit_sample "anneal.cost" (Wirecost.total st);
         Vpga_obs.Trace.emit_sample "anneal.acceptance"
           (float_of_int (!accepted - !accepted_at_sample)
           /. float_of_int sample_every);
@@ -221,7 +87,7 @@ let refine ?iterations ?(t_start = 0.0) ?(t_end = 0.0) ?criticality ~seed pl =
     Vpga_obs.Trace.emit "anneal.accepted" (float_of_int !accepted);
     {
       initial_cost;
-      final_cost = !total;
+      final_cost = Wirecost.total st;
       moves = iterations;
       accepted = !accepted;
     }

@@ -71,17 +71,18 @@ let hpwl ?nets t =
 (* Cached per-net bounding boxes with boundary multiplicity, for incremental
    HPWL maintenance (the annealer's hot path).  [n_*] counts the pins sitting
    exactly on each boundary: while a bound has multiplicity > 1, a pin can
-   leave it without a rescan. *)
+   leave it without a rescan.  Every field is a float, counts included, so
+   the record is stored flat and no field read or write allocates. *)
 module Bbox = struct
   type b = {
     mutable min_x : float;
     mutable max_x : float;
     mutable min_y : float;
     mutable max_y : float;
-    mutable n_min_x : int;
-    mutable n_max_x : int;
-    mutable n_min_y : int;
-    mutable n_max_y : int;
+    mutable n_min_x : float;
+    mutable n_max_x : float;
+    mutable n_min_y : float;
+    mutable n_max_y : float;
   }
 
   let of_net t net =
@@ -91,29 +92,26 @@ module Bbox = struct
         max_x = neg_infinity;
         min_y = infinity;
         max_y = neg_infinity;
-        n_min_x = 0;
-        n_max_x = 0;
-        n_min_y = 0;
-        n_max_y = 0;
+        n_min_x = 0.0;
+        n_max_x = 0.0;
+        n_min_y = 0.0;
+        n_max_y = 0.0;
       }
     in
-    Array.iter
-      (fun id ->
-        let x = t.x.(id) and y = t.y.(id) in
-        if x < b.min_x then begin b.min_x <- x; b.n_min_x <- 1 end
-        else if x = b.min_x then b.n_min_x <- b.n_min_x + 1;
-        if x > b.max_x then begin b.max_x <- x; b.n_max_x <- 1 end
-        else if x = b.max_x then b.n_max_x <- b.n_max_x + 1;
-        if y < b.min_y then begin b.min_y <- y; b.n_min_y <- 1 end
-        else if y = b.min_y then b.n_min_y <- b.n_min_y + 1;
-        if y > b.max_y then begin b.max_y <- y; b.n_max_y <- 1 end
-        else if y = b.max_y then b.n_max_y <- b.n_max_y + 1)
-      net;
+    for i = 0 to Array.length net - 1 do
+      let x = t.x.(net.(i)) and y = t.y.(net.(i)) in
+      if x < b.min_x then begin b.min_x <- x; b.n_min_x <- 1.0 end
+      else if x = b.min_x then b.n_min_x <- b.n_min_x +. 1.0;
+      if x > b.max_x then begin b.max_x <- x; b.n_max_x <- 1.0 end
+      else if x = b.max_x then b.n_max_x <- b.n_max_x +. 1.0;
+      if y < b.min_y then begin b.min_y <- y; b.n_min_y <- 1.0 end
+      else if y = b.min_y then b.n_min_y <- b.n_min_y +. 1.0;
+      if y > b.max_y then begin b.max_y <- y; b.n_max_y <- 1.0 end
+      else if y = b.max_y then b.n_max_y <- b.n_max_y +. 1.0
+    done;
     b
 
   let hpwl b = b.max_x -. b.min_x +. (b.max_y -. b.min_y)
-
-  let copy b = { b with min_x = b.min_x }
 
   (* Shared placeholder for slots whose net is tracked by rescan instead of
      incrementally (e.g. the annealer's small-net cutoff).  Never mutated. *)
@@ -123,85 +121,79 @@ module Bbox = struct
       max_x = 0.0;
       min_y = 0.0;
       max_y = 0.0;
-      n_min_x = 0;
-      n_max_x = 0;
-      n_min_y = 0;
-      n_max_y = 0;
+      n_min_x = 0.0;
+      n_max_x = 0.0;
+      n_min_y = 0.0;
+      n_max_y = 0.0;
     }
 
   exception Rescan
 
-  (* One coordinate axis, min side: pin moved [o] -> [n] against bound
-     [bound] held by [count] pins.  Returns the new (bound, count);
-     raises [Rescan] when the pin was alone on the bound and moved off
-     it inward (the cached record can't tell where the next pin is). *)
-  let min_side bound count ~o ~n =
-    if o = bound then
-      if n <= bound then ((n, if n = bound then count else 1))
-      else if count > 1 then (bound, count - 1)
-      else raise Rescan
-    else if n < bound then (n, 1)
-    else if n = bound then (bound, count + 1)
-    else (bound, count)
+  (* One coordinate axis, min side: pin moved [o] -> [n] (n <> o) against
+     bound [bound] held by [count] pins.  The new bound is [min n bound];
+     this returns the new count, or raises [Rescan] when the pin was alone
+     on the bound and moved off it inward (the cached record can't tell
+     where the next pin is).  The helpers are inlined and typed [float]
+     so every comparison is a float one and nothing is boxed. *)
+  let[@inline] min_count (bound : float) count ~(o : float) ~n =
+    if n < bound then 1.0
+    else if o = bound then if count > 1.0 then count -. 1.0 else raise Rescan
+    else if n = bound then count +. 1.0
+    else count
 
-  let max_side bound count ~o ~n =
-    if o = bound then
-      if n >= bound then ((n, if n = bound then count else 1))
-      else if count > 1 then (bound, count - 1)
-      else raise Rescan
-    else if n > bound then (n, 1)
-    else if n = bound then (bound, count + 1)
-    else (bound, count)
+  let[@inline] max_count (bound : float) count ~(o : float) ~n =
+    if n > bound then 1.0
+    else if o = bound then if count > 1.0 then count -. 1.0 else raise Rescan
+    else if n = bound then count +. 1.0
+    else count
 
-  (* In-place update of [b] for one pin moved (ox,oy) -> (nx,ny).
-     Raises [Rescan] when the cached record is insufficient; the caller
-     must rebuild with [of_net] (coordinate arrays already hold the new
-     position).  [b] may be left partially updated on raise — callers
-     always rebuild it in that case. *)
-  let shift b ~ox ~oy ~nx ~ny =
+  (* In-place update of [b] for one pin moved from (mv.(k), mv.(k+1)) to
+     (mv.(k+2), mv.(k+3)).  Raises [Rescan] when the cached record is
+     insufficient; the caller must rebuild with [of_net] (coordinate
+     arrays already hold the new position).  [b] may be left partially
+     updated on raise — callers always rebuild it in that case. *)
+  let shift b (mv : float array) k =
+    let ox = mv.(k) and oy = mv.(k + 1) in
+    let nx = mv.(k + 2) and ny = mv.(k + 3) in
     if nx <> ox then begin
-      let mn, cn = min_side b.min_x b.n_min_x ~o:ox ~n:nx in
-      let mx, cx = max_side b.max_x b.n_max_x ~o:ox ~n:nx in
-      b.min_x <- mn;
+      let cn = min_count b.min_x b.n_min_x ~o:ox ~n:nx in
+      let cx = max_count b.max_x b.n_max_x ~o:ox ~n:nx in
+      if nx < b.min_x then b.min_x <- nx;
+      if nx > b.max_x then b.max_x <- nx;
       b.n_min_x <- cn;
-      b.max_x <- mx;
       b.n_max_x <- cx
     end;
     if ny <> oy then begin
-      let mn, cn = min_side b.min_y b.n_min_y ~o:oy ~n:ny in
-      let mx, cx = max_side b.max_y b.n_max_y ~o:oy ~n:ny in
-      b.min_y <- mn;
+      let cn = min_count b.min_y b.n_min_y ~o:oy ~n:ny in
+      let cx = max_count b.max_y b.n_max_y ~o:oy ~n:ny in
+      if ny < b.min_y then b.min_y <- ny;
+      if ny > b.max_y then b.max_y <- ny;
       b.n_min_y <- cn;
-      b.max_y <- mx;
       b.n_max_y <- cx
     end
 
   (* Allocation-free tentative evaluation: the HPWL after the move, or
-     [Rescan].  One branch per bound, mirroring [min_side]/[max_side]. *)
-  let shift_hpwl b ~ox ~oy ~nx ~ny =
-    let min_bound bound count o n =
-      if n <= bound then n
-      else if o > bound then bound
-      else if count > 1 then bound
-      else raise Rescan
-    in
-    let max_bound bound count o n =
-      if n >= bound then n
-      else if o < bound then bound
-      else if count > 1 then bound
-      else raise Rescan
-    in
+     [Rescan].  One branch per bound, mirroring [min_count]/[max_count]. *)
+  let[@inline] min_bound (bound : float) count (o : float) n =
+    if n <= bound then n
+    else if o > bound then bound
+    else if count > 1.0 then bound
+    else raise Rescan
+
+  let[@inline] max_bound (bound : float) count (o : float) n =
+    if n >= bound then n
+    else if o < bound then bound
+    else if count > 1.0 then bound
+    else raise Rescan
+
+  let shift_hpwl b (mv : float array) k =
+    let ox = mv.(k) and oy = mv.(k + 1) in
+    let nx = mv.(k + 2) and ny = mv.(k + 3) in
     let min_x = if nx = ox then b.min_x else min_bound b.min_x b.n_min_x ox nx in
     let max_x = if nx = ox then b.max_x else max_bound b.max_x b.n_max_x ox nx in
     let min_y = if ny = oy then b.min_y else min_bound b.min_y b.n_min_y oy ny in
     let max_y = if ny = oy then b.max_y else max_bound b.max_y b.n_max_y oy ny in
     max_x -. min_x +. (max_y -. min_y)
-
-  let shifted t b net ~ox ~oy ~nx ~ny =
-    let b' = copy b in
-    match shift b' ~ox ~oy ~nx ~ny with
-    | () -> b'
-    | exception Rescan -> of_net t net
 end
 
 let scatter ~seed t =

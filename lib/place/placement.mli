@@ -47,18 +47,18 @@ module Bbox : sig
     mutable max_x : float;
     mutable min_y : float;
     mutable max_y : float;
-    mutable n_min_x : int;  (** pins at [min_x] *)
-    mutable n_max_x : int;
-    mutable n_min_y : int;
-    mutable n_max_y : int;
+    mutable n_min_x : float;
+        (** pins at [min_x]; counts are floats so that the record is
+            stored flat and no field access allocates *)
+    mutable n_max_x : float;
+    mutable n_min_y : float;
+    mutable n_max_y : float;
   }
 
   val of_net : t -> int array -> b
   (** Scan the net at the placement's current coordinates. *)
 
   val hpwl : b -> float
-
-  val copy : b -> b
 
   val dummy : b
   (** Shared all-zero placeholder for array slots whose net is tracked by
@@ -70,19 +70,15 @@ module Bbox : sig
       bound alone and left it inward, so only a rescan ({!of_net}) knows
       the next pin. *)
 
-  val shift : b -> ox:float -> oy:float -> nx:float -> ny:float -> unit
-  (** Update [b] in place for one pin moved [(ox, oy)] -> [(nx, ny)].
+  val shift : b -> float array -> int -> unit
+  (** [shift b mv k] updates [b] in place for one pin moved from
+      [(mv.(k), mv.(k+1))] to [(mv.(k+2), mv.(k+3))].  The move is read
+      from a float array so the caller's hot loop passes no boxed floats.
       @raise Rescan when the record is insufficient; [b] may then be
       partially updated and must be rebuilt with {!of_net}. *)
 
-  val shift_hpwl : b -> ox:float -> oy:float -> nx:float -> ny:float -> float
-  (** The HPWL [b] would have after the move, without mutating [b] and
-      without allocating.
+  val shift_hpwl : b -> float array -> int -> float
+  (** The HPWL [b] would have after the move [shift b mv k] describes,
+      without mutating [b] and without allocating.
       @raise Rescan under the same condition as {!shift}. *)
-
-  val shifted : t -> b -> int array -> ox:float -> oy:float -> nx:float -> ny:float -> b
-  (** [shifted t b net ~ox ~oy ~nx ~ny] is a fresh record reflecting one
-      pin of [net] having moved from [(ox, oy)] to [(nx, ny)] — the
-      coordinate arrays of [t] must already hold the new position (they
-      are only consulted on the rescan fallback).  [b] is not mutated. *)
 end

@@ -307,7 +307,7 @@ let defect_dead_edge ~seed (r : Pathfinder.result ref) =
              let touched =
                List.fold_left
                  (fun acc e ->
-                   let a, b = Detail.bins_of grid e in
+                   let a, b = Grid.bins_of grid e in
                    Int_set.add a (Int_set.add b acc))
                  Int_set.empty rt.Router.edges
              in
@@ -317,7 +317,7 @@ let defect_dead_edge ~seed (r : Pathfinder.result ref) =
                (fun bin ->
                  List.iter
                    (fun (e, _) ->
-                     let a, b = Detail.bins_of grid e in
+                     let a, b = Grid.bins_of grid e in
                      let far = if Int_set.mem a touched then b else a in
                      if
                        Grid.dead grid e

@@ -6,23 +6,6 @@ type t = {
   max_track : int;
 }
 
-(* Is the edge horizontal (within a row)? *)
-let horizontal grid e = e < (grid.Grid.cols - 1) * grid.Grid.rows
-
-(* The two bins an edge joins. *)
-let bins_of grid e =
-  if horizontal grid e then begin
-    let c = e mod (grid.Grid.cols - 1) and r = e / (grid.Grid.cols - 1) in
-    let b = (r * grid.Grid.cols) + c in
-    (b, b + 1)
-  end
-  else begin
-    let e = e - ((grid.Grid.cols - 1) * grid.Grid.rows) in
-    let c = e mod grid.Grid.cols and r = e / grid.Grid.cols in
-    let b = (r * grid.Grid.cols) + c in
-    (b, b + grid.Grid.cols)
-  end
-
 exception Over_capacity of string
 
 (* Raises [Over_capacity] when an edge holds more nets than tracks.
@@ -62,8 +45,8 @@ let assign grid routes =
          [Grid.iter_neighbors] visits a bin's edges in. *)
       List.iter
         (fun e ->
-          let a, b = bins_of grid e in
-          let h = horizontal grid e in
+          let a, b = Grid.bins_of grid e in
+          let h = Grid.horizontal grid e in
           let free t = Bytes.get occupied ((e * stride) + t) = '\000' in
           (* Only tracks listed usable on this edge are candidates: a
              preferred (continuation) track must survive the defect filter
@@ -73,7 +56,7 @@ let assign grid routes =
           let prefer e' _ =
             if
               !chosen < 0 && e' <> e && owner.(e') = net
-              && horizontal grid e' = h
+              && Grid.horizontal grid e' = h
             then
               let t = net_track.(e') in
               if free t && Grid.track_usable grid e t then chosen := t
@@ -118,14 +101,14 @@ let assign grid routes =
         (fun e1 ->
           if counted.(e1) <> net then begin
             counted.(e1) <- net;
-            let h1 = horizontal grid e1 and t1 = net_track.(e1) in
+            let h1 = Grid.horizontal grid e1 and t1 = net_track.(e1) in
             let pair e2 _ =
               if
                 e2 > e1 && owner.(e2) = net
-                && (horizontal grid e2 <> h1 || net_track.(e2) <> t1)
+                && (Grid.horizontal grid e2 <> h1 || net_track.(e2) <> t1)
               then incr vias
             in
-            let a, b = bins_of grid e1 in
+            let a, b = Grid.bins_of grid e1 in
             Grid.iter_neighbors grid a pair;
             Grid.iter_neighbors grid b pair
           end)

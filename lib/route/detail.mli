@@ -14,10 +14,6 @@ type t = {
   max_track : int;  (** highest track index used anywhere *)
 }
 
-val bins_of : Grid.t -> int -> int * int
-(** The two bins an edge joins (independent of any track assignment);
-    exposed for the routing-connectivity checker in [vpga_verify]. *)
-
 val run_result : Grid.t -> Router.route list -> (t, string) result
 (** [Error] describes the first edge holding more nets than its usable
     tracks (cannot happen on an overflow-free PathFinder result): the

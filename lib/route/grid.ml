@@ -144,6 +144,20 @@ let coords t b = (b mod t.cols, b / t.cols)
 
 let h_edge t c r = (r * (t.cols - 1)) + c
 let v_edge t c r = num_h t + (r * t.cols) + c
+let horizontal t e = e < num_h t
+
+let bins_of t e =
+  if horizontal t e then begin
+    let c = e mod (t.cols - 1) and r = e / (t.cols - 1) in
+    let b = (r * t.cols) + c in
+    (b, b + 1)
+  end
+  else begin
+    let e = e - num_h t in
+    let c = e mod t.cols and r = e / t.cols in
+    let b = (r * t.cols) + c in
+    (b, b + t.cols)
+  end
 
 let iter_neighbors t b f =
   let c = b mod t.cols and r = b / t.cols in
@@ -163,7 +177,7 @@ let edge_between t a b =
   else if ca = cb && abs (ra - rb) = 1 then v_edge t ca (min ra rb)
   else invalid_arg "Grid.edge_between: bins not adjacent"
 
-let edge_length t e = if e < num_h t then t.bin_w else t.bin_h
+let edge_length t e = if horizontal t e then t.bin_w else t.bin_h
 
 let overflow t =
   let acc = ref 0 in

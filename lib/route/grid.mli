@@ -87,6 +87,13 @@ val h_edge : t -> int -> int -> int
 val v_edge : t -> int -> int -> int
 (** [v_edge t c r]: the edge between bins [(c, r)] and [(c, r + 1)]. *)
 
+val horizontal : t -> int -> bool
+(** Does the edge join two bins of one row (an {!h_edge})? *)
+
+val bins_of : t -> int -> int * int
+(** The two bins an edge joins, lower index first: the inverse of
+    {!h_edge} / {!v_edge}. *)
+
 val neighbors : t -> int -> (int * int) list
 (** [(edge, bin)] pairs adjacent to a bin, in the order down (row + 1),
     up, right, left. *)

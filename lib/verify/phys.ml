@@ -153,7 +153,7 @@ let check_route grid ~net_index ~pins ~edges =
           (Diag.error ~nodes:[ net_index ] "bad-edge"
              "net %d: route uses out-of-range edge %d" net_index e)
       else begin
-        let a, b = Detail.bins_of grid e in
+        let a, b = Grid.bins_of grid e in
         Hashtbl.replace touched a ();
         Hashtbl.replace touched b ();
         let ra = uf_find parent a and rb = uf_find parent b in

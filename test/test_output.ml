@@ -86,7 +86,6 @@ module Reference_detail = struct
   let assign grid routes =
     let occupancy : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
     let track = Hashtbl.create 1024 in
-    let horizontal e = e < (grid.Grid.cols - 1) * grid.Grid.rows in
     let net_vias = Array.make (List.length routes) 0 in
     let max_track = ref 0 in
     List.iteri
@@ -95,7 +94,7 @@ module Reference_detail = struct
         let by_bin = Hashtbl.create 16 in
         List.iter
           (fun e ->
-            let a, b = Detail.bins_of grid e in
+            let a, b = Grid.bins_of grid e in
             List.iter
               (fun bin ->
                 Hashtbl.replace by_bin bin
@@ -104,14 +103,17 @@ module Reference_detail = struct
           edges;
         List.iter
           (fun e ->
-            let a, b = Detail.bins_of grid e in
+            let a, b = Grid.bins_of grid e in
             let preferred =
               List.concat_map
                 (fun bin ->
                   Option.value ~default:[] (Hashtbl.find_opt by_bin bin))
                 [ a; b ]
               |> List.filter_map (fun e' ->
-                     if e' <> e && horizontal e' = horizontal e then
+                     if
+                       e' <> e
+                       && Grid.horizontal grid e' = Grid.horizontal grid e
+                     then
                        Hashtbl.find_opt track (e', net)
                      else None)
             in
@@ -164,8 +166,10 @@ module Reference_detail = struct
                     (fun e2 ->
                       let t1 = Hashtbl.find track (e1, net) in
                       let t2 = Hashtbl.find track (e2, net) in
-                      if horizontal e1 <> horizontal e2 || t1 <> t2 then
-                        incr vias)
+                      if
+                        Grid.horizontal grid e1 <> Grid.horizontal grid e2
+                        || t1 <> t2
+                      then incr vias)
                     rest;
                   pairs rest
             in

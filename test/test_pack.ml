@@ -243,6 +243,84 @@ let prop_jobs_independent =
           true)
         (Lazy.force prepared))
 
+(* --- Both annealers pinned bit for bit ------------------------------------ *)
+
+(* A synthetic criticality in [0, 1] per node, so the golden walks run
+   through non-unit net weights. *)
+let synthetic_criticality n =
+  Array.init n (fun id -> float_of_int (id mod 7) /. 6.0)
+
+let coords_digest (pl : Placement.t) =
+  let xy = Marshal.to_string (pl.Placement.x, pl.Placement.y) [] in
+  Digest.to_hex (Digest.string xy)
+
+(* Recorded at the commit before the annealers shared one cost model:
+   (design, arch, digest of the final x/y arrays after [Anneal.refine]
+   ~iterations:30_000 ~seed:5 from the global placement). *)
+let anneal_golden =
+  [
+    ("alu", "lut_plb", "6bd1226edec02595a0f452e5f31b3905");
+    ("alu", "granular_plb", "69d2a03443c4eda3c2def2d0ebe8d87e");
+    ("firewire", "lut_plb", "10e05b0823bd8c093812ee14b6b4627b");
+    ("firewire", "granular_plb", "7c71c4e0e7d85b8065cabe8aebbf98a8");
+    ("fpu", "lut_plb", "accdd62890a97c0c2ffb6a2bd6d65036");
+    ("fpu", "granular_plb", "ef118b795f140b9f312452449c7bfe7c");
+    ("netswitch", "lut_plb", "6f8d43f531827b43a11be4461401e866");
+    ("netswitch", "granular_plb", "b6666565193fbdbe272c694ad6a81ee5");
+  ]
+
+let test_anneal_golden () =
+  Config.prewarm ();
+  List.iter
+    (fun (dname, build) ->
+      let nl = build () in
+      List.iter
+        (fun arch ->
+          let nl = Compact.run arch nl in
+          let nl = Buffering.insert ~max_fanout:8 nl in
+          let pl = Placement.create nl in
+          Global.place ~seed:3 pl;
+          let criticality =
+            synthetic_criticality (Array.length pl.Placement.x)
+          in
+          let (_ : Vpga_place.Anneal.stats) =
+            Vpga_place.Anneal.refine ~iterations:30_000 ~criticality ~seed:5 pl
+          in
+          let _, _, want =
+            List.find
+              (fun (d, a, _) -> d = dname && a = arch.Arch.name)
+              anneal_golden
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s anneal digest" dname arch.Arch.name)
+            want (coords_digest pl))
+        Arch.all)
+    designs
+
+(* Recorded at the same commit: (design/arch, tile-assignment checksum
+   after [Refine.run ~iterations:20_000 ~regions:2 ~seed:7]). *)
+let regions2_golden =
+  [
+    ("alu/lut_plb", 300115702);
+    ("alu/granular_plb", 779988035);
+    ("firewire/lut_plb", 993661278);
+    ("firewire/granular_plb", 668827285);
+    ("fpu/lut_plb", 1035531076);
+    ("fpu/granular_plb", 179380332);
+    ("netswitch/lut_plb", 1060339052);
+    ("netswitch/granular_plb", 439686430);
+  ]
+
+let test_regions2_golden () =
+  List.iter
+    (fun (name, q, pl) ->
+      let tiles, _ = refine_copy ~jobs:1 ~regions:2 ~seed:7 (q, pl) in
+      Alcotest.(check int)
+        (name ^ " regions=2 refine checksum")
+        (List.assoc name regions2_golden)
+        (checksum { q with Quadrisect.tile_of_node = tiles }))
+    (Lazy.force prepared)
+
 let test_same_seed_determinism () =
   Config.prewarm ();
   let nl = Vpga_designs.Alu.build ~width:8 () in
@@ -263,6 +341,9 @@ let () =
             `Slow test_golden_checksums;
           Alcotest.test_case "same seed twice" `Quick
             test_same_seed_determinism;
+          Alcotest.test_case "anneal golden digests" `Slow test_anneal_golden;
+          Alcotest.test_case "regions=2 golden checksums" `Slow
+            test_regions2_golden;
         ] );
       ( "region-parallel",
         [ QCheck_alcotest.to_alcotest prop_jobs_independent ] );

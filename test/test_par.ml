@@ -1,6 +1,7 @@
-(* The domain pool (Vpga_par.Pool), the incremental-HPWL bounding boxes
-   behind the annealer, and the parallel-sweep determinism contract:
-   Experiments.run_all must return the same rows whatever [jobs] is. *)
+(* The domain pool (Vpga_par.Pool), the incremental wirelength cost model
+   behind both annealers (Vpga_place.Wirecost), and the parallel-sweep
+   determinism contract: Experiments.run_all must return the same rows
+   whatever [jobs] is. *)
 
 module Pool = Vpga_par.Pool
 module Placement = Vpga_place.Placement
@@ -150,50 +151,132 @@ let test_bbox_matches_scan () =
         (Placement.Bbox.hpwl b))
     nets
 
-let test_bbox_incremental_consistency () =
-  (* Random move sequence: maintain cached bboxes through Bbox.shifted and
-     compare the running total against a fresh Placement.hpwl at every
-     step.  Exercises the rescan fallback (movers frequently sit alone on
-     a net boundary). *)
-  let pl = small_placement () in
-  let nets = Placement.nets_with_io pl in
-  let n_nodes = Array.length pl.Placement.x in
-  let incident = Array.make n_nodes [] in
-  Array.iteri
-    (fun e net -> Array.iter (fun id -> incident.(id) <- e :: incident.(id)) net)
-    nets;
-  let bbs = Array.map (Placement.Bbox.of_net pl) nets in
-  let total =
-    ref (Array.fold_left (fun a b -> a +. Placement.Bbox.hpwl b) 0.0 bbs)
+(* A netlist with the shapes the incremental cost model special-cases: a
+   gate reading one signal on both pins (a node listed twice on one net)
+   and nets wider than the small-net cutoff (cached bounding boxes). *)
+let doubled_pin_placement () =
+  let module Netlist = Vpga_netlist.Netlist in
+  let module Kind = Vpga_netlist.Kind in
+  let nl = Netlist.create ~name:"doubled" () in
+  let ins = Array.init 4 (fun i -> Netlist.input nl (Printf.sprintf "i%d" i)) in
+  let x = Netlist.gate nl Kind.Xor2 [| ins.(0); ins.(1) |] in
+  let sq = Netlist.gate nl Kind.And2 [| x; x |] in
+  let fan =
+    Array.init 6 (fun i ->
+        let src = if i mod 2 = 0 then x else sq in
+        Netlist.gate nl Kind.Or2 [| src; ins.(2 + (i mod 2)) |])
   in
-  let movable = pl.Placement.graph.Vpga_place.Hypergraph.node_of_vertex in
+  let y = Netlist.gate nl Kind.Nand2 [| sq; sq |] in
+  Array.iteri
+    (fun i g -> ignore (Netlist.output nl (Printf.sprintf "o%d" i) g))
+    fan;
+  ignore (Netlist.output nl "y" y);
+  let pl = Placement.create nl in
+  Placement.scatter ~seed:5 pl;
+  pl
+
+(* Drive [Wirecost] through random single moves, swaps in both
+   collection orders (half of them between two movers sharing a net) and
+   rejected proposals.  Every proposal's delta must equal the change of a
+   fresh weighted recomputation, and the running total must track it.
+   Exercises the rescan fallback: movers frequently sit alone on a bound,
+   and half the single moves land exactly on another pin's coordinates
+   (the multiplicity-count paths). *)
+let wirecost_consistency pl =
+  let module W = Vpga_place.Wirecost in
+  let n_nodes = Array.length pl.Placement.x in
   let rng = Random.State.make [| 42 |] in
-  for step = 1 to 500 do
-    let id = movable.(Random.State.int rng (Array.length movable)) in
-    let ox = pl.Placement.x.(id) and oy = pl.Placement.y.(id) in
-    (* Mix fresh positions with revisited ones so pins land exactly on
-       existing bounds (the multiplicity-count paths). *)
-    let nx, ny =
-      if Random.State.bool rng then
-        ( Random.State.float rng pl.Placement.die_w,
-          Random.State.float rng pl.Placement.die_h )
-      else
-        let other = Random.State.int rng n_nodes in
-        (pl.Placement.x.(other), pl.Placement.y.(other))
+  let criticality = Array.init n_nodes (fun _ -> Random.State.float rng 1.0) in
+  let m = W.model ~criticality pl in
+  let st = W.state m pl in
+  let nets = Placement.nets_with_io pl in
+  let movable = pl.Placement.graph.Vpga_place.Hypergraph.node_of_vertex in
+  let n_mov = Array.length movable in
+  let is_movable = Array.make n_nodes false in
+  Array.iter (fun id -> is_movable.(id) <- true) movable;
+  let close what want got =
+    let eps = 1e-9 *. Float.max 1.0 (Float.abs want) in
+    Alcotest.(check (float eps)) what want got
+  in
+  close "initial total = fresh" (W.cost m pl) (W.total st);
+  let doubled = ref 0 and shared = ref 0 in
+  for step = 1 to 600 do
+    let xs = pl.Placement.x and ys = pl.Placement.y in
+    let ia = Random.State.int rng n_mov in
+    let a = movable.(ia) in
+    let restore =
+      match Random.State.int rng 3 with
+      | 0 ->
+          (* A single move to a fresh point or onto another pin. *)
+          let ox = xs.(a) and oy = ys.(a) in
+          W.touch st a;
+          if Random.State.bool rng then begin
+            xs.(a) <- Random.State.float rng pl.Placement.die_w;
+            ys.(a) <- Random.State.float rng pl.Placement.die_h
+          end
+          else begin
+            let o = Random.State.int rng n_nodes in
+            xs.(a) <- xs.(o);
+            ys.(a) <- ys.(o)
+          end;
+          let pins net =
+            Array.fold_left (fun k id -> if id = a then k + 1 else k) 0 net
+          in
+          if Array.exists (fun net -> pins net > 1) nets then incr doubled;
+          fun () ->
+            xs.(a) <- ox;
+            ys.(a) <- oy
+      | _ ->
+          (* A swap, with a partner on one of [a]'s nets half the time. *)
+          let b =
+            let pick () =
+              movable.((ia + 1 + Random.State.int rng (n_mov - 1)) mod n_mov)
+            in
+            if Random.State.bool rng then begin
+              let cands =
+                Array.to_list nets
+                |> List.filter (fun net -> Array.mem a net)
+                |> List.concat_map Array.to_list
+                |> List.filter (fun id -> id <> a && is_movable.(id))
+              in
+              match cands with
+              | [] -> pick ()
+              | l -> List.nth l (Random.State.int rng (List.length l))
+            end
+            else pick ()
+          in
+          if Array.exists (fun net -> Array.mem a net && Array.mem b net) nets
+          then incr shared;
+          if Random.State.bool rng then W.touch_pair_registered st a b
+          else W.touch_pair_ascending st a b;
+          let ax = xs.(a) and ay = ys.(a) in
+          xs.(a) <- xs.(b);
+          ys.(a) <- ys.(b);
+          xs.(b) <- ax;
+          ys.(b) <- ay;
+          fun () ->
+            xs.(b) <- xs.(a);
+            ys.(b) <- ys.(a);
+            xs.(a) <- ax;
+            ys.(a) <- ay
     in
-    pl.Placement.x.(id) <- nx;
-    pl.Placement.y.(id) <- ny;
-    List.iter
-      (fun e ->
-        let bb' = Placement.Bbox.shifted pl bbs.(e) nets.(e) ~ox ~oy ~nx ~ny in
-        total := !total -. Placement.Bbox.hpwl bbs.(e) +. Placement.Bbox.hpwl bb';
-        bbs.(e) <- bb')
-      incident.(id);
-    if step mod 25 = 0 then
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "step %d: incremental total = fresh hpwl" step)
-        (Placement.hpwl ~nets pl) !total
-  done
+    let before = W.total st in
+    let d = W.delta st in
+    close (Printf.sprintf "step %d: delta = fresh change" step)
+      (W.cost m pl -. before) d;
+    if Random.State.int rng 4 = 0 then restore () else W.commit st;
+    close (Printf.sprintf "step %d: incremental total = fresh" step)
+      (W.cost m pl) (W.total st)
+  done;
+  (!doubled, !shared)
+
+let test_bbox_incremental_consistency () =
+  let _, shared = wirecost_consistency (small_placement ()) in
+  Alcotest.(check bool) "swaps of movers sharing a net" true (shared > 0);
+  let doubled, shared = wirecost_consistency (doubled_pin_placement ()) in
+  Alcotest.(check bool) "moves of a node listed twice on a net" true
+    (doubled > 0);
+  Alcotest.(check bool) "swaps sharing a net (doubled pins)" true (shared > 0)
 
 let test_anneal_still_improves () =
   (* The incremental annealer on a scattered placement: cost must drop and
