@@ -11,11 +11,14 @@ every workload in BENCHMARK.json, runs 10 interleaved pairs of
 
 (S = BENCHMARK.json's run_seconds), alternating which side goes first,
 and prints each end-to-end metric's median, interquartile range and win
-count (pairs in which the working tree is better).  Finally it runs one
-traced pass per side and compares the per-layer metrics that
-perfbench/layers.json marks exact.  Last, it runs 3 interleaved pairs of
-the Bechamel kernels (`bench/main.exe -perfdiff`) and prints each
-kernel's median ns/run per side; that table is report-only.
+count (pairs in which the working tree is better).  Then it runs one
+traced pass per side, compares the per-layer metrics that
+perfbench/layers.json marks exact, and prints that pass's per-layer
+timings (BENCHMARK.json's per_layer metrics in s or ms, e.g.
+mapper.compact_s) for both sides, report-only, so a stage's part in a
+wall-time change shows in the same run.  Last, it runs 3 interleaved
+pairs of the Bechamel kernels (`bench/main.exe -perfdiff`) and prints
+each kernel's median ns/run per side; that table is report-only.
 
 Exits 1 when, on any workload, the working tree fails more operations in
 total over its runs, a QoR metric (die_area_mm2, path_delay_ps,
@@ -160,6 +163,20 @@ def compare_exact(workload, base, new, exact, expect):
     return bad
 
 
+def compare_timing(workload, base, new, timing):
+    """Print the traced pass's per-layer timings per side (report only)."""
+    print("-- %s traced pass, per-layer timing (1 run per side, report only)"
+          % workload)
+    print("%-24s %12s %12s %8s" % ("metric", "base", "new", "delta"))
+    for name in timing:
+        if name not in base["metrics"] or name not in new["metrics"]:
+            continue
+        b = base["metrics"][name]["value"]
+        n = new["metrics"][name]["value"]
+        print("%-24s %12.4g %12.4g %+7.1f%%"
+              % (name, b, n, (n - b) / b * 100 if b else 0.0))
+
+
 def main():
     spec = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     layers = json.load(open(os.path.join(ROOT, "perfbench", "layers.json")))
@@ -175,6 +192,7 @@ def main():
         sys.exit("ab: not an exact metric: %s" % ", ".join(unknown))
     lower_better = {m["name"]: m["better"] == "lower"
                     for m in spec["end_to_end"]}
+    timing = [m["name"] for m in spec["per_layer"] if m["unit"] in ("s", "ms")]
     tmp = tempfile.mkdtemp(prefix="vpga-ab-")
     try:
         commit = export(a.rev, tmp)
@@ -190,8 +208,10 @@ def main():
                     out.append(bench(tree, w, seconds, 0))
                 log("ab: %s pair %d/%d done" % (w, i + 1, PAIRS))
             bad += compare(w, base, new, lower_better)
-            bad += compare_exact(w, bench(tmp, w, 1, 1), bench(ROOT, w, 1, 1),
-                                 layers["exact"], a.expect_change)
+            traced_base, traced_new = bench(tmp, w, 1, 1), bench(ROOT, w, 1, 1)
+            bad += compare_exact(w, traced_base, traced_new, layers["exact"],
+                                 a.expect_change)
+            compare_timing(w, traced_base, traced_new, timing)
             sys.stdout.flush()
         for tree in (tmp, ROOT):
             subprocess.run(["dune", "build", "--root", tree,

@@ -16,7 +16,12 @@ val trivial : int -> t
 
 val enumerate : Aig.t -> k:int -> max_cuts:int -> t list array
 (** [enumerate aig ~k ~max_cuts] returns, for every node id, its priority
-    cuts (the trivial cut always included; smaller cuts preferred).
-    PIs and the constant node get only their trivial cut. *)
+    cuts: the trivial cut first, then at most [max_cuts] of the node's
+    distinct merged cuts with at most [k] leaves, {e largest first}.  A
+    node's merged cuts are found by pairing each cut of its first fanin, in
+    list order, with each cut of its second; a leaf set found twice keeps
+    its first pair.  Among cuts of equal size the most recently found comes
+    first.  PIs and the constant node get only their trivial cut.
+    @raise Invalid_argument if [max_cuts < 0]. *)
 
 val leaf_count : t -> int

@@ -31,29 +31,29 @@ let nd3wi_feasible f =
   let g = project_to_support f in
   Bfun.is_const g || Bfun.is_literal g || and_type g
 
-(* All truth tables reachable by one 2:1 MUX whose pins are driven by
-   (possibly inverted) inputs or constants. *)
+let source_tables = [| 0x00; 0xFF; 0xAA; 0xCC; 0xF0; 0x55; 0x33; 0x0F |]
+
+let mark_mux_tables marks pins =
+  let n = Array.length pins in
+  for a = 0 to n - 1 do
+    let sel = pins.(a) in
+    for b = 0 to n - 1 do
+      (* mux(sel; d0, d1) = sel & d1 | ~sel & d0, the d0 half hoisted *)
+      let lo = (sel lxor 0xFF) land pins.(b) in
+      for c = 0 to n - 1 do
+        Bytes.set marks ((sel land pins.(c)) lor lo) '\001'
+      done
+    done
+  done
+
+(* All tables reachable by one 2:1 MUX whose pins are driven by (possibly
+   inverted) inputs or constants. *)
 let mux_tables =
   lazy
-    (let sources =
-       let vs = List.init 3 (fun i -> Bfun.var ~arity:3 i) in
-       Bfun.const ~arity:3 false :: Bfun.const ~arity:3 true
-       :: (vs @ List.map Bfun.lnot vs)
-     in
-     let set = Hashtbl.create 64 in
-     List.iter
-       (fun sel ->
-         List.iter
-           (fun d0 ->
-             List.iter
-               (fun d1 ->
-                 let f = Bfun.mux ~sel d0 d1 in
-                 Hashtbl.replace set (Bfun.table f) ())
-               sources)
-           sources)
-       sources;
-     set)
+    (let marks = Bytes.make 256 '\000' in
+     mark_mux_tables marks source_tables;
+     marks)
 
 let mux_feasible f =
   if Bfun.arity f <> 3 then invalid_arg "Gates.mux_feasible: arity must be 3";
-  Hashtbl.mem (Lazy.force mux_tables) (Bfun.table f)
+  Bytes.get (Lazy.force mux_tables) (Bfun.table f) <> '\000'

@@ -30,6 +30,16 @@ val mux_feasible : Bfun.t -> bool
     2-input functions (XOR = [mux ~sel:a b (not b)]), literals and
     constants. *)
 
+val source_tables : int array
+(** The eight via-routable pin sources over three inputs as arity-3 truth
+    tables: constant 0, constant 1, inputs 0-2 ([0xAA], [0xCC], [0xF0]),
+    then their complements. *)
+
+val mark_mux_tables : Bytes.t -> int array -> unit
+(** [mark_mux_tables marks pins] sets byte [t] of the 256-byte [marks] to
+    ['\001'] for every arity-3 table [t] one 2:1 MUX computes with its
+    select and both data pins each driven by a table of [pins]. *)
+
 val and_type : Bfun.t -> bool
 (** Arity-generic: truth table has exactly one satisfied or one unsatisfied
     minterm (a single product or sum term in some polarity). *)

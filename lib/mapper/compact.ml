@@ -9,17 +9,52 @@ module Config = Vpga_plb.Config
 let cut_k = 3
 let max_cuts = 16
 
-let config_of_tt arch tt = Config.choose arch (Bfun.extend tt ~arity:3)
-
 (* Cover cost is the share of a PLB tile the supernode's configuration will
-   occupy after packing (see {!Config.tile_cost}); evaluated inside
-   [select_cover] against its per-cut config memo. *)
+   occupy after packing (see {!Config.tile_cost}).  Per-run memo of each
+   cut function's configuration, its tile cost and its delay at the nominal
+   load: a cut's truth table has arity <= cut_k = 3, so (arity, table)
+   packs into 10 bits, and [Config.choose] and the costs run once per
+   distinct function instead of once per candidate evaluation and emitted
+   supernode. *)
+type memo = {
+  arch : Arch.t;
+  known : bool array;
+  cfg : Config.t array;
+  tile : float array;
+  delay : float array;
+}
+
+let nominal_load = 10.0
+
+let memo_create arch =
+  let size = (cut_k + 1) lsl 8 in
+  {
+    arch;
+    known = Array.make size false;
+    cfg = Array.make size Config.Invb;
+    tile = Array.make size 0.0;
+    delay = Array.make size 0.0;
+  }
+
+(* The memo index of [tt], filled on first use. *)
+let memo_key m tt =
+  let key = (Bfun.arity tt lsl 8) lor Bfun.table tt in
+  if not m.known.(key) then begin
+    let cfg = Config.choose m.arch (Bfun.extend tt ~arity:3) in
+    m.cfg.(key) <- cfg;
+    m.tile.(key) <- Config.tile_cost m.arch cfg;
+    m.delay.(key) <- Config.delay cfg ~load:nominal_load;
+    m.known.(key) <- true
+  end;
+  key
+
+let config_of m tt = m.cfg.(memo_key m tt)
 
 (* Cover selection over the AIG.  [`Area] minimizes area flow (the paper's
    compaction objective); [`Depth] minimizes estimated arrival first, with
    area flow as the tiebreak (the Design-Compiler-style timing-driven
    mode). *)
-let select_cover ?(objective = `Area) arch bound =
+let select_cover ?(objective = `Area) m bound =
   let aig = bound.Aig.aig in
   let n = Aig.size aig in
   let cuts = Cut.enumerate aig ~k:cut_k ~max_cuts in
@@ -35,64 +70,52 @@ let select_cover ?(objective = `Area) arch bound =
   List.iter
     (fun (_, l) -> refs.(Aig.node_of l) <- refs.(Aig.node_of l) + 1)
     bound.Aig.roots;
-  (* Per-cut PLB config memo: a cut's truth table has arity <= cut_k = 3,
-     so (arity, table) packs into 10 bits and the NPN canonization +
-     [Config.choose] behind [config_of_tt] runs once per distinct function
-     instead of twice (area + arrival) per candidate evaluation. *)
-  let cfg_memo = Array.make 1024 None in
-  let config_of tt =
-    let key = (Bfun.arity tt lsl 8) lor Bfun.table tt in
-    if key >= Array.length cfg_memo then config_of_tt arch tt
-    else
-      match cfg_memo.(key) with
-      | Some c -> c
-      | None ->
-          let c = config_of_tt arch tt in
-          cfg_memo.(key) <- Some c;
-          c
-  in
   let area_flow = Array.make n 0.0 in
   let arrival = Array.make n 0.0 in
   let best_cut = Array.make n None in
-  let nominal_load = 10.0 in
+  let area_first = match objective with `Area -> true | `Depth -> false in
+  let no_cut = Cut.trivial 0 in
   for id = 1 to n - 1 do
     if not (Aig.is_pi aig id) then begin
-      let eval_area cfg (c : Cut.t) =
-        Array.fold_left
-          (fun acc leaf -> acc +. area_flow.(leaf))
-          (Config.tile_cost arch cfg) c.Cut.leaves
-      in
-      let eval_arrival cfg (c : Cut.t) =
-        let at =
-          Array.fold_left (fun acc leaf -> max acc arrival.(leaf)) 0.0 c.Cut.leaves
-        in
-        at +. Config.delay cfg ~load:nominal_load
-      in
-      let better c (bc, ba, bt) =
-        let cfg = config_of c.Cut.tt in
-        let a = eval_area cfg c and t = eval_arrival cfg c in
-        let wins =
-          match objective with
-          | `Area -> a < ba || (a = ba && t < bt)
-          | `Depth -> t < bt || (t = bt && a < ba)
-        in
-        if wins then (Some c, a, t) else (bc, ba, bt)
-      in
-      let candidates =
-        List.filter (fun c -> Cut.leaf_count c > 1 || c.Cut.leaves.(0) <> id)
-          cuts.(id)
-      in
-      let chosen, a, t =
-        List.fold_left
-          (fun acc c -> better c acc)
-          (None, infinity, infinity) candidates
-      in
-      match chosen with
-      | None -> assert false (* AND nodes always have their fanin cut *)
-      | Some c ->
-          best_cut.(id) <- Some c;
-          area_flow.(id) <- a /. float_of_int (max 1 refs.(id));
-          arrival.(id) <- t
+      let chosen = ref no_cut and have = ref false in
+      let ba = ref infinity and bt = ref infinity in
+      let rest = ref cuts.(id) in
+      while !rest != [] do
+        match !rest with
+        | [] -> ()
+        | c :: tl ->
+            rest := tl;
+            let leaves = c.Cut.leaves in
+            (* Skip the node's own trivial cut. *)
+            if Array.length leaves > 1 || leaves.(0) <> id then begin
+              let key = memo_key m c.Cut.tt in
+              (* Area flow sums from the tile cost over the leaves in
+                 order; arrival is the latest leaf plus the delay. *)
+              let a = ref m.tile.(key) and at = ref 0.0 in
+              for i = 0 to Array.length leaves - 1 do
+                let leaf = leaves.(i) in
+                a := !a +. area_flow.(leaf);
+                let x = arrival.(leaf) in
+                if not (!at >= x) then at := x
+              done;
+              let a = !a and t = !at +. m.delay.(key) in
+              let wins =
+                if area_first then a < !ba || (a = !ba && t < !bt)
+                else t < !bt || (t = !bt && a < !ba)
+              in
+              if wins then begin
+                chosen := c;
+                have := true;
+                ba := a;
+                bt := t
+              end
+            end
+      done;
+      (* AND nodes always have their fanin cut. *)
+      assert !have;
+      best_cut.(id) <- Some !chosen;
+      area_flow.(id) <- !ba /. float_of_int (max 1 refs.(id));
+      arrival.(id) <- !bt
     end
   done;
   best_cut
@@ -163,10 +186,10 @@ let carry_overrides arch aig best_cut needed =
   end
 
 (* Emit the supernode netlist of a chosen cover. *)
-let emit arch nl bound best_cut =
+let emit m nl bound best_cut =
   let aig = bound.Aig.aig in
   let needed = needed_nodes aig bound.Aig.roots best_cut in
-  let overrides = carry_overrides arch aig best_cut needed in
+  let overrides = carry_overrides m.arch aig best_cut needed in
   let dst = Netlist.create ~name:(Netlist.design_name nl) () in
   (* Recreate the interface. *)
   let src_size = Netlist.size nl in
@@ -197,7 +220,7 @@ let emit arch nl bound best_cut =
           let cfg =
             match Hashtbl.find_opt overrides id with
             | Some cfg -> cfg
-            | None -> config_of_tt arch c.Cut.tt
+            | None -> config_of m c.Cut.tt
           in
           Netlist.gate dst
             (Kind.Mapped { cell = Config.cell_name cfg; fn = c.Cut.tt })
@@ -235,7 +258,7 @@ let emit arch nl bound best_cut =
               let cfg =
                 match Hashtbl.find_opt overrides id with
                 | Some cfg -> cfg
-                | None -> config_of_tt arch tt
+                | None -> config_of m tt
               in
               Netlist.gate dst
                 (Kind.Mapped { cell = Config.cell_name cfg; fn = tt })
@@ -258,7 +281,8 @@ let emit arch nl bound best_cut =
 
 let run ?objective arch nl =
   let bound = Aig.of_netlist nl in
-  emit arch nl bound (select_cover ?objective arch bound)
+  let m = memo_create arch in
+  emit m nl bound (select_cover ?objective m bound)
 
 let config_histogram nl =
   let counts = Hashtbl.create 16 in

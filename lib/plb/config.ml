@@ -21,93 +21,68 @@ let all = [ Invb; Mx; Nd2; Nd3; Ndmx; Xoamx; Xoandmx; Mux3; Lut; Carry ]
 
 (* --- structural feasibility, by enumeration over via-programmed pins --- *)
 
-(* All sets are over arity-3 truth tables (ints 0..255). *)
-let table_set fs =
-  let h = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace h (Bfun.table f) ()) fs;
-  h
-
-let sources =
-  lazy
-    (let vs = List.init 3 (fun i -> Bfun.var ~arity:3 i) in
-     Bfun.const ~arity:3 false :: Bfun.const ~arity:3 true
-     :: (vs @ List.map Bfun.lnot vs))
-
-let all3 = lazy (Bfun.all ~arity:3)
+(* Functions are handled as arity-3 truth tables (ints 0..255), and every
+   set is a 256-byte mark array over them.  [tables_where p]: the tables of
+   the functions satisfying [p], ascending. *)
+let tables_where p =
+  List.filter_map
+    (fun f -> if p f then Some (Bfun.table f) else None)
+    (Bfun.all ~arity:3)
 
 (* ND2WI instances over two of the three inputs: nondegenerate AND-types with
    support <= 2 (degenerate cases are already pin sources). *)
 let nd2_inners =
   lazy
-    (List.filter
-       (fun f -> Gates.nd3wi_feasible f && Bfun.support_size f <= 2)
-       (Lazy.force all3))
+    (tables_where (fun f ->
+         Gates.nd3wi_feasible f && Bfun.support_size f <= 2))
 
-let nd3_inners = lazy (List.filter Gates.nd3wi_feasible (Lazy.force all3))
-let mux_inners = lazy (List.filter Gates.mux_feasible (Lazy.force all3))
+let nd3_inners = lazy (tables_where Gates.nd3wi_feasible)
+let mux_inners = lazy (tables_where Gates.mux_feasible)
 
-let dedupe fs =
-  let h = Hashtbl.create 64 in
-  List.filter
-    (fun f ->
-      let t = Bfun.table f in
-      if Hashtbl.mem h t then false
-      else begin
-        Hashtbl.add h t ();
-        true
-      end)
-    fs
-
-(* Outer 2:1 MUX whose three pins each draw from [pins]: the set of
-   via-routable signals in the configuration.  The programmable
-   buffers/inverters make each inner output available in both polarities
-   (the paper's 3-input XOR realization: "two 2:1 MUXes and an inverter"),
-   so [pins] already contains complements. *)
-let enumerate_outer h pins =
-  List.iter
-    (fun sel ->
-      List.iter
-        (fun d0 ->
-          List.iter
-            (fun d1 -> Hashtbl.replace h (Bfun.table (Bfun.mux ~sel d0 d1)) ())
-            pins)
-        pins)
-    pins
+(* The pins of the outer 2:1 MUX: the via-routable signals of the
+   configuration.  The programmable buffers/inverters make each inner output
+   available in both polarities (the paper's 3-input XOR realization: "two
+   2:1 MUXes and an inverter"), next to the pin sources. *)
+let pins_with inners =
+  Array.append
+    (Array.of_list (List.concat_map (fun g -> [ g; g lxor 0xFF ]) inners))
+    Gates.source_tables
 
 (* One inner element driving the outer MUX. *)
 let one_inner_set inners =
-  let s = Lazy.force sources in
-  let h = Hashtbl.create 256 in
-  List.iter
-    (fun g -> enumerate_outer h (g :: Bfun.lnot g :: s))
-    (dedupe inners);
-  h
+  let marks = Bytes.make 256 '\000' in
+  List.iter (fun g -> Gates.mark_mux_tables marks (pins_with [ g ])) inners;
+  marks
 
 let ndmx_set = lazy (one_inner_set (Lazy.force nd2_inners))
 let xoamx_set = lazy (one_inner_set (Lazy.force mux_inners))
 
+(* One table of each complementary pair [t], [t lxor 0xFF] (the one with
+   minterm 7 false).  Both inner lists are closed under complement, and an
+   inner output and its complement yield the same pins. *)
+let one_per_complement ts = List.filter (fun t -> t land 0x80 = 0) ts
+
 (* XOANDMX: the inner MUX and the ND3WI both feed the outer MUX. *)
 let xoandmx_set =
   lazy
-    (let s = Lazy.force sources in
-     let ms = dedupe (Lazy.force mux_inners) in
-     let ns = dedupe (Lazy.force nd3_inners) in
-     let h = Hashtbl.create 256 in
+    (let ns = one_per_complement (Lazy.force nd3_inners) in
+     let marks = Bytes.make 256 '\000' in
      List.iter
        (fun g ->
-         List.iter
-           (fun k ->
-             enumerate_outer h (g :: Bfun.lnot g :: k :: Bfun.lnot k :: s))
-           ns)
-       ms;
-     h)
+         List.iter (fun k -> Gates.mark_mux_tables marks (pins_with [ g; k ])) ns)
+       (one_per_complement (Lazy.force mux_inners));
+     marks)
 
-let mx_set = lazy (table_set (Lazy.force mux_inners))
+(* The pin sources as functions: constants, inputs, their complements. *)
+let sources =
+  let vs = List.init 3 (fun i -> Bfun.var ~arity:3 i) in
+  Bfun.const ~arity:3 false :: Bfun.const ~arity:3 true
+  :: (vs @ List.map Bfun.lnot vs)
 
 (* Carry pattern: mux(xor(v_i, v_j); x, y) with x, y plain sources.  The
    select is the propagate signal shared with a sibling XOAMX. *)
 let carry_pairs_of f =
-  let s = Lazy.force sources in
+  let s = sources in
   let pairs = [ (0, 1); (0, 2); (1, 2) ] in
   List.filter
     (fun (i, j) ->
@@ -126,10 +101,10 @@ let check3 f =
 
 let feasible c f =
   check3 f;
-  let mem set = Hashtbl.mem (Lazy.force set) (Bfun.table f) in
+  let mem set = Bytes.get (Lazy.force set) (Bfun.table f) <> '\000' in
   match c with
   | Invb -> Bfun.is_const f || Bfun.is_literal f
-  | Mx -> mem mx_set
+  | Mx -> Gates.mux_feasible f
   | Nd2 -> Gates.nd3wi_feasible f && Bfun.support_size f <= 2
   | Nd3 -> Gates.nd3wi_feasible f
   | Ndmx -> mem ndmx_set

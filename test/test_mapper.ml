@@ -114,6 +114,173 @@ let test_cuts () =
       done)
     (List.filter (fun cut -> Cut.leaf_count cut > 1) top)
 
+(* The list-based enumeration [Cut.enumerate] replaced, kept verbatim as
+   the reference its scratch-array rewrite must reproduce: same cuts, same
+   tables, same order. *)
+module Reference_cut = struct
+  let expand tt leaves union =
+    let m = Array.length union in
+    let pos =
+      Array.map
+        (fun leaf ->
+          let rec find i = if union.(i) = leaf then i else find (i + 1) in
+          find 0)
+        leaves
+    in
+    let out = ref 0 in
+    for minterm = 0 to (1 lsl m) - 1 do
+      let sub = ref 0 in
+      Array.iteri
+        (fun i p -> if (minterm lsr p) land 1 = 1 then sub := !sub lor (1 lsl i))
+        pos;
+      if Bfun.eval tt !sub then out := !out lor (1 lsl minterm)
+    done;
+    Bfun.make ~arity:m !out
+
+  let merge_leaves ~k a b =
+    let out = Array.make k 0 in
+    let rec go i j n =
+      if n > k then None
+      else if i >= Array.length a && j >= Array.length b then
+        Some (Array.sub out 0 n)
+      else if
+        j >= Array.length b || (i < Array.length a && a.(i) < b.(j))
+      then begin
+        if n = k then None
+        else begin
+          out.(n) <- a.(i);
+          go (i + 1) j (n + 1)
+        end
+      end
+      else if i >= Array.length a || b.(j) < a.(i) then begin
+        if n = k then None
+        else begin
+          out.(n) <- b.(j);
+          go i (j + 1) (n + 1)
+        end
+      end
+      else begin
+        (* equal *)
+        if n = k then None
+        else begin
+          out.(n) <- a.(i);
+          go (i + 1) (j + 1) (n + 1)
+        end
+      end
+    in
+    go 0 0 0
+
+  let merge ~k (c0 : Cut.t) pol0 (c1 : Cut.t) pol1 =
+    match merge_leaves ~k c0.Cut.leaves c1.Cut.leaves with
+    | None -> None
+    | Some union ->
+        let t0 = expand c0.Cut.tt c0.Cut.leaves union in
+        let t1 = expand c1.Cut.tt c1.Cut.leaves union in
+        let t0 = if pol0 then Bfun.lnot t0 else t0 in
+        let t1 = if pol1 then Bfun.lnot t1 else t1 in
+        Some { Cut.leaves = union; tt = Bfun.(t0 &&& t1) }
+
+  let same_leaves (a : Cut.t) (b : Cut.t) =
+    Array.length a.Cut.leaves = Array.length b.Cut.leaves
+    && (let rec eq i =
+          i >= Array.length a.Cut.leaves
+          || (a.Cut.leaves.(i) = b.Cut.leaves.(i) && eq (i + 1))
+        in
+        eq 0)
+
+  let enumerate aig ~k ~max_cuts =
+    let n = Aig.size aig in
+    let cuts = Array.make n [] in
+    cuts.(0) <- [ Cut.trivial 0 ];
+    for id = 1 to n - 1 do
+      if Aig.is_pi aig id then cuts.(id) <- [ Cut.trivial id ]
+      else begin
+        let l0, l1 = Aig.fanins aig id in
+        let c0s = cuts.(Aig.node_of l0) and c1s = cuts.(Aig.node_of l1) in
+        let acc = ref [] in
+        List.iter
+          (fun c0 ->
+            List.iter
+              (fun c1 ->
+                match
+                  merge ~k c0 (Aig.is_complement l0) c1 (Aig.is_complement l1)
+                with
+                | None -> ()
+                | Some c ->
+                    if not (List.exists (same_leaves c) !acc) then
+                      acc := c :: !acc)
+              c1s)
+          c0s;
+        let sorted =
+          List.stable_sort
+            (fun a b -> Int.compare (Cut.leaf_count b) (Cut.leaf_count a))
+            !acc
+        in
+        let rec take n = function
+          | [] -> []
+          | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
+        in
+        cuts.(id) <- Cut.trivial id :: take max_cuts sorted
+      end
+    done;
+    cuts
+end
+
+(* Larger random AIGs than [random_aig] below: more PIs, so merged leaf
+   sets collide less and fanin cut lists fill up to [max_cuts]. *)
+let random_cut_aig seed =
+  let rng = Random.State.make [| seed |] in
+  let t = Aig.create () in
+  let pool =
+    ref (List.init (4 + Random.State.int rng 8) (fun _ -> Aig.add_pi t))
+  in
+  for _ = 1 to 40 + Random.State.int rng 120 do
+    let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+    let a = pick () and b = pick () in
+    let a = if Random.State.bool rng then Aig.not_ a else a in
+    let b = if Random.State.bool rng then Aig.not_ b else b in
+    pool := Aig.and_ t a b :: !pool
+  done;
+  t
+
+let prop_cuts_match_reference =
+  QCheck.Test.make ~name:"enumerate == list-based reference" ~count:60
+    QCheck.small_int (fun seed ->
+      let t = random_cut_aig seed in
+      List.for_all
+        (fun (k, max_cuts) ->
+          let got = Cut.enumerate t ~k ~max_cuts in
+          let want = Reference_cut.enumerate t ~k ~max_cuts in
+          Array.iteri
+            (fun id w ->
+              let g = got.(id) in
+              let show cs =
+                String.concat " "
+                  (List.map
+                     (fun (c : Cut.t) ->
+                       Printf.sprintf "{%s}:%s"
+                         (String.concat ","
+                            (Array.to_list
+                               (Array.map string_of_int c.Cut.leaves)))
+                         (Bfun.to_string c.Cut.tt))
+                     cs)
+              in
+              if
+                List.length g <> List.length w
+                || not
+                     (List.for_all2
+                        (fun (a : Cut.t) (b : Cut.t) ->
+                          a.Cut.leaves = b.Cut.leaves
+                          && Bfun.equal a.Cut.tt b.Cut.tt)
+                        g w)
+              then
+                QCheck.Test.fail_reportf
+                  "k=%d max_cuts=%d node %d:@ got  %s@ want %s" k max_cuts id
+                  (show g) (show w))
+            want;
+          true)
+        [ (3, 4); (3, 8); (3, 16); (4, 8); (2, 4) ])
+
 (* --- FlowMap ------------------------------------------------------------ *)
 
 let and_tree t inputs =
@@ -388,6 +555,54 @@ let test_compact_histogram () =
   in
   Alcotest.(check int) "histogram covers all supernodes" mapped_nodes total
 
+(* A digest of a netlist's nodes in id order: kind, mapped function,
+   fanins and name. *)
+let netlist_digest nl =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (n : Netlist.node) ->
+      Buffer.add_string b (Kind.name n.Netlist.kind);
+      (match n.Netlist.kind with
+      | Kind.Mapped { fn; _ } -> Buffer.add_string b (Bfun.to_string fn)
+      | _ -> ());
+      Array.iter (fun f -> Printf.bprintf b " %d" f) n.Netlist.fanins;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Option.value ~default:"" n.Netlist.name);
+      Buffer.add_char b ';')
+    (Netlist.nodes nl);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded with the list-based cut enumeration and the unmemoized cover
+   costs: (design, arch, digest of [Compact.run arch nl]). *)
+let compact_golden =
+  [
+    ("ALU", "lut_plb", "1c741ce685d0aaf1c99f90e2c0bbb3d5");
+    ("ALU", "granular_plb", "e9fe8f7dfcca6cd3ca09c3b081915630");
+    ("Firewire", "lut_plb", "72fe420eac285f3b2f01a7cf779607ce");
+    ("Firewire", "granular_plb", "89f950cbded34c9ecb6b9372fb9fa9a4");
+    ("FPU", "lut_plb", "df130292e4913cec9c16e5c570992e43");
+    ("FPU", "granular_plb", "e9d695d45fabeef6a99c12615cd6977b");
+    ("Network switch", "lut_plb", "f18cb650d25ef00a8f8222c34c0356a2");
+    ("Network switch", "granular_plb", "87c029e0b0f89e129bc2ffe6feec7736");
+  ]
+
+let test_compact_golden () =
+  List.iter
+    (fun (dname, nl) ->
+      List.iter
+        (fun arch ->
+          let _, _, want =
+            List.find
+              (fun (d, a, _) -> d = dname && a = arch.Arch.name)
+              compact_golden
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s compacted netlist" dname arch.Arch.name)
+            want
+            (netlist_digest (Compact.run arch nl)))
+        Arch.all)
+    (Vpga_flow.Experiments.designs Vpga_flow.Experiments.Test)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -400,7 +615,11 @@ let () =
           Alcotest.test_case "of_netlist" `Quick test_of_netlist;
           qt prop_add_fn_matches_bfun;
         ] );
-      ("cut", [ Alcotest.test_case "enumeration" `Quick test_cuts ]);
+      ( "cut",
+        [
+          Alcotest.test_case "enumeration" `Quick test_cuts;
+          qt prop_cuts_match_reference;
+        ] );
       ( "flowmap",
         [
           Alcotest.test_case "and3" `Quick test_flowmap_and3;
@@ -421,5 +640,6 @@ let () =
           Alcotest.test_case "sequential" `Quick test_compact_sequential;
           Alcotest.test_case "area reduction" `Quick test_compact_reduces_area;
           Alcotest.test_case "histogram" `Quick test_compact_histogram;
+          Alcotest.test_case "golden netlist digests" `Slow test_compact_golden;
         ] );
     ]

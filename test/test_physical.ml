@@ -113,6 +113,252 @@ let prop_fm_balance =
       right <= 0.6 *. float_of_int n +. 1.0
       && float_of_int n -. right <= (0.6 *. float_of_int n) +. 1.0)
 
+(* The closure- and list-based FM [Fm.run] replaced, kept verbatim as the
+   reference its flat-array rewrite must reproduce. *)
+module Reference_fm = struct
+  let cut_size nets side =
+    Array.fold_left
+      (fun acc net ->
+        let l = Array.exists (fun v -> not side.(v)) net in
+        let r = Array.exists (fun v -> side.(v)) net in
+        if l && r then acc + 1 else acc)
+      0 nets
+
+  let run ?(passes = 8) ?(balance = 0.55) ~seed ~nets ~areas n =
+    let rng = Random.State.make [| seed |] in
+    let total_area = Array.fold_left ( +. ) 0.0 areas in
+    (* Allow at least one largest-cell of slack, or no move is ever legal. *)
+    let max_cell = Array.fold_left max 0.0 areas in
+    let max_side = max (balance *. total_area) ((total_area /. 2.0) +. max_cell) in
+    (* incidence *)
+    let deg = Array.make n 0 in
+    Array.iter (fun net -> Array.iter (fun v -> deg.(v) <- deg.(v) + 1) net) nets;
+    let incident = Array.init n (fun v -> Array.make deg.(v) 0) in
+    let fill = Array.make n 0 in
+    Array.iteri
+      (fun e net ->
+        Array.iter
+          (fun v ->
+            incident.(v).(fill.(v)) <- e;
+            fill.(v) <- fill.(v) + 1)
+          net)
+      nets;
+    let max_deg = Array.fold_left max 1 deg in
+    (* random balanced initial partition: shuffle, greedily fill left to half *)
+    let side = Array.make n false in
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    let acc = ref 0.0 in
+    Array.iter
+      (fun v ->
+        if !acc > total_area /. 2.0 then side.(v) <- true
+        else acc := !acc +. areas.(v))
+      order;
+    let area_of = [| ref 0.0; ref 0.0 |] in
+    let side_idx v = if side.(v) then 1 else 0 in
+    let recompute_areas () =
+      area_of.(0) := 0.0;
+      area_of.(1) := 0.0;
+      for v = 0 to n - 1 do
+        let a = area_of.(side_idx v) in
+        a := !a +. areas.(v)
+      done
+    in
+    recompute_areas ();
+    (* Per-net side counts. *)
+    let count = Array.map (fun _ -> [| 0; 0 |]) nets in
+    let recount () =
+      Array.iteri
+        (fun e net ->
+          count.(e).(0) <- 0;
+          count.(e).(1) <- 0;
+          Array.iter
+            (fun v -> count.(e).(side_idx v) <- count.(e).(side_idx v) + 1)
+            net)
+        nets
+    in
+    let compute_gain v =
+      let from = side_idx v and dest = 1 - side_idx v in
+      Array.fold_left
+        (fun g e ->
+          let g = if count.(e).(from) = 1 then g + 1 else g in
+          if count.(e).(dest) = 0 then g - 1 else g)
+        0 incident.(v)
+    in
+    (* gain buckets *)
+    let heads = Array.make ((2 * max_deg) + 1) (-1) in
+    let nxt = Array.make n (-1) and prv = Array.make n (-1) in
+    let gain = Array.make n 0 in
+    let in_bucket = Array.make n false in
+    let slot g = g + max_deg in
+    let bucket_insert v =
+      let s = slot gain.(v) in
+      nxt.(v) <- heads.(s);
+      prv.(v) <- -1;
+      if heads.(s) >= 0 then prv.(heads.(s)) <- v;
+      heads.(s) <- v;
+      in_bucket.(v) <- true
+    in
+    let bucket_remove v =
+      if in_bucket.(v) then begin
+        let s = slot gain.(v) in
+        if prv.(v) >= 0 then nxt.(prv.(v)) <- nxt.(v) else heads.(s) <- nxt.(v);
+        if nxt.(v) >= 0 then prv.(nxt.(v)) <- prv.(v);
+        in_bucket.(v) <- false
+      end
+    in
+    let update_gain v delta =
+      if in_bucket.(v) then begin
+        bucket_remove v;
+        gain.(v) <- gain.(v) + delta;
+        bucket_insert v
+      end
+      else gain.(v) <- gain.(v) + delta
+    in
+    let pick () =
+      (* highest-gain movable vertex that keeps balance *)
+      let rec scan s =
+        if s < 0 then -1
+        else begin
+          let rec walk v =
+            if v < 0 then -1
+            else
+              let dest = 1 - side_idx v in
+              if !(area_of.(dest)) +. areas.(v) <= max_side then v else walk nxt.(v)
+          in
+          match walk heads.(s) with -1 -> scan (s - 1) | v -> v
+        end
+      in
+      scan (2 * max_deg)
+    in
+    let best_cut = ref (cut_size nets side) in
+    let pass () =
+      recount ();
+      Array.fill heads 0 (Array.length heads) (-1);
+      for v = 0 to n - 1 do
+        gain.(v) <- compute_gain v;
+        in_bucket.(v) <- false
+      done;
+      for v = 0 to n - 1 do
+        bucket_insert v
+      done;
+      let moves = ref [] in
+      let cur_cut = ref (cut_size nets side) in
+      let best_prefix = ref 0 and best_prefix_cut = ref !cur_cut in
+      let n_moves = ref 0 in
+      let continue = ref true in
+      while !continue do
+        match pick () with
+        | -1 -> continue := false
+        | v ->
+            bucket_remove v;
+            let from = side_idx v in
+            let dest = 1 - from in
+            cur_cut := !cur_cut - gain.(v);
+            (* incremental gain updates, standard FM *)
+            Array.iter
+              (fun e ->
+                let c = count.(e) in
+                (* before the move *)
+                if c.(dest) = 0 then
+                  Array.iter
+                    (fun u -> if u <> v && in_bucket.(u) then update_gain u 1)
+                    nets.(e)
+                else if c.(dest) = 1 then
+                  Array.iter
+                    (fun u ->
+                      if u <> v && in_bucket.(u) && side_idx u = dest then
+                        update_gain u (-1))
+                    nets.(e);
+                c.(from) <- c.(from) - 1;
+                c.(dest) <- c.(dest) + 1;
+                (* after the move *)
+                if c.(from) = 0 then
+                  Array.iter
+                    (fun u -> if u <> v && in_bucket.(u) then update_gain u (-1))
+                    nets.(e)
+                else if c.(from) = 1 then
+                  Array.iter
+                    (fun u ->
+                      if u <> v && in_bucket.(u) && side_idx u = from then
+                        update_gain u 1)
+                    nets.(e))
+              incident.(v);
+            let af = area_of.(from) and ad = area_of.(dest) in
+            af := !af -. areas.(v);
+            ad := !ad +. areas.(v);
+            side.(v) <- not side.(v);
+            moves := v :: !moves;
+            incr n_moves;
+            if !cur_cut < !best_prefix_cut then begin
+              best_prefix_cut := !cur_cut;
+              best_prefix := !n_moves
+            end
+      done;
+      (* roll back moves beyond the best prefix *)
+      let all_moves = List.rev !moves in
+      List.iteri
+        (fun i v ->
+          if i >= !best_prefix then begin
+            side.(v) <- not side.(v)
+          end)
+        all_moves;
+      recompute_areas ();
+      !best_prefix_cut
+    in
+    let rec iterate remaining =
+      if remaining > 0 then begin
+        let c = pass () in
+        if c < !best_cut then begin
+          best_cut := c;
+          iterate (remaining - 1)
+        end
+      end
+    in
+    iterate passes;
+    { Fm.side; cut = cut_size nets side }
+end
+
+(* Random hypergraphs: 2-40 vertices with areas in [0.5, 60] (a few cells
+   much larger than the rest), 1-60 nets of 1-6 distinct members, and
+   random balance and pass counts. *)
+let prop_fm_matches_reference =
+  QCheck.Test.make ~name:"run == list-based reference" ~count:300
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 19 |] in
+      let n = 2 + Random.State.int rng 39 in
+      let nets =
+        Array.init
+          (1 + Random.State.int rng 60)
+          (fun _ ->
+            let size = 1 + Random.State.int rng (min n 6) in
+            let members = ref [] in
+            while List.length !members < size do
+              let v = Random.State.int rng n in
+              if not (List.mem v !members) then members := v :: !members
+            done;
+            Array.of_list !members)
+      in
+      let areas =
+        Array.init n (fun _ ->
+            if Random.State.int rng 8 = 0 then 20.0 +. Random.State.float rng 40.0
+            else 0.5 +. Random.State.float rng 8.0)
+      in
+      let balance = 0.5 +. Random.State.float rng 0.25 in
+      let passes = Random.State.int rng 9 in
+      let fm_seed = Random.State.int rng 100_000 in
+      let got = Fm.run ~passes ~balance ~seed:fm_seed ~nets ~areas n in
+      let want = Reference_fm.run ~passes ~balance ~seed:fm_seed ~nets ~areas n in
+      if got.Fm.side <> want.Fm.side || got.Fm.cut <> want.Fm.cut then
+        QCheck.Test.fail_reportf "n=%d nets=%d: cut %d vs reference %d" n
+          (Array.length nets) got.Fm.cut want.Fm.cut;
+      true)
+
 (* --- Placement ------------------------------------------------------------- *)
 
 let small_design () =
@@ -129,6 +375,80 @@ let test_global_beats_scatter () =
   Alcotest.(check bool)
     (Printf.sprintf "global (%.0f) < scatter (%.0f)" placed scattered)
     true (placed < scattered)
+
+(* One Xor3 (area 60) driving a chain of eight Inv (area 6): the Xor3
+   outweighs the balance slack, so every FM move is legal and the zero-cut
+   optimum puts all nine cells on one side. *)
+let one_sided_design () =
+  let nl = Netlist.create ~name:"xor3_inv_chain" () in
+  let ins = Array.init 3 (fun i -> Netlist.input nl (Printf.sprintf "i%d" i)) in
+  let v = ref (Netlist.gate nl Kind.Xor3 ins) in
+  for _ = 1 to 8 do
+    v := Netlist.gate nl Kind.Inv [| !v |]
+  done;
+  ignore (Netlist.output nl "o" !v);
+  nl
+
+let test_global_one_sided_split () =
+  let pl = Placement.create (one_sided_design ()) in
+  let g = pl.Placement.graph in
+  let n = Hypergraph.num_vertices g in
+  Alcotest.(check int) "nine placeable cells" 9 n;
+  let r =
+    Fm.run ~seed:3 ~nets:g.Hypergraph.nets ~areas:g.Hypergraph.vertex_area n
+  in
+  Alcotest.(check int) "FM leaves one side empty" 0 r.Fm.cut;
+  Alcotest.(check bool) "all on one side" true
+    (Array.for_all (fun s -> s = r.Fm.side.(0)) r.Fm.side);
+  (* Used to recurse on the same nine cells forever. *)
+  Global.place ~seed:3 pl;
+  Array.iter
+    (fun id ->
+      let x = pl.Placement.x.(id) and y = pl.Placement.y.(id) in
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d inside the die" id)
+        true
+        (x >= 0.0 && x <= pl.Placement.die_w && y >= 0.0
+       && y <= pl.Placement.die_h))
+    g.Hypergraph.node_of_vertex
+
+let coords_digest (pl : Placement.t) =
+  let xy = Marshal.to_string (pl.Placement.x, pl.Placement.y) [] in
+  Digest.to_hex (Digest.string xy)
+
+(* Recorded with the list-based recursive bisection and FM: (design, arch,
+   digest of the x/y arrays after [Global.place ~seed:3] on the compacted,
+   buffered netlist). *)
+let global_golden =
+  [
+    ("ALU", "lut_plb", "68466462c98d3b3df8a5b5646be72f9d");
+    ("ALU", "granular_plb", "5acd4a4c733b1cb55c2e81963c598652");
+    ("Firewire", "lut_plb", "ff5247df373e1a1f403fe41d4339b577");
+    ("Firewire", "granular_plb", "6425958f2e024c30290d2b7329536c5f");
+    ("FPU", "lut_plb", "73a10afe5f18b9210ff33bdefbf3a972");
+    ("FPU", "granular_plb", "e89d6f90b51a6d7dfe310b5c8d3b6f3e");
+    ("Network switch", "lut_plb", "9a5e219fc8efd8dc56d2125436534802");
+    ("Network switch", "granular_plb", "609d5625c3d750c3dadac5d50d109d70");
+  ]
+
+let test_global_golden () =
+  List.iter
+    (fun (dname, nl) ->
+      List.iter
+        (fun arch ->
+          let buffered = Buffering.insert ~max_fanout:8 (Compact.run arch nl) in
+          let pl = Placement.create buffered in
+          Global.place ~seed:3 pl;
+          let _, _, want =
+            List.find
+              (fun (d, a, _) -> d = dname && a = arch.Arch.name)
+              global_golden
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s global placement" dname arch.Arch.name)
+            want (coords_digest pl))
+        Arch.all)
+    (Vpga_flow.Experiments.designs Vpga_flow.Experiments.Test)
 
 let test_anneal_improves () =
   let nl = small_design () in
@@ -653,6 +973,7 @@ let () =
       ( "fm",
         [
           Alcotest.test_case "two cliques" `Quick test_fm_splits_cliques;
+          qt prop_fm_matches_reference;
           qt prop_fm_never_worse_than_reported;
           qt prop_fm_balance;
         ] );
@@ -661,6 +982,9 @@ let () =
           Alcotest.test_case "global beats scatter" `Quick test_global_beats_scatter;
           Alcotest.test_case "anneal improves" `Quick test_anneal_improves;
           Alcotest.test_case "io on boundary" `Quick test_placement_io_on_boundary;
+          Alcotest.test_case "one-sided FM split" `Quick
+            test_global_one_sided_split;
+          Alcotest.test_case "golden global digests" `Slow test_global_golden;
         ] );
       ( "buffering",
         [

@@ -88,6 +88,40 @@ let test_config_censuses () =
   Alcotest.(check bool) "ndmx < xoamx" true
     (count Config.Ndmx < count Config.Xoamx)
 
+(* [Config.feasible c f] for all 256 arity-3 functions, as 64 hex digits
+   (digit [i] holds functions [4i .. 4i+3], lowest table in bit 0). *)
+let feasible_hex c =
+  String.init 64 (fun digit ->
+      let v = ref 0 in
+      for bit = 0 to 3 do
+        if Config.feasible c (Bfun.make ~arity:3 ((digit * 4) + bit)) then
+          v := !v lor (1 lsl bit)
+      done;
+      "0123456789abcdef".[!v])
+
+(* Recorded with the Bfun/Hashtbl-built feasibility sets. *)
+let feasible_golden =
+  [
+    (Config.Invb, "1008000000008000000002000000000000000000004000000001000000001008");
+    (Config.Mx, "9249208248049249090492490400490000920020924920909249201241049249");
+    (Config.Nd2, "9249200040009008010012080000080000100000104800801009000200049249");
+    (Config.Nd3, "f359300050009008110012080000080810100000104800881009000a000c9acf");
+    (Config.Ndmx, "fbdfb2efde4fffff9fcdffffcf45df599afba2f3ffffb3f9fffff27bf74dfbdf");
+    (Config.Xoamx, "fffffbeffedfffffbfdfffffdf6dffdbdbffb6fbfffffbfdfffffb7ff7dfffff");
+    (Config.Xoandmx, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+    (Config.Mux3, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+    (Config.Lut, "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+    (Config.Carry, "9669690060909009211212481428288241141428124848849009090600969669");
+  ]
+
+let test_feasible_golden () =
+  List.iter
+    (fun c ->
+      Alcotest.(check string)
+        (Config.name c ^ " feasibility")
+        (List.assoc c feasible_golden) (feasible_hex c))
+    Config.all
+
 let test_config_delay_ordering () =
   let load = 10.0 in
   let d c = Config.delay c ~load in
@@ -236,6 +270,7 @@ let () =
           Alcotest.test_case "examples" `Quick test_config_examples;
           Alcotest.test_case "lut arch" `Quick test_config_lut_arch;
           Alcotest.test_case "censuses" `Quick test_config_censuses;
+          Alcotest.test_case "feasibility golden" `Quick test_feasible_golden;
           Alcotest.test_case "delay ordering" `Quick test_config_delay_ordering;
           Alcotest.test_case "demands" `Quick test_demand_alternatives;
           Alcotest.test_case "tile cost" `Quick test_tile_cost;
