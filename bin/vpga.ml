@@ -27,17 +27,20 @@ let paper_flag =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed for the flow.")
 
-(* Like [Arg.int] but rejects non-positive values at parse time, before
-   any flow work starts. *)
-let positive_int =
+(* [conv] restricted to the values [ok] accepts: anything else is a usage
+   error (exit 124) reported while the command line is parsed, before any
+   work starts. *)
+let checked conv ~docv ~expect ok =
   let parse s =
-    match Arg.conv_parser Arg.int s with
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expect s))
     | Error _ as e -> e
-    | Ok n when n < 1 ->
-        Error (`Msg (Printf.sprintf "expected a positive count, got %d" n))
-    | Ok n -> Ok n
   in
-  Arg.conv ~docv:"JOBS" (parse, Arg.conv_printer Arg.int)
+  Arg.conv ~docv (parse, Arg.conv_printer conv)
+
+let positive_int =
+  checked Arg.int ~docv:"JOBS" ~expect:"a positive count" (fun n -> n >= 1)
 
 let jobs_arg =
   Arg.(
@@ -73,7 +76,9 @@ let compaction_cmd =
 
 let tables_cmd =
   let run paper seed jobs =
-    let rows = Experiments.run_all ~seed ~jobs (scale_of paper) in
+    let rows =
+      Experiments.rows (Experiments.run_tasks ~seed ~jobs (scale_of paper))
+    in
     Report.table1 Format.std_formatter rows;
     Format.printf "@.";
     Report.table2 Format.std_formatter rows;
@@ -375,16 +380,9 @@ let sweep_cmd =
       $ verbose_flag $ trace_arg $ cache_term)
 
 let stress_cmd =
-  (* A defect rate is a fraction; anything else is a usage error. *)
   let rate =
-    let parse s =
-      match Arg.conv_parser Arg.float s with
-      | Error _ as e -> e
-      | Ok r when not (r >= 0.0 && r <= 1.0) ->
-          Error (`Msg (Printf.sprintf "expected a rate in [0, 1], got %s" s))
-      | Ok r -> Ok r
-    in
-    Arg.conv ~docv:"R" (parse, Arg.conv_printer Arg.float)
+    checked Arg.float ~docv:"R" ~expect:"a rate in [0, 1]" (fun r ->
+        r >= 0.0 && r <= 1.0)
   in
   let rates_arg =
     Arg.(
@@ -639,9 +637,15 @@ let perf_cmd =
                 --metrics))."
                (String.lowercase_ascii name)))
   in
+  (* NaN would compare false everywhere and pass any growth; a negative
+     tolerance would flag identical snapshots. *)
+  let tolerance =
+    checked Arg.float ~docv:"FRAC" ~expect:"a finite fraction >= 0" (fun t ->
+        Float.is_finite t && t >= 0.0)
+  in
   let tolerance_arg =
     Arg.(
-      value & opt float 0.25
+      value & opt tolerance 0.25
       & info [ "tolerance" ] ~docv:"FRAC"
           ~doc:
             "Allowed fractional growth per metric before it counts as a \
@@ -736,7 +740,11 @@ let cache_cmd =
     let max_bytes_arg =
       Arg.(
         required
-        & opt (some int) None
+        & opt
+            (some
+               (checked Arg.int ~docv:"N" ~expect:"a byte count >= 0" (fun n ->
+                    n >= 0)))
+            None
         & info [ "max-bytes" ] ~docv:"N"
             ~doc:"Target store size in bytes.")
     in

@@ -1,10 +1,8 @@
 (** Public facade of the VPGA granularity-exploration library.
 
-    Re-exports the stable surface of every subsystem under one roof and
-    provides the one-call entry points a downstream user needs:
-    {!classify_functions} (the Section-2 Boolean analysis) and
-    {!compare_architectures} (run a design through both PLBs and both
-    flows).  One architecture is one {!Flow.run}.
+    Re-exports the stable surface of every subsystem under one roof:
+    {!S3.census} is the Section-2 Boolean analysis, and one design on one
+    architecture through both flows is one {!Flow.run}.
 
     See DESIGN.md for the system inventory and EXPERIMENTS.md for the
     paper-reproduction results. *)
@@ -104,13 +102,3 @@ module Cache = Vpga_cache.Cache
 module Cachekey = Vpga_cache.Key
 module Cacheenc = Vpga_cache.Enc
 module Stagekey = Vpga_flow.Stagekey
-
-(** {1 One-call entry points} *)
-
-val classify_functions : unit -> S3.census
-(** Exhaustive Section-2.1 classification of the 256 3-input functions. *)
-
-val compare_architectures :
-  ?seed:int -> ?period:float -> ?verify:Flow.verify -> Netlist.t ->
-  Flow.pair * Flow.pair
-(** [(lut, granular)] flow pairs for a design. *)

@@ -113,9 +113,6 @@ let rows reports =
   in
   pair_up reports
 
-let run_all ?seed ?jobs ?verify ?policy ?cache scale =
-  rows (run_tasks ?seed ?jobs ?verify ?policy ?cache scale)
-
 type headline = {
   datapath_area_reduction : float;
   fpu_area_reduction : float;
@@ -263,7 +260,6 @@ let routing_styles ?(seed = 1) scale =
   let opts =
     {
       Stagekey.seed;
-      period = 500.0;
       anneal_iterations = None;
       use_criticality = false;
       verify = 0;

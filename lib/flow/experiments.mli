@@ -42,12 +42,22 @@ val run_tasks :
   ?designs:(string * Vpga_netlist.Netlist.t) list ->
   scale ->
   task_report list
-(** The fault-isolated sweep: every (design, arch) flow run becomes a
+(** The fault-isolated sweep: both architectures through both flows on
+    every design (Table 1 and Table 2 in one pass; {!rows} pairs the
+    reports into table rows).  Every (design, arch) flow run becomes a
     {!task_report}, so one task exhausting its retry policy yields a
     per-task failure record while the remaining tasks complete.  Reports
     come back in task order (designs x [lut; granular]).  [designs]
     overrides the benchmark list (fault-injection tests sweep corrupted
     designs alongside healthy ones).  Never raises for a task failure.
+
+    The tasks fan out over [jobs] worker domains ({!Vpga_par.Pool.run};
+    default [Domain.recommended_domain_count () - 1], floor 1).  Results
+    are independent of [jobs]: each run's RNG seed is derived from
+    [(seed, design name, arch name)] ({!task_seed}), so [~jobs:1] (fully
+    sequential, no domain spawned) and [~jobs:n] return identical
+    reports — including any policy-driven retries, whose knobs and
+    reseeds are pure functions of the task seed and attempt index.
 
     With [~traced:true] (default false) each task gets its own
     {!Vpga_obs.Trace.t} — created on the worker domain, thread id = task
@@ -86,25 +96,6 @@ val rows : task_report list -> row list
 (** Pair each design's two architecture reports into a table row.
     @raise Vpga_resil.Fail.Stage_failure the first per-task failure, in
     task order — for callers that cannot render a partial sweep. *)
-
-val run_all :
-  ?seed:int ->
-  ?jobs:int ->
-  ?verify:Flow.verify ->
-  ?policy:Vpga_resil.Policy.t ->
-  ?cache:Vpga_cache.Cache.t ->
-  scale ->
-  row list
-(** [rows (run_tasks ...)]: both architectures through both flows on
-    every design (Table 1 and Table 2 in one pass).  The eight
-    (design, arch) flow runs execute on a pool of [jobs] worker domains
-    ([Vpga_par.Pool]; default [Domain.recommended_domain_count () - 1],
-    floor 1).  Results are independent of [jobs]: each run's RNG seed is
-    derived from [(seed, design name, arch name)], so [~jobs:1] (fully
-    sequential, no domain spawned) and [~jobs:n] return identical rows —
-    including any policy-driven retries, whose knobs and reseeds are
-    pure functions of the task seed and attempt index.  [verify] is
-    passed to each {!Flow.run} (default {!Flow.Fast}). *)
 
 (** Derived Section-3.2 claims, computed from the rows. *)
 type headline = {

@@ -64,7 +64,10 @@ let check_structure ~stage nl =
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: invalid netlist: %s" stage msg)
 
-let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
+(* The paper's 0.5 ns target clock period, ps. *)
+let period = 500.0
+
+let run ?(seed = 1) ?anneal_iterations ?(refine = true)
     ?(use_criticality = true) ?(jobs = 1) ?(verify = Fast)
     ?(policy = Policy.default) ?log ?(trace = Trace.null)
     ?trace_labels:_ ?defect ?(cache = Cache.none) arch nl =
@@ -76,7 +79,6 @@ let run ?(seed = 1) ?(period = 500.0) ?anneal_iterations ?(refine = true)
       ~opts:
         {
           Stagekey.seed;
-          period;
           anneal_iterations;
           use_criticality;
           verify = (match verify with Off -> 0 | Fast -> 1 | Formal -> 2);

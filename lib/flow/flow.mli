@@ -56,9 +56,12 @@ type outcome = {
 
 type pair = { a : outcome; b : outcome }
 
+val period : float
+(** The target clock period, 500 ps (the paper's 0.5 ns): STA, slack,
+    criticality and the power estimate are all taken against it. *)
+
 val run :
   ?seed:int ->
-  ?period:float ->
   ?anneal_iterations:int ->
   ?refine:bool ->
   ?use_criticality:bool ->
@@ -73,8 +76,8 @@ val run :
   Vpga_plb.Arch.t ->
   Vpga_netlist.Netlist.t ->
   pair
-(** Runs both flows on a design, sharing the front-end.  [period] defaults
-    to 500 ps (the paper's 0.5 ns); flow a places at
+(** Runs both flows on a design, sharing the front-end, at {!period};
+    flow a places at
     {!Vpga_place.Placement.create}'s standard-cell row utilization (0.7);
     [seed] (1) drives every randomized stage deterministically.  [refine] (true) enables the packing <->
     physical-synthesis iteration; [use_criticality] (true) enables

@@ -46,9 +46,12 @@ type search_result = {
   metrics : metrics option;  (* Some iff [w_min] is Some *)
 }
 
-let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
-    ?(w_max = 64) ?(max_iterations = 30) ?log ?(trace = Trace.null)
-    ?(defect = Defect.empty) ?(cache = Cache.none) arch nl =
+(* PathFinder's rip-up budget per probe. *)
+let max_iterations = 30
+
+let search ?(seed = 1) ?(policy = Policy.default) ?(w_max = 64) ?log
+    ?(trace = Trace.null) ?(defect = Defect.empty) ?(cache = Cache.none) arch
+    nl =
   if w_max < 1 then invalid_arg "Minchan.search: w_max < 1";
   (* The defect-free stages feed the same keys {!Flow.run} builds —
      identical computes — so a stress sweep shares its front-end with a
@@ -59,7 +62,6 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
       ~opts:
         {
           Stagekey.seed;
-          period;
           anneal_iterations = None;
           use_criticality = false;
           verify = 0;
@@ -149,7 +151,9 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
         let d = match detail with Some d -> d | None -> assert false in
         let sta =
           span "minchan:sta" (fun () ->
-              Sta.run ~period ~wire:(Pathfinder.wire_loads routed) buffered)
+              Sta.run ~period:Flow.period
+                ~wire:(Pathfinder.wire_loads routed)
+                buffered)
         in
         Some
           {

@@ -34,10 +34,8 @@ type search_result = {
 
 val search :
   ?seed:int ->
-  ?period:float ->
   ?policy:Vpga_resil.Policy.t ->
   ?w_max:int ->
-  ?max_iterations:int ->
   ?log:Vpga_resil.Log.t ->
   ?trace:Vpga_obs.Trace.t ->
   ?defect:Vpga_resil.Defect.t ->

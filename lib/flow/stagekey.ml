@@ -14,7 +14,6 @@ module Quadrisect = Vpga_pack.Quadrisect
 
 type options = {
   seed : int;
-  period : float;
   anneal_iterations : int option;
   use_criticality : bool;
   verify : int;
@@ -102,7 +101,6 @@ let quad_hex (q : Quadrisect.t) =
 let map ~nl ~arch o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -118,7 +116,6 @@ let map ~nl ~arch o =
 let compact ~nl ~arch o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -134,7 +131,6 @@ let compact ~nl ~arch o =
 let buffer ~compacted ~max_fanout o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -153,7 +149,6 @@ let buffer ~compacted ~max_fanout o =
 let verify_gate ~stage ~source ~candidate o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify;
@@ -174,7 +169,6 @@ let verify_gate ~stage ~source ~candidate o =
 let place_global ~buffered o =
   let {
     seed;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -190,7 +184,6 @@ let place_global ~buffered o =
 let place_anneal ~buffered ~pl o =
   let {
     seed;
-    period;
     anneal_iterations;
     use_criticality;
     verify = _;
@@ -203,7 +196,6 @@ let place_anneal ~buffered ~pl o =
       E.str e buffered;
       E.str e pl;
       E.int e seed;
-      E.float e period;
       E.opt E.int e anneal_iterations;
       E.bool e use_criticality;
       policy e p)
@@ -211,7 +203,6 @@ let place_anneal ~buffered ~pl o =
 let activities ~buffered o =
   let {
     seed;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -229,7 +220,6 @@ let activities ~buffered o =
 let route ~tag ~buffered ~pl o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify;
@@ -248,7 +238,6 @@ let route ~tag ~buffered ~pl o =
 let quadrisect ~arch ~buffered ~pl o =
   let {
     seed = _;
-    period;
     anneal_iterations = _;
     use_criticality;
     verify = _;
@@ -261,7 +250,6 @@ let quadrisect ~arch ~buffered ~pl o =
       E.str e arch;
       E.str e buffered;
       E.str e pl;
-      E.float e period;
       E.bool e use_criticality;
       policy e p;
       opt_defect e d)
@@ -269,7 +257,6 @@ let quadrisect ~arch ~buffered ~pl o =
 let refine ~buffered ~q o =
   let {
     seed;
-    period;
     anneal_iterations = _;
     use_criticality;
     verify = _;
@@ -282,7 +269,6 @@ let refine ~buffered ~q o =
       E.str e buffered;
       E.str e q;
       E.int e seed;
-      E.float e period;
       E.bool e use_criticality;
       opt_defect e d)
 
@@ -292,7 +278,6 @@ let refine ~buffered ~q o =
 let stress_pack ~arch ~buffered ~pl o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
@@ -311,7 +296,6 @@ let stress_pack ~arch ~buffered ~pl o =
 let minchan_probe ~plb ~w ~max_iterations o =
   let {
     seed = _;
-    period = _;
     anneal_iterations = _;
     use_criticality = _;
     verify = _;

@@ -143,22 +143,6 @@ let regressed ~tolerance kind ~base ~current =
   | Seconds | Micros ->
       base >= floor_of kind && current > base *. (1.0 +. tolerance)
 
-let num_members = function
-  | Json.Obj fields ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
-        fields
-  | _ -> []
-
-let obj_members = function
-  | Json.Obj fields ->
-      List.filter_map
-        (fun (k, v) -> match v with Json.Obj _ -> Some (k, v) | _ -> None)
-        fields
-  | _ -> []
-
-let block name doc = Option.value ~default:(Json.Obj []) (Json.member name doc)
-
 (* A document of another kind (a Chrome trace, a bench record) has none
    of the blocks below, so it would compare zero metrics and pass;
    refuse it instead. *)
@@ -167,9 +151,54 @@ let check_schema side doc =
   | Some (Json.Str "vpga-metrics/1") -> Ok ()
   | _ -> Error (side ^ " document is not a vpga-metrics/1 snapshot")
 
+exception Malformed of string
+
+(* Histograms gate on their count and percentiles only (min/max/mean/bins
+   are shape, not trajectory). *)
+let gated_hist_fields = [ "count"; "p50"; "p90"; "p99" ]
+
+(* The gated blocks of one snapshot as numbers: counters (name -> value),
+   stages and histograms (name -> field -> value).  A value that is not a
+   number raises [Malformed] naming it: read as 0 it would turn a base
+   counter into a false "new" regression, or drop a current one from the
+   comparison unseen. *)
+let numbers side doc =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
+  let fields path = function
+    | Json.Obj fields -> fields
+    | _ -> fail "%s %s is not an object" side path
+  in
+  let num path (k, v) =
+    match Json.to_float v with
+    | Some f -> (k, f)
+    | None -> fail "%s %s.%s is not a number" side path k
+  in
+  let block name =
+    match Json.member name doc with None -> [] | Some b -> fields name b
+  in
+  let nested name pick =
+    List.map
+      (fun (k, v) ->
+        let path = name ^ "." ^ k in
+        (k, List.map (num path) (pick (fields path v))))
+      (block name)
+  in
+  ( List.map (num "counters") (block "counters"),
+    nested "stages" Fun.id,
+    nested "histograms" (fun fs ->
+        List.filter_map
+          (fun f -> Option.map (fun v -> (f, v)) (List.assoc_opt f fs))
+          gated_hist_fields) )
+
 let compare_blocks ~tolerance ~base ~current =
+  let bcounters, bstages, bhists = numbers "base" base in
+  let ccounters, cstages, chists = numbers "current" current in
   let out = ref [] in
-  let compare_num ~kind key b c =
+  (* Keys present only in the baseline are improvements (or removed
+     probes), never regressions; keys new in the current snapshot gate
+     like a 0 baseline. *)
+  let compare_num ~kind key bl (k, c) =
+    let b = Option.value ~default:0.0 (List.assoc_opt k bl) in
     out :=
       {
         d_key = key;
@@ -180,64 +209,42 @@ let compare_blocks ~tolerance ~base ~current =
       }
       :: !out
   in
-  (* Counters: flat name -> number.  Keys present only in the baseline
-     are improvements (or removed probes), never regressions; keys new in
-     the current snapshot gate like a 0 baseline. *)
-  let flat_block label bl cur =
-    let b = num_members bl and c = num_members cur in
-    List.iter
-      (fun (k, cv) ->
-        let bv = Option.value ~default:0.0 (List.assoc_opt k b) in
-        compare_num ~kind:(kind_of_name k) (label ^ " " ^ k) bv cv)
-      c
-  in
-  flat_block "counter" (block "counters" base) (block "counters" current);
+  List.iter
+    (fun ((k, _) as c) ->
+      compare_num ~kind:(kind_of_name k) ("counter " ^ k) bcounters c)
+    ccounters;
   (* Stages: name -> { wall_s; calls; minor_words; major_words;
      major_collections }. *)
-  let bstages = obj_members (block "stages" base) in
   List.iter
-    (fun (stage, cobj) ->
-      let bobj =
-        Option.value ~default:(Json.Obj []) (List.assoc_opt stage bstages)
-      in
-      let bf = num_members bobj and cf = num_members cobj in
+    (fun (stage, cf) ->
+      let bf = Option.value ~default:[] (List.assoc_opt stage bstages) in
       List.iter
-        (fun (field, cv) ->
-          let bv = Option.value ~default:0.0 (List.assoc_opt field bf) in
+        (fun ((field, _) as c) ->
           compare_num ~kind:(kind_of_name field)
             (Printf.sprintf "stage %s %s" stage field)
-            bv cv)
+            bf c)
         cf)
-    (obj_members (block "stages" current));
-  (* Histograms: name -> { count; p50; p90; p99; ... }.  The unit comes
-     from the histogram's name; only count and the percentiles gate
-     (min/max/mean/bins are shape, not trajectory). *)
-  let bhists = obj_members (block "histograms" base) in
+    cstages;
+  (* Histograms: the unit comes from the histogram's name. *)
   List.iter
-    (fun (name, cobj) ->
-      let bobj =
-        Option.value ~default:(Json.Obj []) (List.assoc_opt name bhists)
-      in
-      let bf = num_members bobj and cf = num_members cobj in
-      let kind = kind_of_name name in
+    (fun (name, cf) ->
+      let bf = Option.value ~default:[] (List.assoc_opt name bhists) in
       List.iter
-        (fun field ->
-          match List.assoc_opt field cf with
-          | None -> ()
-          | Some cv ->
-              let bv = Option.value ~default:0.0 (List.assoc_opt field bf) in
-              let kind = if field = "count" then Count else kind in
-              compare_num ~kind
-                (Printf.sprintf "histogram %s %s" name field)
-                bv cv)
-        [ "count"; "p50"; "p90"; "p99" ])
-    (obj_members (block "histograms" current));
+        (fun ((field, _) as c) ->
+          let kind = if field = "count" then Count else kind_of_name name in
+          compare_num ~kind
+            (Printf.sprintf "histogram %s %s" name field)
+            bf c)
+        cf)
+    chists;
   List.rev !out
 
 let diff ?(tolerance = 0.25) ~base ~current () =
   match (check_schema "base" base, check_schema "current" current) with
   | Error msg, _ | _, Error msg -> Error msg
-  | Ok (), Ok () -> Ok (compare_blocks ~tolerance ~base ~current)
+  | Ok (), Ok () -> (
+      try Ok (compare_blocks ~tolerance ~base ~current)
+      with Malformed msg -> Error msg)
 
 let regressions ds = List.filter (fun d -> d.d_regressed) ds
 

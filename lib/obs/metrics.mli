@@ -51,7 +51,9 @@ type delta = {
     baseline to clear an absolute noise floor before they can flag.
     Default tolerance: 0.25.  [Error] when either document is not
     tagged [schema: "vpga-metrics/1"] — any other document would compare
-    zero metrics and pass. *)
+    zero metrics and pass — and when a compared value (a counter, a stage
+    field, a histogram's count or percentile) is not a number; the
+    message names the side and the key. *)
 val diff :
   ?tolerance:float ->
   base:Json.t ->

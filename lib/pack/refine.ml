@@ -328,14 +328,7 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
         Some (ctx, accepted)
       end
     in
-    let thunks = List.init n_regions thunk in
-    let results =
-      if jobs > 1 && n_regions > 0 then
-        Pool.with_pool ~jobs:(min jobs n_regions) (fun p ->
-            let futs = List.map (Pool.submit p) thunks in
-            List.map Pool.await futs)
-      else List.map (fun f -> f ()) thunks
-    in
+    let results = Pool.run ~jobs (List.init n_regions thunk) in
     (* Merge region results in region order (deterministic; regions own
        disjoint id sets, so order only matters for reproducibility, not
        for the outcome). *)

@@ -22,7 +22,7 @@
     ({!Quadrisect.region_bounds}); each region anneals its own items
     (ownership by current tile, so walks are conflict-free) on a private
     bookkeeping slice with an RNG stream derived from [(seed, region)],
-    optionally fanned out over a {!Vpga_par.Pool}, then a sequential
+    fanned out over [jobs] domains by {!Vpga_par.Pool.run}, then a sequential
     cross-boundary pass with the original seed restores inter-region
     moves.  Results are identical at every [jobs] setting. *)
 

@@ -1,95 +1,54 @@
-(** A fixed worker pool over OCaml 5 domains.
+(** Fan-out of a known list of tasks over OCaml 5 domains.
 
-    [jobs] worker domains pull thunks from one bounded FIFO queue
-    (mutex + condition variables, no work stealing).  Results come back
-    through futures; a worker exception is captured and re-raised, with
-    its backtrace, at the {!await} site.  Submission blocks while the
-    queue holds [capacity] pending tasks, which keeps a producer that is
-    faster than the workers from buffering the whole workload.
+    {!run_stats} spawns [min jobs n] worker domains for [n] tasks.  Each
+    worker claims the next unclaimed task index from one atomic counter
+    and writes the task's value, or its exception and backtrace, into
+    that task's own slot; after the workers join, results come back in
+    submission order.  Every caller builds its whole task list before
+    fanning it out (the sweep's (design, arch) runs, the stress matrix,
+    the refiner's region walks), so there is no queue to bound and
+    nothing to await task by task.  Tasks are coarse (a whole flow run,
+    a region walk); nothing here is tuned for fine-grained parallelism.
 
-    The pool is intended for coarse tasks (an entire RTL-to-layout flow
-    run per task); nothing here is tuned for fine-grained parallelism.
-
-    Determinism: the pool imposes no ordering on task execution, so tasks
+    Determinism: execution order across workers is unspecified, so tasks
     must not share mutable state or a common RNG.  Callers that need
-    run-to-run reproducibility derive an independent seed per task (see
-    [Experiments.run_all]).  {!run} returns results in
-    submission order regardless of completion order, and with [jobs = 1]
-    they run every thunk inline on the calling domain — the sequential
-    reference semantics. *)
-
-type t
-(** A running pool.  Workers live until {!shutdown}. *)
-
-type 'a future
-(** The pending result of a submitted task. *)
+    run-to-run reproducibility derive each task's seed from the task's
+    identity (see [Experiments.task_seed]), never from scheduling.  With
+    one worker ([jobs = 1], or at most one task) every thunk runs inline
+    on the calling domain, in submission order, without spawning a
+    domain: the sequential reference semantics. *)
 
 type stats = {
-  tasks : int;  (** tasks executed to completion *)
-  queue_wait_ns : int64;
-      (** total time tasks spent queued (submit to dequeue), summed *)
+  tasks : int;  (** tasks executed, failed ones included *)
+  queue_wait_ns : int64;  (** sum of [wait_samples_ns] *)
   busy_ns : int64 array;
-      (** per-worker time spent executing tasks, by worker index *)
+      (** per-worker time spent executing tasks, by worker index; one
+          slot per worker, [min jobs n] (at least 1) *)
   wait_samples_ns : int64 array;
-      (** per-task queue wait, in completion order (all zero for inline
-          [jobs = 1] execution) *)
+      (** per-task wait, in submission order: from the start of the run
+          to the moment a worker claimed the task (all zero when the
+          tasks run inline) *)
 }
-(** Pool accounting on the monotonic clock ({!Vpga_obs.Clock}); updated
-    once per task, so the cost is invisible next to coarse tasks. *)
+(** Fan-out accounting on the monotonic clock ({!Vpga_obs.Clock}),
+    taken twice per task, so the cost is invisible next to coarse
+    tasks. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], floor 1: leave one
-    hardware context for the submitting domain. *)
-
-val create : ?capacity:int -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (at least 1) sharing a bounded queue of
-    [capacity] pending tasks (default [2 * jobs]).
-    @raise Invalid_argument if [jobs < 1] or [capacity < 1]. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task; blocks while the queue is full.
-    @raise Invalid_argument if the pool is already shut down. *)
-
-val await : 'a future -> 'a
-(** Block until the task finishes.  Re-raises the task's exception (with
-    the worker-side backtrace) if it failed.  May be called more than
-    once and from any domain. *)
-
-val shutdown : t -> unit
-(** Drain the queue, stop the workers and join their domains.  Already
-    submitted tasks all run before the workers exit.  Idempotent. *)
-
-val stats : t -> stats
-(** A consistent snapshot of the pool's accounting so far. *)
-
-val with_pool : ?capacity:int -> jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] against a freshly created pool and
-    guarantees {!shutdown} on every exit path — the scoped-submission
-    helper for finer-grained fan-out (e.g. region-parallel refinement
-    inside one flow stage) that must not leak worker domains when a task
-    raises.  The pool argument is only valid during [f]. *)
-
-val run : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** [run ~jobs thunks]: execute every thunk on a transient pool of
-    [min jobs (length thunks)] workers and return the results in
-    submission order.  [jobs] defaults to {!default_jobs}; [jobs = 1]
-    runs inline, sequentially, without spawning a domain.  If any task
-    raised, the pool is still shut down cleanly and then the first
-    failure (in submission order) is re-raised. *)
+    hardware context for the calling domain. *)
 
 val run_stats : ?jobs:int -> (unit -> 'a) list -> 'a list * stats
-(** {!run}, also returning the transient pool's {!type-stats}.  With
-    [jobs = 1] (inline execution) the stats carry one busy slot and zero
-    queue wait. *)
+(** [run_stats ~jobs thunks] runs every thunk on [min jobs n] workers
+    and returns the results in submission order with the run's
+    {!type-stats}.  [jobs] defaults to {!default_jobs}; values below 1
+    count as 1.  Every task runs even when another raises; the first
+    failure in submission order is then re-raised with its backtrace. *)
 
-val try_run : ?jobs:int -> (unit -> 'a) list -> ('a, exn) result list
-(** Like {!run}, but a task's exception is captured into its own slot
-    instead of being re-raised, so one failing task never hides the
-    results of its siblings.  [jobs = 1] runs inline with the same
-    per-task capture. *)
+val run : ?jobs:int -> (unit -> 'a) list -> 'a list
+(** [fst (run_stats ?jobs thunks)]. *)
 
 val publish_stats : stats -> Vpga_obs.Trace.t -> unit
 (** Surface a stats snapshot on a trace: [pool.tasks], [pool.workers],
     [pool.queue_wait_ms], [pool.busy_ms_total] and [pool.busy_ms_max]
-    gauges, plus every per-task queue wait observed into the
+    gauges, plus every per-task wait observed into the
     [pool.queue_wait_us] histogram.  No-op on a null trace. *)

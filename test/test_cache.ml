@@ -325,7 +325,6 @@ let test_cached_map_is_equivalent () =
   let opts =
     {
       Stagekey.seed = 1;
-      period = 500.0;
       anneal_iterations = None;
       use_criticality = true;
       verify = 1;

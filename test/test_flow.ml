@@ -6,7 +6,7 @@ module Config = Vpga_plb.Config
 open Vpga_flow
 
 (* One shared run of the whole evaluation at test scale. *)
-let rows = lazy (Experiments.run_all ~seed:1 Experiments.Test)
+let rows = lazy Experiments.(rows (run_tasks ~seed:1 Test))
 
 let test_outcomes_sane () =
   List.iter
@@ -180,7 +180,7 @@ let test_displacement_mechanism () =
 let test_seed_stability () =
   (* the area claims are packing-driven, not seed-driven: they must hold
      verbatim under a different flow seed *)
-  let rows2 = Experiments.run_all ~seed:7 Experiments.Test in
+  let rows2 = Experiments.(rows (run_tasks ~seed:7 Test)) in
   let h = Experiments.headlines rows2 in
   Alcotest.(check bool) "area reduction stable across seeds" true
     (h.Experiments.datapath_area_reduction > 0.10);

@@ -783,6 +783,38 @@ let test_diff_time_noise_floor () =
           (diff ~base:(hist_snap 50_000.0)
              ~current:(hist_snap 500_000.0) ())))
 
+(* A compared value that is not a number is an [Error] naming it, never
+   a silent 0: a dropped base counter would read as a new regression, a
+   dropped current one would leave its change unchecked. *)
+let check_malformed side =
+  let snap block v =
+    let inner =
+      match block with
+      | "counters" -> Json.Obj [ ("a", v) ]
+      | "stages" -> Json.Obj [ ("compact", Json.Obj [ ("wall_s", v) ]) ]
+      | _ -> Json.Obj [ ("h_us", Json.Obj [ ("count", v) ]) ]
+    in
+    Json.Obj [ ("schema", Json.Str "vpga-metrics/1"); (block, inner) ]
+  in
+  List.iter
+    (fun (block, key) ->
+      let good = snap block (Json.Num 1.0) and bad = snap block (Json.Str "x") in
+      let base, current = if side = "base" then (bad, good) else (good, bad) in
+      match Metrics.diff ~base ~current () with
+      | Error msg ->
+          Alcotest.(check string) key
+            (Printf.sprintf "%s %s is not a number" side key)
+            msg
+      | Ok _ -> Alcotest.failf "%s %s accepted" side key)
+    [
+      ("counters", "counters.a");
+      ("stages", "stages.compact.wall_s");
+      ("histograms", "histograms.h_us.count");
+    ]
+
+let test_malformed_base_refused () = check_malformed "base"
+let test_malformed_current_refused () = check_malformed "current"
+
 let test_report_json_shape () =
   let t, _ = traced_flow () in
   let rep = Export.report_json (Export.chrome [ t ]) in
@@ -945,6 +977,10 @@ let () =
             test_report_json_shape;
           Alcotest.test_case "wrong documents refused" `Quick
             test_wrong_documents_refused;
+          Alcotest.test_case "malformed base value refused" `Quick
+            test_malformed_base_refused;
+          Alcotest.test_case "malformed current value refused" `Quick
+            test_malformed_current_refused;
         ] );
       ( "sweep",
         [

@@ -1,7 +1,7 @@
 (* The domain pool (Vpga_par.Pool), the incremental wirelength cost model
    behind both annealers (Vpga_place.Wirecost), and the parallel-sweep
-   determinism contract: Experiments.run_all must return the same rows
-   whatever [jobs] is. *)
+   determinism contract: the sweep (Experiments.run_tasks) must return the
+   same rows whatever [jobs] is. *)
 
 module Pool = Vpga_par.Pool
 module Placement = Vpga_place.Placement
@@ -56,81 +56,53 @@ let test_exception_propagation () =
   | exception Boom msg ->
       Alcotest.(check string) "exception payload" "worker 2 failed" msg
 
-let test_pool_reuse_and_shutdown () =
-  let p = Pool.create ~jobs:3 () in
-  let futs = List.init 20 (fun i -> Pool.submit p (fun () -> i * i)) in
-  List.iteri
-    (fun i fut -> Alcotest.(check int) "future value" (i * i) (Pool.await fut))
-    futs;
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *);
-  match Pool.submit p (fun () -> 0) with
-  | _ -> Alcotest.fail "submit after shutdown should fail"
-  | exception Invalid_argument _ -> ()
-
 let test_sibling_isolation () =
-  (* Regression: a raising task must fail only its own future.  Siblings
-     submitted around it still complete, and the pool keeps serving new
-     work afterwards — shutdown would hang if the exception had killed a
-     worker domain. *)
-  let p = Pool.create ~jobs:2 () in
-  let futs =
-    List.init 10 (fun i ->
-        Pool.submit p (fun () ->
-            if i mod 3 = 1 then raise (Boom (string_of_int i)) else i))
-  in
-  List.iteri
-    (fun i fut ->
-      if i mod 3 = 1 then
-        match Pool.await fut with
-        | _ -> Alcotest.fail "task failure was swallowed"
-        | exception Boom msg ->
-            Alcotest.(check string) "own payload" (string_of_int i) msg
-      else Alcotest.(check int) "sibling unaffected" i (Pool.await fut))
-    futs;
-  let more = List.init 4 (fun i -> Pool.submit p (fun () -> i * 10)) in
-  Alcotest.(check (list int))
-    "pool still serves" [ 0; 10; 20; 30 ]
-    (List.map Pool.await more);
-  Pool.shutdown p
-
-let test_try_run_captures () =
-  (* try_run: each failure lands in its own slot; siblings' results are
-     never hidden.  Same contract inline (jobs=1) and pooled. *)
-  let thunks =
-    List.init 6 (fun i ->
-        fun () -> if i mod 2 = 0 then i * 10 else raise (Boom (string_of_int i)))
-  in
+  (* A raising task fails only itself: every sibling still runs, inline
+     and on worker domains alike, and the first failure in submission
+     order is the one re-raised (a dead worker would strand the tasks it
+     had not yet claimed). *)
   List.iter
     (fun jobs ->
-      let results = Pool.try_run ~jobs thunks in
-      Alcotest.(check int) "all slots present" 6 (List.length results);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-              Alcotest.(check bool) "even slots succeed" true (i mod 2 = 0);
-              Alcotest.(check int) "value" (i * 10) v
-          | Error (Boom msg) ->
-              Alcotest.(check string) "captured payload" (string_of_int i) msg
-          | Error _ -> Alcotest.fail "wrong exception captured")
-        results)
+      let ran = Array.make 10 false in
+      let tasks =
+        List.init 10 (fun i () ->
+            ran.(i) <- true;
+            if i mod 3 = 1 then raise (Boom (string_of_int i)) else i)
+      in
+      (match Pool.run ~jobs tasks with
+      | _ -> Alcotest.fail "task failure was swallowed"
+      | exception Boom msg ->
+          Alcotest.(check string) "first failure's payload" "1" msg);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: every task ran" jobs)
+        true
+        (Array.for_all Fun.id ran))
     [ 1; 4 ]
 
-let test_bounded_queue_backpressure () =
-  (* capacity 1, slow workers: submission must block rather than buffer,
-     and everything still completes. *)
-  let p = Pool.create ~capacity:1 ~jobs:2 () in
-  let futs =
-    List.init 8 (fun i ->
-        Pool.submit p (fun () ->
-            Unix.sleepf 0.002;
-            i))
-  in
-  Alcotest.(check (list int))
-    "all completed" (List.init 8 Fun.id)
-    (List.map Pool.await futs);
-  Pool.shutdown p
+let test_run_stats () =
+  (* One busy slot per worker (min jobs n, also when jobs exceeds the
+     task count), one wait sample per task, and the samples sum to the
+     aggregate. *)
+  List.iter
+    (fun (jobs, n) ->
+      let results, st =
+        Pool.run_stats ~jobs
+          (List.init n (fun i () ->
+               Unix.sleepf 0.001;
+               i))
+      in
+      let label = Printf.sprintf "jobs=%d n=%d" jobs n in
+      Alcotest.(check (list int)) (label ^ " results") (List.init n Fun.id)
+        results;
+      Alcotest.(check int) (label ^ " tasks") n st.Pool.tasks;
+      Alcotest.(check int) (label ^ " busy slots") (min jobs n)
+        (Array.length st.Pool.busy_ns);
+      Alcotest.(check int) (label ^ " wait samples") n
+        (Array.length st.Pool.wait_samples_ns);
+      Alcotest.(check bool) (label ^ " waits sum to queue_wait_ns") true
+        (Array.fold_left Int64.add 0L st.Pool.wait_samples_ns
+        = st.Pool.queue_wait_ns))
+    [ (3, 9); (8, 2) ]
 
 (* --- Incremental HPWL bounding boxes ---------------------------------- *)
 
@@ -315,9 +287,8 @@ let check_rows_identical r1 r2 =
     r1 r2
 
 let test_run_all_jobs_deterministic () =
-  let sequential = Experiments.run_all ~seed:1 ~jobs:1 Experiments.Test in
-  let parallel = Experiments.run_all ~seed:1 ~jobs:4 Experiments.Test in
-  check_rows_identical sequential parallel
+  let sweep jobs = Experiments.(rows (run_tasks ~seed:1 ~jobs Test)) in
+  check_rows_identical (sweep 1) (sweep 4)
 
 let () =
   Alcotest.run "vpga_par"
@@ -328,12 +299,8 @@ let () =
           Alcotest.test_case "more jobs than tasks" `Quick test_more_jobs_than_tasks;
           Alcotest.test_case "jobs=1 inline" `Quick test_sequential_jobs1;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
-          Alcotest.test_case "reuse and shutdown" `Quick test_pool_reuse_and_shutdown;
           Alcotest.test_case "sibling isolation" `Quick test_sibling_isolation;
-          Alcotest.test_case "try_run captures per task" `Quick
-            test_try_run_captures;
-          Alcotest.test_case "bounded-queue backpressure" `Quick
-            test_bounded_queue_backpressure;
+          Alcotest.test_case "run_stats accounting" `Quick test_run_stats;
         ] );
       ( "incremental hpwl",
         [
