@@ -202,11 +202,6 @@ let bench_tests =
     Test.make ~name:"minchan_alu8"
       (Staged.stage (fun () ->
            ignore (Minchan.search ~w_max:32 Arch.granular_plb (Lazy.force alu8))));
-    (* FlowMap (exact max-flow labeling) on the ALU AIG *)
-    Test.make ~name:"flowmap_labels_alu8"
-      (Staged.stage (fun () ->
-           let b = Aig.of_netlist (Lazy.force alu8) in
-           ignore (Flowmap.labels b.Aig.aig ~k:3)));
     (* A fully warm flow — every stage a cache hit — so the hit path
        (key digesting, Marshal revival, event replay) sits under the same
        perfdiff gate as the compute kernels. *)
@@ -282,8 +277,9 @@ let write_json sweep kernels =
 (* Perf regression gate: re-run the kernels and compare against the
    committed baseline record, failing loudly past the tolerance.  Bechamel
    estimates on shared machines are noisy, so the tolerance is a fraction
-   (default 0.25 = fail on >25 % slowdown); speedups and kernels without a
-   baseline entry are reported but never fail. *)
+   (default 0.25 = fail on >25 % slowdown); speedups, kernels without a
+   baseline entry and baseline kernels that no longer run are reported
+   but never fail. *)
 let run_perfdiff () =
   let baseline =
     let ic = open_in !json_path in
@@ -328,6 +324,11 @@ let run_perfdiff () =
             (100.0 *. (ratio -. 1.0))
             flag)
     (List.rev kernels);
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem_assoc name kernels) then
+        Format.printf "  %-24s %12s ns/run  (baseline only)@." name "-")
+    baseline;
   if !regressions > 0 then begin
     Format.printf "@.perfdiff: %d kernel(s) regressed beyond %.0f%%@."
       !regressions

@@ -621,8 +621,9 @@ let report_cmd =
        ~doc:
          "Summarize a recorded flow trace: per-stage wall time, allocation \
           and share, inner-loop counters, convergence series, and recovery \
-          instants.  Exits 2 when the file cannot be read or is not a \
-          Chrome trace-event document.")
+          instants.  Exits 2 when the file cannot be read, is not a \
+          Chrome trace-event document, or holds an event the report would \
+          misread (the message names its index and key).")
     Term.(const run $ file $ json_flag)
 
 let perf_cmd =

@@ -16,7 +16,6 @@ type v = Bot | C0 | C1 | Def | Und
 
 val equal : v -> v -> bool
 val join : v -> v -> v
-val of_bool : bool -> v
 
 val const : v -> bool option
 (** [Some b] iff the value is the constant [b]. *)

@@ -3,20 +3,15 @@
 
     Each cell template is described by its logical effort [g] (input cap
     relative to an inverter delivering the same drive), parasitic delay [p]
-    (in units of the technology constant tau), a drive multiple [x], and its
-    layout footprint.  Characterization turns templates into {!Cell.t}
-    records with absolute ps/fF/um^2 values:
+    (in units of the technology time constant [tau] = 14 ps, a ~180nm-class
+    value; see DESIGN.md on absolute-number calibration), a drive multiple
+    [x], and its layout footprint.  Characterization turns templates into
+    {!Cell.t} records with absolute ps/fF/um^2 values, where [cin_unit] =
+    2 fF is the input capacitance of a unit inverter:
 
     - input capacitance: [g * x * cin_unit]
     - drive resistance: [tau / (x * cin_unit)]
     - intrinsic delay: [p * tau] *)
-
-val tau : float
-(** Technology time constant, ps (a ~180nm-class value; see DESIGN.md on
-    absolute-number calibration). *)
-
-val cin_unit : float
-(** Input capacitance of a unit inverter, fF. *)
 
 type template = {
   t_name : string;
@@ -33,8 +28,6 @@ val characterize : template -> Cell.t
 val templates : template list
 (** Templates for every component cell used by either PLB architecture:
     inv, buf, nd2wi, nd3wi, mux2, xoa, lut3, dff. *)
-
-val all_cells : Cell.t list
 
 val find : string -> Cell.t
 (** @raise Not_found for an unknown cell name. *)

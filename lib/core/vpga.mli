@@ -12,7 +12,6 @@
 module Bfun = Vpga_logic.Bfun
 module Gates = Vpga_logic.Gates
 module S3 = Vpga_logic.S3
-module Npn = Vpga_logic.Npn
 module Kind = Vpga_netlist.Kind
 module Netlist = Vpga_netlist.Netlist
 module Levelize = Vpga_netlist.Levelize
@@ -22,10 +21,8 @@ module Stats = Vpga_netlist.Stats
 module Cell = Vpga_cells.Cell
 module Characterize = Vpga_cells.Characterize
 module Library = Vpga_cells.Library
-module Maxflow = Vpga_maxflow.Maxflow
 module Aig = Vpga_aig.Aig
 module Cut = Vpga_aig.Cut
-module Flowmap = Vpga_mapper.Flowmap
 module Techmap = Vpga_mapper.Techmap
 module Compact = Vpga_mapper.Compact
 module Arch = Vpga_plb.Arch

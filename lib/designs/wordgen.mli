@@ -12,13 +12,11 @@ val input_bus : Netlist.t -> string -> int -> bus
 val output_bus : Netlist.t -> string -> bus -> unit
 val constant : Netlist.t -> width:int -> int -> bus
 
-val not_bus : Netlist.t -> bus -> bus
 val and_bus : Netlist.t -> bus -> bus -> bus
 val or_bus : Netlist.t -> bus -> bus -> bus
 val xor_bus : Netlist.t -> bus -> bus -> bus
 
 val reduce_or : Netlist.t -> bus -> int
-val reduce_and : Netlist.t -> bus -> int
 
 val full_adder : Netlist.t -> int -> int -> int -> int * int
 (** [(sum, carry)] *)

@@ -7,12 +7,10 @@
 
 type t = private { arity : int; tt : int }
 
-val max_arity : int
-(** Largest supported arity (5: a 32-bit table fits a 63-bit OCaml [int]). *)
-
 val make : arity:int -> int -> t
 (** [make ~arity tt] builds a function from a raw truth table.  Bits above
-    [2^arity] are masked off.  @raise Invalid_argument on bad arity. *)
+    [2^arity] are masked off.  @raise Invalid_argument on an arity outside
+    [0 .. 5] (a 32-bit table fits a 63-bit OCaml [int]). *)
 
 val arity : t -> int
 val table : t -> int

@@ -12,6 +12,8 @@ let nd2wi_strict f =
   let p = Bfun.popcount f in
   p = 1 || p = 3
 
+(* Arity-generic: exactly one satisfied or one unsatisfied minterm (a
+   single product or sum term in some polarity). *)
 let and_type f =
   let p = Bfun.popcount f in
   let n = 1 lsl Bfun.arity f in

@@ -39,7 +39,3 @@ val mark_mux_tables : Bytes.t -> int array -> unit
 (** [mark_mux_tables marks pins] sets byte [t] of the 256-byte [marks] to
     ['\001'] for every arity-3 table [t] one 2:1 MUX computes with its
     select and both data pins each driven by a table of [pins]. *)
-
-val and_type : Bfun.t -> bool
-(** Arity-generic: truth table has exactly one satisfied or one unsatisfied
-    minterm (a single product or sum term in some polarity). *)

@@ -17,9 +17,6 @@ type category =
   | Complement_pair
       (** h = not g with XOR-type cofactors: [f] is a 3-input XOR/XNOR (2) *)
 
-val category_name : category -> string
-val all_categories : category list
-
 val select_var : int
 (** The designated select input (2). *)
 

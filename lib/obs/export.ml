@@ -119,6 +119,43 @@ let write_chrome ?process_name path traces =
       Json.to_channel oc (chrome ?process_name traces);
       output_char oc '\n')
 
+(* What is wrong with a trace event's fields that [summarize] reads, if
+   anything: [load] refuses such an event rather than reading a 0 or
+   dropping the row.  [null] passes as a number: it is how
+   {!Json.to_string} writes a non-finite one. *)
+let malformed ev =
+  let obj = function Json.Obj _ -> true | _ -> false in
+  let str = function Json.Str _ -> true | _ -> false in
+  let num = function Json.Num _ | Json.Null -> true | _ -> false in
+  let need what ok key = function
+    | None -> Some (key ^ " is missing")
+    | Some v -> if ok v then None else Some (key ^ " is not " ^ what)
+  in
+  let may what ok key v = Option.bind v (fun v -> need what ok key (Some v)) in
+  let field k = Json.member k ev in
+  let arg k = Option.bind (field "args") (Json.member k) in
+  let checks =
+    match (ev, field "ph") with
+    | Json.Obj _, Some (Json.Str (("X" | "C" | "i") as ph)) -> (
+        need "a string" str "name" (field "name")
+        :: may "an object" obj "args" (field "args")
+        ::
+        (match ph with
+        | "X" ->
+            need "a number" num "dur" (field "dur")
+            :: List.map
+                 (fun k -> may "a number" num ("args." ^ k) (arg k))
+                 [
+                   "depth"; "gc.minor_words"; "gc.major_words";
+                   "gc.major_collections";
+                 ]
+        | "C" -> [ need "a number" num "args.value" (arg "value") ]
+        | _ -> []))
+    | Json.Obj _, ph -> [ need "a string" str "ph" ph ]
+    | _ -> [ Some "event is not an object" ]
+  in
+  List.find_map Fun.id checks
+
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
@@ -126,7 +163,16 @@ let load path =
       match Json.parse src with
       | Ok doc -> (
           match Json.member "traceEvents" doc with
-          | Some (Json.Arr _) -> Ok doc
+          | Some (Json.Arr evs) ->
+              let rec check i = function
+                | [] -> Ok doc
+                | ev :: rest -> (
+                    match malformed ev with
+                    | None -> check (i + 1) rest
+                    | Some what ->
+                        Error (Printf.sprintf "traceEvents[%d]: %s" i what))
+              in
+              check 0 evs
           | _ ->
               Error "not a Chrome trace-event document (no traceEvents array)")
       | Error _ as e -> e)

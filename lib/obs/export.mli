@@ -19,7 +19,12 @@ val write_chrome : ?process_name:string -> string -> Trace.t list -> unit
 val load : string -> (Json.t, string) result
 (** Read a Chrome trace-event file back (for [vpga report]).  A file
     that does not parse, or whose document has no [traceEvents] array
-    (a metrics snapshot, say), is an [Error]. *)
+    (a metrics snapshot, say), is an [Error].  So is an event the report
+    would misread: not an object, a non-string [ph], or for a span
+    ([X]), counter ([C]) or instant ([i]) a non-string [name], non-object
+    [args], missing or non-numeric [dur] (spans) or [args.value]
+    (counters), or a non-numeric span [args.depth] / [args.gc.*].  The
+    message names the event's index and the key. *)
 
 val snapshot : ?label:string -> Trace.t list -> Json.t
 (** Self-contained metrics snapshot (schema [vpga-metrics/1]): counter

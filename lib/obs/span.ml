@@ -16,9 +16,3 @@ let ts_ns = function Complete { ts_ns; _ } | Instant { ts_ns; _ } -> ts_ns
 let end_ns = function
   | Complete { ts_ns; dur_ns; _ } -> Int64.add ts_ns dur_ns
   | Instant { ts_ns; _ } -> ts_ns
-
-let attr_to_string = function
-  | Str s -> s
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Bool b -> string_of_bool b

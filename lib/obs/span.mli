@@ -26,5 +26,3 @@ val ts_ns : event -> int64
 
 val end_ns : event -> int64
 (** [ts_ns + dur_ns] for a span; [ts_ns] for an instant. *)
-
-val attr_to_string : attr -> string

@@ -11,13 +11,11 @@ type t = {
   y : float array;
 }
 
-val die_of_area : ?utilization:float -> float -> float * float
-(** Square die sized so the given cell area fits at [utilization]
-    (default 0.7, a typical standard-cell row utilization). *)
-
 val create : ?utilization:float -> Vpga_netlist.Netlist.t -> t
-(** Builds the hypergraph, sizes the die and pins I/O to the boundary; cell
-    coordinates start at the die center. *)
+(** Builds the hypergraph, sizes a square die so the cell area fits at
+    [utilization] (default 0.7, a typical standard-cell row utilization)
+    and pins I/O to the boundary; cell coordinates start at the die
+    center. *)
 
 val net_hpwl : t -> int array -> float
 (** Half-perimeter wirelength of one net given as netlist node ids. *)

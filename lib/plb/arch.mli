@@ -12,7 +12,6 @@
 
 type resource = Lut | Nd3 | Xoa | Mux | Ff | Bufr
 
-val resource_name : resource -> string
 val all_resources : resource list
 
 (** A resource vector: demands and capacities over the six resource kinds. *)

@@ -38,9 +38,6 @@ val demand : Arch.t -> t -> Arch.Vector.t list
 (** Resource-vector alternatives the configuration may occupy within one PLB
     (e.g. MX fits on either a plain MUX or the XOA). *)
 
-val stage_cells : t -> Vpga_cells.Cell.t list
-(** Cells along the configuration's critical path, first stage first. *)
-
 val delay : t -> load:float -> float
 (** Input-to-output delay (ps) driving [load] fF, internal stage loading
     included. *)

@@ -64,7 +64,6 @@ let create_cache arch =
     guard_checks = 0;
   }
 
-let cache_arch c = c.arch
 let fits_calls c = c.fits_calls
 let cache_hits c = c.cache_hits
 let set_writer c r = c.writer <- r

@@ -29,7 +29,6 @@ exception Race of { owner : int; writer : int }
     is a would-be data race, so it aborts immediately. *)
 
 val create_cache : Arch.t -> cache
-val cache_arch : cache -> Arch.t
 
 val fits_calls : cache -> int
 (** Total {!query} calls served through this cache. *)

@@ -26,9 +26,6 @@ val run : Grid.t -> Router.route list -> t
 (** {!run_result} as a hard gate.
     @raise Failure if an edge holds more nets than its capacity. *)
 
-val track_of : t -> net:int -> edge:int -> int option
-(** Track assigned to a net on an edge it crosses. *)
-
 val validate : t -> Router.route list -> (unit, string) result
 (** Checks that every crossing has a track, no (edge, track) pair is shared
     by two nets, and every assigned track is usable on its edge. *)

@@ -56,12 +56,9 @@ val of_placement :
   Vpga_place.Placement.t ->
   t
 (** Grid sized from a placement's die: ~45 um bins (8-48 columns) and a
-    boundary capacity proportional to bin size ({!tracks_per_um}).  When
+    boundary capacity proportional to bin size (4 tracks per um).  When
     [tracks] is supplied, emits the [route.dead_edges] /
     [route.derated_edges] counters to the ambient trace. *)
-
-val tracks_per_um : float
-(** Routing tracks per um of bin boundary in the synthetic technology. *)
 
 val cap : t -> int -> int
 (** Usable tracks on an edge; equals [capacity] on a healthy fabric. *)

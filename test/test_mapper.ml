@@ -226,8 +226,8 @@ module Reference_cut = struct
     cuts
 end
 
-(* Larger random AIGs than [random_aig] below: more PIs, so merged leaf
-   sets collide less and fanin cut lists fill up to [max_cuts]. *)
+(* Random AIGs with 4-11 PIs, so merged leaf sets collide rarely and
+   fanin cut lists fill up to [max_cuts]. *)
 let random_cut_aig seed =
   let rng = Random.State.make [| seed |] in
   let t = Aig.create () in
@@ -280,130 +280,6 @@ let prop_cuts_match_reference =
             want;
           true)
         [ (3, 4); (3, 8); (3, 16); (4, 8); (2, 4) ])
-
-(* --- FlowMap ------------------------------------------------------------ *)
-
-let and_tree t inputs =
-  let rec go = function
-    | [] -> Aig.const1
-    | [ x ] -> x
-    | xs ->
-        let rec pair = function
-          | a :: b :: rest -> Aig.and_ t a b :: pair rest
-          | rest -> rest
-        in
-        go (pair xs)
-  in
-  go inputs
-
-let test_flowmap_and6 () =
-  let t = Aig.create () in
-  let pis = List.init 6 (fun _ -> Aig.add_pi t) in
-  let top = and_tree t pis in
-  Alcotest.(check int) "and6 needs depth 2 at k=3" 2
-    (let labels = Flowmap.labels t ~k:3 in
-     labels.(Aig.node_of top))
-
-let test_flowmap_and3 () =
-  let t = Aig.create () in
-  let pis = List.init 3 (fun _ -> Aig.add_pi t) in
-  let top = and_tree t pis in
-  let labels = Flowmap.labels t ~k:3 in
-  Alcotest.(check int) "and3 fits one level" 1 (labels.(Aig.node_of top))
-
-let test_flowmap_monotone_k () =
-  (* larger k never increases depth *)
-  let t = Aig.create () in
-  let pis = List.init 9 (fun _ -> Aig.add_pi t) in
-  let top = and_tree t pis in
-  ignore top;
-  let d3 = Flowmap.depth t ~k:3 and d4 = Flowmap.depth t ~k:4 in
-  Alcotest.(check bool) "monotone in k" true (d4 <= d3);
-  (* FlowMap is depth-optimal for the *given* structure: the binary
-     pairing tree of and9 forces a 4-PI cone at the second level, so depth 3
-     (a restructured 3-ary tree would reach 2; see the next check). *)
-  Alcotest.(check int) "and9 pairing tree at k=3" 3 d3;
-  let t2 = Aig.create () in
-  let tri =
-    List.init 3 (fun _ ->
-        let a = Aig.add_pi t2 and b = Aig.add_pi t2 and c = Aig.add_pi t2 in
-        Aig.and_ t2 (Aig.and_ t2 a b) c)
-  in
-  let top = and_tree t2 tri in
-  let labels = Flowmap.labels t2 ~k:3 in
-  Alcotest.(check int) "and9 as 3-ary tree at k=3" 2 (labels.(Aig.node_of top))
-
-let test_flowmap_xor_chain () =
-  let t = Aig.create () in
-  let a = Aig.add_pi t and b = Aig.add_pi t and c = Aig.add_pi t
-  and d = Aig.add_pi t and e = Aig.add_pi t in
-  let x1 = Aig.xor_ t a b in
-  let x2 = Aig.xor_ t x1 c in
-  let x3 = Aig.xor_ t x2 d in
-  let x4 = Aig.xor_ t x3 e in
-  let labels = Flowmap.labels t ~k:3 in
-  (* xor5 chain: xor3 in one 3-cut, then two more vars in a second level *)
-  Alcotest.(check int) "xor5 chain depth 2" 2 (labels.(Aig.node_of x4))
-
-(* Random AIGs deep enough that fanin cones overlap, so the max-flow cut
-   decision sees reconvergence rather than trees only. *)
-let random_aig seed =
-  let rng = Random.State.make [| seed |] in
-  let t = Aig.create () in
-  let pis = List.init 6 (fun _ -> Aig.add_pi t) in
-  let pool = ref pis in
-  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
-  for _ = 1 to 60 do
-    let a = pick () and b = pick () in
-    let a = if Random.State.bool rng then Aig.not_ a else a in
-    let b = if Random.State.bool rng then Aig.not_ b else b in
-    pool := Aig.and_ t a b :: !pool
-  done;
-  t
-
-(* Label bounds every exact FlowMap labeling obeys, checked against
-   quantities computed independently of the max-flow: an AND node's label is
-   the max fanin label or one more, never exceeds its unit-delay AIG level,
-   is 1 whenever its whole PI support fits in one k-cut, and never grows
-   with k. *)
-let prop_flowmap_label_bounds =
-  QCheck.Test.make ~name:"labels within fanin, level and support bounds"
-    ~count:25 QCheck.small_int (fun seed ->
-      let t = random_aig seed in
-      let n = Aig.size t in
-      let level = Array.make n 0 and support = Array.make n [] in
-      for id = 1 to n - 1 do
-        if Aig.is_pi t id then support.(id) <- [ id ]
-        else if not (Aig.is_const id) then begin
-          let l0, l1 = Aig.fanins t id in
-          let f0 = Aig.node_of l0 and f1 = Aig.node_of l1 in
-          level.(id) <- 1 + max level.(f0) level.(f1);
-          support.(id) <- List.sort_uniq compare (support.(f0) @ support.(f1))
-        end
-      done;
-      let l3 = Flowmap.labels t ~k:3 and l4 = Flowmap.labels t ~k:4 in
-      for id = 0 to n - 1 do
-        if Aig.is_pi t id || Aig.is_const id then begin
-          if l3.(id) <> 0 then QCheck.Test.fail_reportf "leaf %d labelled" id
-        end
-        else begin
-          let l0, l1 = Aig.fanins t id in
-          let p = max l3.(Aig.node_of l0) l3.(Aig.node_of l1) in
-          if l3.(id) < max p 1 || l3.(id) > p + 1 then
-            QCheck.Test.fail_reportf "node %d: label %d, fanin max %d" id
-              l3.(id) p;
-          if l3.(id) > level.(id) then
-            QCheck.Test.fail_reportf "node %d: label %d above level %d" id
-              l3.(id) level.(id);
-          if List.length support.(id) <= 3 && l3.(id) <> 1 then
-            QCheck.Test.fail_reportf "node %d: 3-input cone labelled %d" id
-              l3.(id);
-          if l4.(id) > l3.(id) then
-            QCheck.Test.fail_reportf "node %d: k=4 label %d above k=3 %d" id
-              l4.(id) l3.(id)
-        end
-      done;
-      Flowmap.depth t ~k:3 = Array.fold_left max 0 l3)
 
 (* --- Techmap ------------------------------------------------------------ *)
 
@@ -620,14 +496,6 @@ let () =
           Alcotest.test_case "enumeration" `Quick test_cuts;
           qt prop_cuts_match_reference;
         ] );
-      ( "flowmap",
-        [
-          Alcotest.test_case "and3" `Quick test_flowmap_and3;
-          Alcotest.test_case "and6" `Quick test_flowmap_and6;
-          Alcotest.test_case "monotone in k" `Quick test_flowmap_monotone_k;
-          Alcotest.test_case "xor chain" `Quick test_flowmap_xor_chain;
-        ] );
-      ("flowmap label bounds", [ qt prop_flowmap_label_bounds ]);
       ( "techmap",
         [
           Alcotest.test_case "equivalence" `Quick test_techmap_equivalence;

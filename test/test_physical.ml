@@ -1,11 +1,10 @@
-(* Tests for the physical-design substrates: max-flow, FM partitioning,
-   placement, buffering, routing, quadrisection packing and STA. *)
+(* Tests for the physical-design substrates: FM partitioning, placement,
+   buffering, routing, quadrisection packing and STA. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
 module Equiv = Vpga_netlist.Equiv
 module Bfun = Vpga_logic.Bfun
-module Maxflow = Vpga_maxflow.Maxflow
 module Arch = Vpga_plb.Arch
 module Config = Vpga_plb.Config
 open Vpga_place
@@ -14,51 +13,6 @@ module Quadrisect = Vpga_pack.Quadrisect
 module Sta = Vpga_timing.Sta
 module Techmap = Vpga_mapper.Techmap
 module Compact = Vpga_mapper.Compact
-
-(* --- Maxflow ------------------------------------------------------------- *)
-
-let test_maxflow_basic () =
-  (* classic 4-node diamond: s=0, t=3 *)
-  let g = Maxflow.create 4 in
-  Maxflow.add_edge g ~src:0 ~dst:1 ~cap:3;
-  Maxflow.add_edge g ~src:0 ~dst:2 ~cap:2;
-  Maxflow.add_edge g ~src:1 ~dst:3 ~cap:2;
-  Maxflow.add_edge g ~src:2 ~dst:3 ~cap:3;
-  Maxflow.add_edge g ~src:1 ~dst:2 ~cap:5;
-  Alcotest.(check int) "flow" 5 (Maxflow.max_flow g ~source:0 ~sink:3)
-
-let test_maxflow_cut () =
-  let g = Maxflow.create 4 in
-  Maxflow.add_edge g ~src:0 ~dst:1 ~cap:1;
-  Maxflow.add_edge g ~src:1 ~dst:2 ~cap:1;
-  Maxflow.add_edge g ~src:2 ~dst:3 ~cap:1;
-  Alcotest.(check int) "chain flow" 1 (Maxflow.max_flow g ~source:0 ~sink:3);
-  let side = Maxflow.min_cut_side g ~source:0 in
-  Alcotest.(check bool) "source on source side" true side.(0);
-  Alcotest.(check bool) "sink off source side" false side.(3)
-
-let test_maxflow_disconnected () =
-  let g = Maxflow.create 3 in
-  Maxflow.add_edge g ~src:0 ~dst:1 ~cap:7;
-  Alcotest.(check int) "no path" 0 (Maxflow.max_flow g ~source:0 ~sink:2)
-
-let prop_maxflow_bounded =
-  QCheck.Test.make ~name:"flow bounded by source capacity" ~count:50
-    QCheck.(pair small_int small_int)
-    (fun (seed, n) ->
-      let n = 3 + (n mod 8) in
-      let rng = Random.State.make [| seed |] in
-      let g = Maxflow.create n in
-      let out0 = ref 0 in
-      for _ = 1 to 3 * n do
-        let a = Random.State.int rng n and b = Random.State.int rng n in
-        if a <> b then begin
-          let c = 1 + Random.State.int rng 4 in
-          Maxflow.add_edge g ~src:a ~dst:b ~cap:c;
-          if a = 0 then out0 := !out0 + c
-        end
-      done;
-      Maxflow.max_flow g ~source:0 ~sink:(n - 1) <= !out0)
 
 (* --- FM ------------------------------------------------------------------- *)
 
@@ -963,13 +917,6 @@ let qt = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "vpga_physical"
     [
-      ( "maxflow",
-        [
-          Alcotest.test_case "diamond" `Quick test_maxflow_basic;
-          Alcotest.test_case "chain cut" `Quick test_maxflow_cut;
-          Alcotest.test_case "disconnected" `Quick test_maxflow_disconnected;
-          qt prop_maxflow_bounded;
-        ] );
       ( "fm",
         [
           Alcotest.test_case "two cliques" `Quick test_fm_splits_cliques;
