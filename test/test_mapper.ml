@@ -1,5 +1,5 @@
-(* Tests for the AIG, cut enumeration, FlowMap labeling, technology mapping
-   and the regularity-driven compaction step. *)
+(* Tests for the AIG, cut enumeration, technology mapping and the
+   regularity-driven compaction step. *)
 
 module Bfun = Vpga_logic.Bfun
 module Netlist = Vpga_netlist.Netlist
@@ -281,6 +281,46 @@ let prop_cuts_match_reference =
           true)
         [ (3, 4); (3, 8); (3, 16); (4, 8); (2, 4) ])
 
+(* Cut functions checked against simulation rather than a reference
+   enumerator: under random PI values, every cut's truth table applied to
+   its leaves' values gives the node's value. *)
+let prop_cut_functions_simulate =
+  QCheck.Test.make ~name:"truth tables agree with simulation" ~count:40
+    QCheck.small_int (fun seed ->
+      let t = random_cut_aig seed in
+      let n = Aig.size t in
+      let rng = Random.State.make [| seed; 17 |] in
+      List.for_all
+        (fun (k, max_cuts) ->
+          let cuts = Cut.enumerate t ~k ~max_cuts in
+          for _ = 1 to 8 do
+            let pi = Array.init (Aig.num_pis t) (fun _ -> Random.State.bool rng) in
+            let value = Array.init n (fun id -> Aig.eval t pi (2 * id)) in
+            Array.iteri
+              (fun id cs ->
+                List.iter
+                  (fun (c : Cut.t) ->
+                    if Cut.leaf_count c > k then
+                      QCheck.Test.fail_reportf "node %d: %d leaves at k=%d" id
+                        (Cut.leaf_count c) k;
+                    let m = ref 0 in
+                    Array.iteri
+                      (fun i leaf -> if value.(leaf) then m := !m lor (1 lsl i))
+                      c.Cut.leaves;
+                    if Bfun.eval c.Cut.tt !m <> value.(id) then
+                      QCheck.Test.fail_reportf
+                        "k=%d max_cuts=%d node %d: cut {%s} gives %b, node is %b"
+                        k max_cuts id
+                        (String.concat ","
+                           (Array.to_list
+                              (Array.map string_of_int c.Cut.leaves)))
+                        (not value.(id)) value.(id))
+                  cs)
+              cuts
+          done;
+          true)
+        [ (3, 8); (4, 8); (2, 4) ])
+
 (* --- Techmap ------------------------------------------------------------ *)
 
 let full_adder () =
@@ -496,6 +536,7 @@ let () =
           Alcotest.test_case "enumeration" `Quick test_cuts;
           qt prop_cuts_match_reference;
         ] );
+      ("cut functions vs AIG", [ qt prop_cut_functions_simulate ]);
       ( "techmap",
         [
           Alcotest.test_case "equivalence" `Quick test_techmap_equivalence;
