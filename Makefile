@@ -33,10 +33,11 @@
 #                   against a throwaway disk store, rerun warm from a
 #                   fresh process, assert a nonzero hit rate and
 #                   identical outcomes; exits nonzero on divergence
-#   make check      the full pre-merge gate: build, test suite, the
-#                   static-analysis suite, the defect-stress matrix, the
-#                   stage-cache self-test, the metrics snapshot diff,
-#                   then the kernel perf regression diff at 25% tolerance
+#   make check      the full pre-merge gate: build, test suite (which
+#                   runs the static-analysis suite too), the defect-stress
+#                   matrix, the stage-cache self-test, the metrics
+#                   snapshot diff, then the kernel perf regression diff at
+#                   25% tolerance
 #   make trace      run one traced flow (alu / granular) and write
 #                   trace.json -- open it at https://ui.perfetto.dev or
 #                   summarize with `dune exec bin/vpga.exe -- report trace.json`
@@ -101,7 +102,6 @@ cachecheck:
 check:
 	dune build
 	dune build @runtest
-	dune build @analyze
 	$(MAKE) stress
 	$(MAKE) cachecheck
 	$(MAKE) metricsdiff

@@ -282,10 +282,12 @@ let write_json sweep kernels =
    but never fail. *)
 let run_perfdiff () =
   let baseline =
-    let ic = open_in !json_path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
+    let s =
+      try In_channel.with_open_bin !json_path In_channel.input_all
+      with Sys_error msg ->
+        Format.printf "perfdiff: cannot read %s: %s@." !json_path msg;
+        exit 2
+    in
     match Json.parse s with
     | Error msg ->
         Format.printf "perfdiff: cannot parse %s: %s@." !json_path msg;

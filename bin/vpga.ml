@@ -472,6 +472,17 @@ let stress_cmd =
       $ wmax_arg $ dist_arg $ json_flag $ design_filter $ trace_arg
       $ cache_term)
 
+(* The source netlist and its front-end stages, titled, as lint and analyze
+   report them; the netlist is compacted once and buffered from that. *)
+let front_end_stages arch nl =
+  let compacted = Compact.run arch nl in
+  [
+    ("source", nl);
+    ("techmap " ^ arch.Arch.name, Techmap.map arch nl);
+    ("compact " ^ arch.Arch.name, compacted);
+    ("buffered " ^ arch.Arch.name, Buffering.insert ~max_fanout:8 compacted);
+  ]
+
 let lint_cmd =
   let formal_flag =
     Arg.(
@@ -490,15 +501,7 @@ let lint_cmd =
       else Diag.pp_report Format.std_formatter ds;
       ds
     in
-    let stages =
-      [
-        ("source", nl);
-        ("techmap " ^ arch.Arch.name, Techmap.map arch nl);
-        ("compact " ^ arch.Arch.name, Compact.run arch nl);
-        ( "buffered " ^ arch.Arch.name,
-          Buffering.insert ~max_fanout:8 (Compact.run arch nl) );
-      ]
-    in
+    let stages = front_end_stages arch nl in
     let all = List.concat_map (fun (t, d) -> report t d) stages in
     if formal then
       List.iter
@@ -533,15 +536,7 @@ let analyze_cmd =
   in
   let run paper design arch simplify fail_on_warning =
     let nl = design_of_name paper design in
-    let stages =
-      [
-        ("source", nl);
-        ("techmap " ^ arch.Arch.name, Techmap.map arch nl);
-        ("compact " ^ arch.Arch.name, Compact.run arch nl);
-        ( "buffered " ^ arch.Arch.name,
-          Buffering.insert ~max_fanout:8 (Compact.run arch nl) );
-      ]
-    in
+    let stages = front_end_stages arch nl in
     let all =
       List.concat_map
         (fun (title, nl') ->

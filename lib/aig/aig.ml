@@ -100,18 +100,25 @@ let fanins t id =
   if t.fanin0.(id) < 0 then invalid_arg "Aig.fanins: not an AND node";
   (t.fanin0.(id), t.fanin1.(id))
 
-let eval t pi_values l =
-  let values = Array.make t.n false in
+(* One word per node; bit [l] of every word is lane [l], an independent
+   pattern.  PI words and complemented fanins are masked to the
+   [Simulate.lanes] lanes, so no word carries a bit above them. *)
+let lane_mask = (1 lsl Vpga_netlist.Simulate.lanes) - 1
+
+let simulate t pi =
+  if Array.length pi <> t.npis then
+    invalid_arg "Aig.simulate: wrong number of PI words";
+  let values = Array.make t.n 0 in
+  let[@inline] word l = (values.(node_of l) lxor -(l land 1)) land lane_mask in
   for id = 1 to t.n - 1 do
-    if is_pi t id then values.(id) <- pi_values.(t.pi_idx.(id))
-    else begin
-      let f0 = t.fanin0.(id) and f1 = t.fanin1.(id) in
-      let v0 = values.(node_of f0) <> is_complement f0 in
-      let v1 = values.(node_of f1) <> is_complement f1 in
-      values.(id) <- v0 && v1
-    end
+    if is_pi t id then values.(id) <- pi.(t.pi_idx.(id)) land lane_mask
+    else values.(id) <- word t.fanin0.(id) land word t.fanin1.(id)
   done;
-  values.(node_of l) <> is_complement l
+  values
+
+let eval t pi_values l =
+  let values = simulate t (Array.map Bool.to_int pi_values) in
+  (values.(node_of l) land 1 = 1) <> is_complement l
 
 type root = Po of int | Flop_d of int
 
@@ -123,22 +130,11 @@ type bound = {
   node_lits : int array;
 }
 
-let of_netlist nl =
-  let t = create () in
+let replay t nl in_lits =
   let n = Netlist.size nl in
   let lit_of = Array.make n (-1) in
-  let pi_srcs = ref [] in
-  (* PIs, then flop Qs, become AIG PIs. *)
-  List.iter
-    (fun i ->
-      lit_of.(i) <- add_pi t;
-      pi_srcs := i :: !pi_srcs)
-    (Netlist.inputs nl);
-  List.iter
-    (fun i ->
-      lit_of.(i) <- add_pi t;
-      pi_srcs := i :: !pi_srcs)
-    (Netlist.flops nl);
+  let sources = Array.of_list (Netlist.inputs nl @ Netlist.flops nl) in
+  Array.iteri (fun k i -> lit_of.(i) <- in_lits.(k)) sources;
   (* Combinational gates in id order (topological for comb edges). *)
   for i = 0 to n - 1 do
     let node = Netlist.node nl i in
@@ -148,21 +144,22 @@ let of_netlist nl =
     | k ->
         let args = Array.map (fun f -> lit_of.(f)) node.Netlist.fanins in
         if Array.exists (fun l -> l < 0) args then
-          invalid_arg "Aig.of_netlist: fanin not yet converted";
+          invalid_arg "Aig.replay: fanin not yet converted";
         lit_of.(i) <- add_fn t (Kind.fn k) args
   done;
+  let driver i = (Netlist.node nl i).Netlist.fanins.(0) in
   let roots =
-    List.map
-      (fun o -> (Po o, lit_of.((Netlist.node nl o).Netlist.fanins.(0))))
-      (Netlist.outputs nl)
+    List.map (fun o -> (Po o, lit_of.(driver o))) (Netlist.outputs nl)
     @ List.map
-        (fun f -> (Flop_d f, lit_of.((Netlist.node nl f).Netlist.fanins.(0))))
+        (fun f ->
+          if driver f < 0 then invalid_arg "Aig.replay: unconnected flop";
+          (Flop_d f, lit_of.(driver f)))
         (Netlist.flops nl)
   in
-  {
-    aig = t;
-    source = nl;
-    pi_sources = Array.of_list (List.rev !pi_srcs);
-    roots;
-    node_lits = lit_of;
-  }
+  { aig = t; source = nl; pi_sources = sources; roots; node_lits = lit_of }
+
+(* PIs, then flop Qs, become fresh AIG PIs. *)
+let of_netlist nl =
+  let t = create () in
+  let nin = List.length (Netlist.inputs nl) + List.length (Netlist.flops nl) in
+  replay t nl (Array.init nin (fun _ -> add_pi t))

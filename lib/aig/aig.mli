@@ -46,8 +46,19 @@ val fanins : t -> int -> lit * lit
 val pi_index : t -> int -> int
 (** Index (0-based, creation order) of a PI node. *)
 
+val lane_mask : int
+(** The low {!Vpga_netlist.Simulate.lanes} bits: the lanes {!simulate}
+    keeps. *)
+
+val simulate : t -> int array -> int array
+(** [simulate t pi] drives PI [k] with word [pi.(k)] and returns one word
+    per node: bit [l] of each is the node's value in lane [l], an
+    independent pattern.  Every word is confined to {!lane_mask}.
+    @raise Invalid_argument on a wrong number of PI words. *)
+
 val eval : t -> bool array -> lit -> bool
-(** Evaluate a literal under an assignment to the PIs. *)
+(** Evaluate a literal under an assignment to the PIs (lane 0 of
+    {!simulate}). *)
 
 (** Binding between a sequential netlist and its combinational AIG: flop Q
     pins become pseudo-PIs, flop D pins pseudo-POs. *)
@@ -56,7 +67,8 @@ type root = Po of int (** output node id *) | Flop_d of int (** flop node id *)
 type bound = {
   aig : t;
   source : Netlist.t;
-  pi_sources : int array;  (** netlist node id per AIG PI (inputs then flops) *)
+  pi_sources : int array;
+      (** netlist node id per input literal: inputs, then flops *)
   roots : (root * lit) list;
   node_lits : int array;
       (** per netlist node, the AIG literal computing it — the witness the
@@ -65,6 +77,14 @@ type bound = {
           carry no logic; see [roots]). *)
 }
 
+val replay : t -> Netlist.t -> lit array -> bound
+(** [replay t nl in_lits] adds [nl]'s combinational logic to [t], reading
+    [in_lits] for its primary inputs and then its flop Q pins, and binds the
+    result.  Gates are added in id order, so replaying two netlists into
+    one AIG strashes their common logic together.
+    @raise Invalid_argument on a fanin that is not yet converted or an
+    unconnected flop. *)
+
 val of_netlist : Netlist.t -> bound
-(** Build the AIG of the combinational portion; strash and constant folding
-    run during construction. *)
+(** Replay into a fresh AIG whose PIs are the netlist's inputs, then its
+    flops; strash and constant folding run during construction. *)

@@ -1,60 +1,3 @@
-module Netlist = Vpga_netlist.Netlist
-
-type direction = Forward | Backward
-
-type 'v spec = {
-  direction : direction;
-  init : Netlist.node -> 'v;
-  transfer : Netlist.t -> 'v array -> Netlist.node -> 'v;
-  equal : 'v -> 'v -> bool;
-}
-
-exception Diverged
-
-let fixpoint ?fuel nl spec =
-  let n = Netlist.size nl in
-  let values = Array.init n (fun i -> spec.init (Netlist.node nl i)) in
-  (* Dependents to re-queue when a node's value changes: readers for a
-     forward analysis, fanins for a backward one. *)
-  let deps =
-    match spec.direction with
-    | Forward -> Netlist.fanout nl
-    | Backward -> Array.init n (fun i -> (Netlist.node nl i).Netlist.fanins)
-  in
-  let fuel =
-    match fuel with Some f -> f | None -> max 10_000 (64 * n)
-  in
-  let queue = Queue.create () in
-  let queued = Array.make n false in
-  let push i =
-    if not queued.(i) then begin
-      queued.(i) <- true;
-      Queue.add i queue
-    end
-  in
-  (match spec.direction with
-  | Forward ->
-      for i = 0 to n - 1 do
-        push i
-      done
-  | Backward ->
-      for i = n - 1 downto 0 do
-        push i
-      done);
-  let steps = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    queued.(i) <- false;
-    incr steps;
-    if !steps > fuel then raise Diverged;
-    let v = spec.transfer nl values (Netlist.node nl i) in
-    if not (spec.equal v values.(i)) then begin
-      values.(i) <- v;
-      Array.iter (fun j -> if j >= 0 && j < n then push j) deps.(i)
-    end
-  done;
-  values
-
 (* Tarjan's strongly-connected components, iterative (explicit DFS stack)
    so deep graphs cannot overflow the OCaml stack.  Returns only the
    cyclic components: size > 1, or a single node with a self-edge.  This

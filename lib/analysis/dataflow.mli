@@ -1,44 +1,6 @@
-(** Generic fixed-point dataflow over a netlist, plus the graph traversals
-    every static pass shares.
+(** The graph traversals every static pass shares.
 
-    The engine runs chaotic iteration with a deterministic FIFO worklist:
-    node values start at [init], [transfer] recomputes a node from the
-    current value array, and a changed node re-queues its dependents
-    (fanouts for a {!Forward} analysis, fanins for a {!Backward} one).
-    With a finite lattice and a monotone transfer the iteration terminates
-    at the least fixed point; the [fuel] bound turns a non-monotone spec
-    into a {!Diverged} failure instead of a hang.
-
-    Determinism: the initial worklist is seeded in id order (reverse id
-    order for backward analyses) and dependents are visited in the order
-    {!Vpga_netlist.Netlist.fanout} reports them, so the relaxation
-    sequence — and therefore any non-confluent result — is reproducible. *)
-
-module Netlist := Vpga_netlist.Netlist
-
-type direction = Forward | Backward
-
-type 'v spec = {
-  direction : direction;
-  init : Netlist.node -> 'v;  (** starting value per node *)
-  transfer : Netlist.t -> 'v array -> Netlist.node -> 'v;
-      (** recompute one node from the current value array; dangling fanin
-          ids (negative or out of range) are the transfer's to interpret *)
-  equal : 'v -> 'v -> bool;
-}
-
-exception Diverged
-(** The relaxation count exceeded [fuel]: the spec is not monotone over a
-    finite lattice (or the fuel was set too tight). *)
-
-val fixpoint : ?fuel:int -> Netlist.t -> 'v spec -> 'v array
-(** Least fixed point of [spec] over the netlist.  [fuel] bounds the total
-    number of node relaxations (default [max 10_000 (64 * size)]).
-    @raise Diverged when the bound is hit. *)
-
-(** {2 Shared traversals}
-
-    The exact traversal code {!Vpga_verify.Lint} historically owned, made
+    This is the traversal code {!Vpga_verify.Lint} historically owned, made
     generic so lint and the analysis passes report identical provenance. *)
 
 val cyclic_sccs : n:int -> succ:(int -> int array) -> int list list

@@ -1,6 +1,5 @@
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
-module Dataflow = Vpga_dataflow.Dataflow
 
 type v = Bot | C0 | C1 | Def | Und
 
@@ -65,8 +64,16 @@ let eval kind (vs : v array) =
 
 let in_range nl f = f >= 0 && f < Netlist.size nl
 
+(* Chaotic iteration with a deterministic FIFO worklist: every node starts
+   at [Bot] and is queued in id order; a node whose value changes re-queues
+   its fanouts in {!Netlist.fanout} order.  The lattice is finite and the
+   transfer monotone, so the loop ends at the least fixed point; the
+   relaxation bound turns a non-monotone transfer into a loud failure
+   instead of a hang. *)
 let values ~flop_init nl =
-  let transfer nl values (node : Netlist.node) =
+  let n = Netlist.size nl in
+  let values = Array.make n Bot in
+  let transfer (node : Netlist.node) =
     match node.Netlist.kind with
     | Kind.Input -> Def
     | Kind.Const b -> of_bool b
@@ -87,10 +94,30 @@ let values ~flop_init nl =
                (fun f -> if in_range nl f then values.(f) else Und)
                node.Netlist.fanins)
   in
-  Dataflow.fixpoint nl
-    {
-      Dataflow.direction = Dataflow.Forward;
-      init = (fun _ -> Bot);
-      transfer;
-      equal;
-    }
+  let fanout = Netlist.fanout nl in
+  let max_steps = max 10_000 (64 * n) in
+  let queue = Queue.create () in
+  let queued = Array.make n false in
+  let push i =
+    if not queued.(i) then begin
+      queued.(i) <- true;
+      Queue.add i queue
+    end
+  in
+  for i = 0 to n - 1 do
+    push i
+  done;
+  let steps = ref 0 in
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    queued.(i) <- false;
+    incr steps;
+    if !steps > max_steps then
+      failwith "Ternary.values: no fixed point within the relaxation bound";
+    let v = transfer (Netlist.node nl i) in
+    if not (equal v values.(i)) then begin
+      values.(i) <- v;
+      Array.iter (fun j -> if in_range nl j then push j) fanout.(i)
+    end
+  done;
+  values

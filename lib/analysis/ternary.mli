@@ -36,4 +36,8 @@ val values : flop_init:v -> Netlist.t -> v array
     every value its D pin takes — [flop_init = C0] models the
     simulator's all-zero reset (constant propagation); [flop_init = Und]
     models uninitialized state (X-propagation).  Dangling fanins and
-    arity-mismatched gates evaluate to [Und]. *)
+    arity-mismatched gates evaluate to [Und].  The worklist is seeded in
+    id order and re-queues fanouts in {!Netlist.fanout} order, so the
+    relaxation sequence is reproducible.
+    @raise Failure when a fixed relaxation bound, proportional to the
+    netlist size, is hit (the transfer is not monotone). *)

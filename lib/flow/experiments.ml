@@ -233,8 +233,7 @@ let ablation ?(seed = 1) scale =
   ]
 
 (* E13: configuration-via accounting — the VPGA's customization cost. *)
-let via_table ?(seed = 1) scale =
-  ignore seed;
+let via_table scale =
   List.concat_map
     (fun (name, nl) ->
       List.map

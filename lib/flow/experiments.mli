@@ -151,7 +151,7 @@ val ablation : ?seed:int -> scale -> (string * Flow.outcome) list
     loop and the criticality weighting individually disabled (the design
     choices DESIGN.md calls out). *)
 
-val via_table : ?seed:int -> scale -> (string * string * int) list
+val via_table : scale -> (string * string * int) list
 (** E13: programmed configuration-via sites per design and architecture —
     the VPGA's customization-cost unit ("the cost of higher granularity is
     significantly lower for the VPGA fabric", Section 1). *)

@@ -24,7 +24,6 @@
    over the swept AIG and decided without a budget. *)
 
 module Netlist = Vpga_netlist.Netlist
-module Kind = Vpga_netlist.Kind
 module Aig = Vpga_aig.Aig
 
 type counterexample = {
@@ -39,35 +38,6 @@ type bounded_verdict =
   | Proved
   | Refuted of counterexample
   | Undecided (* conflict budget exhausted at every pipeline step *)
-
-(* Replay [nl] into [aig], using [in_lits] for its primary inputs followed
-   by its flop Q pins.  Returns the output literals: POs first, then flop D
-   pins (matching [Aig.of_netlist]'s root convention). *)
-let replay aig nl in_lits =
-  let n = Netlist.size nl in
-  let lit_of = Array.make n (-1) in
-  List.iteri (fun k i -> lit_of.(i) <- in_lits.(k)) (Netlist.inputs nl);
-  let npi = List.length (Netlist.inputs nl) in
-  List.iteri (fun k i -> lit_of.(i) <- in_lits.(npi + k)) (Netlist.flops nl);
-  for i = 0 to n - 1 do
-    let node = Netlist.node nl i in
-    match node.Netlist.kind with
-    | Kind.Input | Kind.Dff | Kind.Output -> ()
-    | Kind.Const b -> lit_of.(i) <- (if b then Aig.const1 else Aig.const0)
-    | k ->
-        let args = Array.map (fun f -> lit_of.(f)) node.Netlist.fanins in
-        if Array.exists (fun l -> l < 0) args then
-          invalid_arg "Cec.replay: fanin not yet converted";
-        lit_of.(i) <- Aig.add_fn aig (Kind.fn k) args
-  done;
-  List.map (fun o -> lit_of.((Netlist.node nl o).Netlist.fanins.(0)))
-    (Netlist.outputs nl)
-  @ List.map
-      (fun f ->
-        let d = (Netlist.node nl f).Netlist.fanins.(0) in
-        if d < 0 then invalid_arg "Cec.replay: unconnected flop";
-        lit_of.(d))
-      (Netlist.flops nl)
 
 let same_interface a b =
   List.length (Netlist.inputs a) = List.length (Netlist.inputs b)
@@ -87,20 +57,24 @@ let decide budget a b =
   let npo = List.length (Netlist.outputs a) in
   let aig = Aig.create () in
   let in_lits = Array.init (npi + nff) (fun _ -> Aig.add_pi aig) in
-  let roots_a = replay aig a in_lits in
-  let roots_b = replay aig b in_lits in
+  (* Root literals: POs first, then flop D pins. *)
+  let roots nl = List.map snd (Aig.replay aig nl in_lits).Aig.roots in
+  let roots_a = roots a in
+  let roots_b = roots b in
   let miter =
     List.fold_left2
       (fun acc la lb -> Aig.or_ aig acc (Aig.xor_ aig la lb))
       Aig.const0 roots_a roots_b
   in
   let counterexample inputs =
-    (* Locate the first differing root under [inputs]. *)
+    (* Locate the first differing root under [inputs]: one simulation,
+       read in lane 0. *)
+    let values = Aig.simulate aig (Array.map Bool.to_int inputs) in
+    let bit l = (values.(Aig.node_of l) land 1 = 1) <> Aig.is_complement l in
     let rec find k ra rb =
       match (ra, rb) with
       | la :: ra', lb :: rb' ->
-          if Aig.eval aig inputs la <> Aig.eval aig inputs lb then k
-          else find (k + 1) ra' rb'
+          if bit la <> bit lb then k else find (k + 1) ra' rb'
       | _ -> invalid_arg "Cec.check: SAT model does not distinguish outputs"
     in
     let k = find 0 roots_a roots_b in

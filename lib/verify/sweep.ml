@@ -27,57 +27,30 @@ module Aig = Vpga_aig.Aig
 
 let sim_words = 4 (* 4 x 62 random patterns per initial signature *)
 let merge_budget = 4_000 (* CDCL conflicts per candidate merge proof *)
-let word_mask = (1 lsl 62) - 1
 
-(* Bit-parallel random simulation of the whole AIG; one int array of
-   [sim_words] signature words per node.  Node 0 (constant false) keeps an
-   all-zero signature, so constant cones class with it. *)
+(* Bit-parallel random simulation of the whole AIG: [sim_words] signature
+   words per node, read as [sigs.(w).(id)].  PI words are drawn PI by PI, all
+   of a PI's words at once; node 0 (constant false) keeps an all-zero
+   signature, so constant cones class with it. *)
 let simulate aig ~seed =
   let rng = Random.State.make [| seed |] in
-  let n = Aig.size aig in
-  let sig_of = Array.make_matrix n sim_words 0 in
-  for id = 1 to n - 1 do
-    if Aig.is_pi aig id then
-      for w = 0 to sim_words - 1 do
-        sig_of.(id).(w) <-
-          Random.State.bits rng
-          lor (Random.State.bits rng lsl 30)
-          lor ((Random.State.bits rng land 3) lsl 60)
-      done
-    else begin
-      let f0, f1 = Aig.fanins aig id in
-      let v l w =
-        let x = sig_of.(Aig.node_of l).(w) in
-        if Aig.is_complement l then lnot x land word_mask else x
-      in
-      for w = 0 to sim_words - 1 do
-        sig_of.(id).(w) <- v f0 w land v f1 w
-      done
-    end
-  done;
-  sig_of
-
-(* Single-pattern simulation: the value of every node under [pi_values]. *)
-let simulate_one aig pi_values =
-  let n = Aig.size aig in
-  let values = Array.make n false in
-  for id = 1 to n - 1 do
-    if Aig.is_pi aig id then values.(id) <- pi_values.(Aig.pi_index aig id)
-    else begin
-      let f0, f1 = Aig.fanins aig id in
-      let v l = values.(Aig.node_of l) <> Aig.is_complement l in
-      values.(id) <- v f0 && v f1
-    end
-  done;
-  values
+  let draws =
+    Array.init (Aig.num_pis aig) (fun _ ->
+        Array.init sim_words (fun _ ->
+            Random.State.bits rng
+            lor (Random.State.bits rng lsl 30)
+            lor ((Random.State.bits rng land 3) lsl 60)))
+  in
+  Array.init sim_words (fun w ->
+      Aig.simulate aig (Array.map (fun ws -> ws.(w)) draws))
 
 let reduce ?(seed = 97) ?(merge_budget = merge_budget) aig =
   let n = Aig.size aig in
-  let sig_of = simulate aig ~seed in
+  let sigs = simulate aig ~seed in
   (* Normalization phase per node: complement-equivalent nodes share a
      class.  The phase is fixed by the initial signature and never changes
      (refinement patterns are compared phase-relative). *)
-  let phase = Array.init n (fun id -> sig_of.(id).(0) land 1) in
+  let phase = Array.init n (fun id -> sigs.(0).(id) land 1) in
   (* Initial candidate classes: nodes with equal normalized signatures. *)
   let class_of = Array.make n (-1) in
   let members : (int, int list) Hashtbl.t = Hashtbl.create 64 in
@@ -85,10 +58,8 @@ let reduce ?(seed = 97) ?(merge_budget = merge_budget) aig =
   let tbl = Hashtbl.create (2 * n) in
   for id = 0 to n - 1 do
     let key =
-      Array.to_list
-        (Array.map
-           (fun w -> if phase.(id) = 1 then lnot w land word_mask else w)
-           sig_of.(id))
+      List.init sim_words (fun w ->
+          (sigs.(w).(id) lxor -phase.(id)) land Aig.lane_mask)
     in
     let c =
       match Hashtbl.find_opt tbl key with
@@ -107,8 +78,8 @@ let reduce ?(seed = 97) ?(merge_budget = merge_budget) aig =
   List.iter (fun (c, ms) -> Hashtbl.replace members c (List.rev ms)) keys;
   (* Split every class along one distinguishing pattern. *)
   let refine pi_values =
-    let values = simulate_one aig pi_values in
-    let nv id = values.(id) <> (phase.(id) = 1) in
+    let values = Aig.simulate aig (Array.map Bool.to_int pi_values) in
+    let nv id = values.(id) land 1 <> phase.(id) in
     let split c ms =
       let zeros, ones = List.partition (fun id -> not (nv id)) ms in
       match (zeros, ones) with

@@ -465,6 +465,44 @@ let prop_check_matches_scalar =
            [ 1; 24; 62; 63; 64; 130 ])
       && Equiv.check_exhaustive a b = Scalar.check_exhaustive a b)
 
+(* The AIG kernel against the netlist simulator: for a random sequential
+   netlist, random PI words and flop-state words (reached by two random
+   clock cycles from reset), every PO and flop-D root of [Aig.of_netlist]
+   computes the same word in all [Simulate.lanes] lanes, and the root's
+   node word is confined to those lanes. *)
+let prop_aig_simulate_matches =
+  QCheck.Test.make ~name:"Aig.simulate = eval_words" ~count:100
+    QCheck.(pair small_nat int)
+    (fun (seed, wseed) ->
+      let nl = random_seq_netlist seed in
+      let rng = Random.State.make [| wseed |] in
+      let word () =
+        Random.State.bits rng
+        lor (Random.State.bits rng lsl 30)
+        lor (Random.State.bits rng lsl 60)
+      in
+      let pi_words () = List.map (fun _ -> word ()) (Netlist.inputs nl) in
+      let sim = Simulate.create nl in
+      Simulate.reset sim;
+      Simulate.step_words sim (Array.of_list (pi_words ()));
+      Simulate.step_words sim (Array.of_list (pi_words ()));
+      let pi = pi_words () in
+      Simulate.eval_words sim (Array.of_list pi);
+      let state = List.map (Simulate.word sim) (Netlist.flops nl) in
+      let b = Aig.of_netlist nl in
+      let words = Aig.simulate b.Aig.aig (Array.of_list (pi @ state)) in
+      List.for_all
+        (fun (root, l) ->
+          let driver =
+            match root with
+            | Aig.Po o -> o
+            | Aig.Flop_d f -> (Netlist.node nl f).Netlist.fanins.(0)
+          in
+          let expect = Simulate.word sim driver land Aig.lane_mask in
+          words.(Aig.node_of l)
+          = (expect lxor -(l land 1)) land Aig.lane_mask)
+        b.Aig.roots)
+
 (* Every Test design through the front end on both PLBs, built once and
    shared: the source netlist and its techmap, compact and buffer
    outputs. *)
@@ -749,6 +787,7 @@ let () =
       ( "simulate",
         [
           QCheck_alcotest.to_alcotest prop_check_matches_scalar;
+          QCheck_alcotest.to_alcotest prop_aig_simulate_matches;
           Alcotest.test_case "gate mutants vs scalar" `Quick
             test_gate_matches_scalar_on_mutants;
           Alcotest.test_case "activities vs scalar" `Quick
