@@ -10,18 +10,16 @@
 
    Both netlists are replayed into one shared structurally-hashed AIG, so
    any logic the flow left untouched strashes to the *same* literal and
-   falls out of the miter for free; only genuinely restructured cones reach
-   the SAT solver.  The miter (OR of XORs of corresponding outputs) is
-   Tseitin-encoded and decided by the CDCL solver in {!Sat}: UNSAT is a
-   proof of equivalence, SAT yields a concrete distinguishing input
-   vector.
-
-   A monolithic miter over an arithmetic design (the FPU's 8x8 multiplier)
-   can defeat CDCL outright, so the direct solve gets a conflict budget;
-   if it runs out, the shared AIG is first reduced by simulation-guided
-   SAT sweeping ({!Sweep}), which merges internally equivalent nodes one
-   small proof at a time, and the (now near-trivial) miter is re-formed
-   over the swept AIG and decided without a budget. *)
+   falls out of the miter (OR of XORs of corresponding outputs) for free.
+   What remains is decided in the ABC order: the shared AIG is first
+   reduced by simulation-guided SAT sweeping ({!Sweep}), which merges
+   internally equivalent nodes one small proof at a time, and only then
+   is the miter re-formed over the swept AIG, Tseitin-encoded and decided
+   by the CDCL solver in {!Sat}.  On flow stages the swept miter usually
+   strashes to constant false, whereas a monolithic solve of the unswept
+   miter (the FPU's 8x8 multiplier) can defeat CDCL outright.
+   UNSAT is a proof of equivalence, SAT yields a concrete distinguishing
+   input vector. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Aig = Vpga_aig.Aig
@@ -37,18 +35,20 @@ type verdict = Equivalent | Inequivalent of counterexample
 type bounded_verdict =
   | Proved
   | Refuted of counterexample
-  | Undecided (* conflict budget exhausted at every pipeline step *)
+  | Undecided (* the final solve ran out of its conflict budget *)
 
 let same_interface a b =
   List.length (Netlist.inputs a) = List.length (Netlist.inputs b)
   && List.length (Netlist.outputs a) = List.length (Netlist.outputs b)
   && List.length (Netlist.flops a) = List.length (Netlist.flops b)
 
-(* The decision pipeline, optionally bounded: [budget = Some mc] caps
-   total effort (direct solve, per-merge sweeping proofs, and the final
-   post-sweep solve all run under [mc] conflicts) and may come back
-   [Undecided]; [budget = None] is the unbounded pipeline of {!check},
-   whose final solve cannot time out. *)
+(* The decision pipeline, optionally bounded: with [budget = Some mc]
+   each sweeping merge proof gets [min mc 4000] conflicts and the final
+   solve [mc], so the check may come back [Undecided]; [budget = None] is
+   the unbounded pipeline of {!check}, whose merge proofs keep {!Sweep}'s
+   default budget and whose final solve cannot time out.  Every merge is
+   SAT-proven, so the substitution is exact and a verdict on the swept
+   miter transfers to the original. *)
 let decide budget a b =
   if not (same_interface a b) then
     invalid_arg "Cec.check: interface mismatch (PI/PO/flop counts differ)";
@@ -61,9 +61,9 @@ let decide budget a b =
   let roots nl = List.map snd (Aig.replay aig nl in_lits).Aig.roots in
   let roots_a = roots a in
   let roots_b = roots b in
-  let miter =
+  let miter g subst =
     List.fold_left2
-      (fun acc la lb -> Aig.or_ aig acc (Aig.xor_ aig la lb))
+      (fun acc la lb -> Aig.or_ g acc (Aig.xor_ g (subst la) (subst lb)))
       Aig.const0 roots_a roots_b
   in
   let counterexample inputs =
@@ -81,53 +81,33 @@ let decide budget a b =
     Refuted
       { root = (if k < npo then k else k - npo); root_is_flop = k >= npo; inputs }
   in
-  let model_inputs model subst =
-    Array.map
-      (fun l ->
-        let l' = subst l in
-        model.(Aig.node_of l') <> Aig.is_complement l')
-      in_lits
-  in
-  let direct_budget =
-    match budget with Some mc -> min mc 2_000 | None -> 2_000
-  in
-  if miter = Aig.const0 then Proved
-  else if miter = Aig.const1 then
-    counterexample (Array.make (npi + nff) false)
-  else begin
-    let cnf = Cnf.of_cone aig miter in
-    match
-      Sat.solve ~max_conflicts:direct_budget ~nvars:cnf.Cnf.nvars
-        cnf.Cnf.clauses
-    with
-    | Sat.Unsat -> Proved
-    | Sat.Sat model -> counterexample (model_inputs model (fun l -> l))
-    | Sat.Unknown -> begin
-        (* Budget exhausted: sweep internal equivalences, then re-decide.
-           The substitution is exact (every merge is SAT-proven), so a
-           verdict on the swept miter transfers to the original. *)
-        let swept, subst =
-          Sweep.reduce
-            ?merge_budget:(Option.map (fun mc -> min mc 4_000) budget)
-            aig
-        in
-        let miter' =
-          List.fold_left2
-            (fun acc la lb ->
-              Aig.or_ swept acc (Aig.xor_ swept (subst la) (subst lb)))
-            Aig.const0 roots_a roots_b
-        in
-        if miter' = Aig.const0 then Proved
-        else if miter' = Aig.const1 then
-          counterexample (Array.make (npi + nff) false)
-        else
-          let cnf = Cnf.of_cone swept miter' in
-          match Sat.solve ?max_conflicts:budget ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
-          | Sat.Unsat -> Proved
-          | Sat.Sat model -> counterexample (model_inputs model subst)
-          | Sat.Unknown -> Undecided (* only reachable when bounded *)
-      end
-  end
+  let all_zero () = counterexample (Array.make (npi + nff) false) in
+  let m = miter aig Fun.id in
+  if m = Aig.const0 then Proved
+  else if m = Aig.const1 then all_zero ()
+  else
+    let swept, subst =
+      Sweep.reduce
+        ?merge_budget:(Option.map (fun mc -> min mc 4_000) budget)
+        aig
+    in
+    let m = miter swept subst in
+    if m = Aig.const0 then Proved
+    else if m = Aig.const1 then all_zero ()
+    else
+      let cnf = Cnf.of_cone swept m in
+      match
+        Sat.solve ?max_conflicts:budget ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses
+      with
+      | Sat.Unsat -> Proved
+      | Sat.Unknown -> Undecided (* only reachable when bounded *)
+      | Sat.Sat model ->
+          counterexample
+            (Array.map
+               (fun l ->
+                 let l' = subst l in
+                 model.(Aig.node_of l') <> Aig.is_complement l')
+               in_lits)
 
 let check_bounded ~max_conflicts a b = decide (Some max_conflicts) a b
 

@@ -315,22 +315,22 @@ let solve_counted ?max_conflicts ~nvars clauses =
             incr conflicts_here;
             incr conflicts_total;
             s.n_conflicts <- s.n_conflicts + 1;
-            (match max_conflicts with
-            | Some limit when !conflicts_total >= limit ->
-                answer := Some Unknown
-            | _ -> ());
-            if !answer <> None then ()
-            else if s.dlevel = 0 then answer := Some Unsat
-            else begin
-              let learned, blevel = analyze s confl in
-              cancel_until s blevel;
-              decay s;
-              if Array.length learned = 1 then enqueue s learned.(0) (-1)
-              else begin
-                let ci = add_clause_watched s learned in
-                enqueue s learned.(0) ci
-              end
-            end
+            (* A conflict at level 0 is a finished refutation, even when it
+               is the last one the budget allows. *)
+            if s.dlevel = 0 then answer := Some Unsat
+            else
+              match max_conflicts with
+              | Some limit when !conflicts_total >= limit ->
+                  answer := Some Unknown
+              | _ ->
+                  let learned, blevel = analyze s confl in
+                  cancel_until s blevel;
+                  decay s;
+                  if Array.length learned = 1 then enqueue s learned.(0) (-1)
+                  else begin
+                    let ci = add_clause_watched s learned in
+                    enqueue s learned.(0) ci
+                  end
           end
           else if !conflicts_here >= !restart_limit then begin
             conflicts_here := 0;

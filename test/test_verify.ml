@@ -27,6 +27,7 @@ module Cnf = Vpga_verify.Cnf
 module Sweep = Vpga_verify.Sweep
 module Cec = Vpga_verify.Cec
 module Phys = Vpga_verify.Phys
+module Inject = Vpga_resil.Inject
 module Flow = Vpga_flow.Flow
 
 (* --- SAT solver --- *)
@@ -85,6 +86,24 @@ let test_sat_pigeonhole () =
   | Sat.Unknown -> ()
   | Sat.Unsat -> Alcotest.fail "3 conflicts cannot refute PHP(6,5)"
   | Sat.Sat _ -> Alcotest.fail "PHP(6,5) is unsat"
+
+(* A conflict at decision level 0 finishes an UNSAT proof even when it is
+   the last conflict the budget allows: all four 2-literal clauses over
+   two variables are refuted after exactly two conflicts. *)
+let test_sat_budget_last_conflict () =
+  let a = lit 0 ~neg:false and b = lit 1 ~neg:false in
+  let clauses =
+    [
+      [| a; b |];
+      [| a; b lxor 1 |];
+      [| a lxor 1; b |];
+      [| a lxor 1; b lxor 1 |];
+    ]
+  in
+  match Sat.solve_stats ~max_conflicts:2 ~nvars:2 clauses with
+  | Sat.Unsat, st -> Alcotest.(check int) "two conflicts" 2 st.Sat.conflicts
+  | Sat.Unknown, _ -> Alcotest.fail "the second conflict proves UNSAT"
+  | Sat.Sat _, _ -> Alcotest.fail "the clauses are unsatisfiable"
 
 (* Random 3-CNFs against brute force. *)
 let test_sat_random () =
@@ -503,6 +522,47 @@ let prop_aig_simulate_matches =
           = (expect lxor -(l land 1)) land Aig.lane_mask)
         b.Aig.roots)
 
+(* Counterexamples read back through the sweep's substitution: for a
+   random sequential netlist and a rewired-fanin mutant of it, a refuting
+   input vector must make the named root differ in both netlists' own
+   AIGs, and an equivalence verdict must survive 62 lanes of random
+   simulation of every root. *)
+let prop_cec_verdicts_simulate =
+  QCheck.Test.make ~name:"Cec verdicts vs simulation" ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, fseed) ->
+      let a = random_seq_netlist seed in
+      let b = random_seq_netlist seed in
+      (match Inject.netlist_flip ~seed:fseed b with
+      | exception Invalid_argument _ -> QCheck.assume_fail ()
+      | _ -> ());
+      let ba = Aig.of_netlist a and bb = Aig.of_netlist b in
+      let root_lits bound = List.map snd bound.Aig.roots in
+      match Cec.check a b with
+      | Cec.Inequivalent { root; root_is_flop; inputs } ->
+          let k =
+            if root_is_flop then List.length (Netlist.outputs a) + root
+            else root
+          in
+          Aig.eval ba.Aig.aig inputs (List.nth (root_lits ba) k)
+          <> Aig.eval bb.Aig.aig inputs (List.nth (root_lits bb) k)
+      | Cec.Equivalent ->
+          let rng = Random.State.make [| seed; fseed |] in
+          let pi =
+            Array.init (Aig.num_pis ba.Aig.aig) (fun _ ->
+                Random.State.bits rng
+                lor (Random.State.bits rng lsl 30)
+                lor (Random.State.bits rng lsl 60))
+          in
+          let root_words bound =
+            let words = Aig.simulate bound.Aig.aig pi in
+            List.map
+              (fun l ->
+                (words.(Aig.node_of l) lxor -(l land 1)) land Aig.lane_mask)
+              (root_lits bound)
+          in
+          root_words ba = root_words bb)
+
 (* Every Test design through the front end on both PLBs, built once and
    shared: the source netlist and its techmap, compact and buffer
    outputs. *)
@@ -765,6 +825,8 @@ let () =
         [
           Alcotest.test_case "trivial" `Quick test_sat_trivial;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
+          Alcotest.test_case "last budgeted conflict proves" `Quick
+            test_sat_budget_last_conflict;
           Alcotest.test_case "random vs brute force" `Quick test_sat_random;
           Alcotest.test_case "tseitin cones" `Quick test_cnf_cone;
         ] );
@@ -783,6 +845,7 @@ let () =
             test_cec_proves_flow_stages;
           Alcotest.test_case "exhaustive edge cases" `Quick
             test_exhaustive_edge_cases;
+          QCheck_alcotest.to_alcotest prop_cec_verdicts_simulate;
         ] );
       ( "simulate",
         [
