@@ -162,8 +162,8 @@ let policy_arg =
         ~doc:
           "Retry-with-escalation policy: default (up to 4 attempts per \
            stage with escalating channel capacity / array size / anneal \
-           restarts, and Formal->Fast degradation on undecided SAT \
-           proofs), or strict (one attempt, any stage failure is final).")
+           restarts), or strict (one attempt, any stage failure is final). \
+           Formal equivalence proofs are the same under both.")
 
 let fail_on_warning_flag =
   Arg.(

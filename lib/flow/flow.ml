@@ -52,6 +52,16 @@ type outcome = {
 type pair = { a : outcome; b : outcome }
 
 let check_equivalence reference candidate =
+  (* Compared before simulating: both equivalence checkers reject a
+     changed interface with [Invalid_argument]. *)
+  let ((ri, ro, rf) as r) = Netlist.interface reference
+  and ((ci, co, cf) as c) = Netlist.interface candidate in
+  if r <> c then
+    failwith
+      (Printf.sprintf
+         "stage changed the interface of design %s: source %d PI / %d PO / \
+          %d flop(s), candidate %d PI / %d PO / %d flop(s)"
+         (Netlist.design_name reference) ri ro rf ci co cf);
   match Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024 reference candidate with
   | Equiv.Equivalent -> ()
   | Equiv.Mismatch { cycle; output; _ } ->
@@ -98,43 +108,17 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
     with Failure msg ->
       Stage.fail s ~attempts:1 stage (Diag.error "verify-failed" "%s" msg)
   in
-  (* Formal proofs walk the policy's conflict-budget ladder, one attempt
-     per budget; when every budget comes back [Undecided] the stage
-     degrades Formal -> Fast (the randomized gate already passed). *)
+  (* The Formal proof: one unbounded [Cec.check], whose counterexample
+     fails the stage. *)
   let formal_prove stage candidate =
-    let show = function Some b -> string_of_int b | None -> "unbounded" in
-    Stage.ladder s ~stage ~max_attempts:(List.length policy.Policy.cec_budgets)
-      ~next:(fun budgets () ->
-        match budgets with
-        | b :: (n :: _ as rest) ->
-            Some (rest, Printf.sprintf "conflict budget %s -> %s" (show b) (show n))
-        | _ -> None)
-      ~exhausted:(fun _ () ->
-        Retry.Degrade
-          ( "SAT proof undecided within the policy's conflict budgets; \
-             relying on the randomized equivalence gate",
-            () ))
-      (fun attempt budgets ->
-        let verdict =
-          match budgets with
-          | [] -> Cec.Undecided
-          | None :: _ -> (
-              match Cec.check nl candidate with
-              | Cec.Equivalent -> Cec.Proved
-              | Cec.Inequivalent cex -> Cec.Refuted cex)
-          | Some mc :: _ -> Cec.check_bounded ~max_conflicts:mc nl candidate
-        in
-        match verdict with
-        | Cec.Proved -> Ok ()
-        | Cec.Undecided -> Error ("SAT proof undecided within conflict budget", ())
-        | Cec.Refuted { Cec.root; root_is_flop; _ } ->
-            Stage.fail s ~attempts:(attempt + 1) stage
-              (Diag.error "cec-refuted"
-                 "SAT equivalence check refuted design %s (%s %d differs)"
-                 design
-                 (if root_is_flop then "flop D pin" else "output")
-                 root))
-      policy.Policy.cec_budgets
+    match Cec.check nl candidate with
+    | Cec.Equivalent -> ()
+    | Cec.Inequivalent { Cec.root; root_is_flop; _ } ->
+        Stage.fail s ~attempts:1 stage
+          (Diag.error "cec-refuted"
+             "SAT equivalence check refuted design %s (%s %d differs)" design
+             (if root_is_flop then "flop D pin" else "output")
+             root)
   in
   (* A front-end gate: structural well-formedness stays live as a per-run
      spot check; functional equivalence against the source — the

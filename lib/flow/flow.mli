@@ -92,12 +92,12 @@ val run :
     when a heuristic stage fails: global/detailed routing retries with
     escalated channel capacity and rip-up budget, legalization retries
     with a grown PLB array, a diverging anneal restarts with a derived
-    reseed at a cooler temperature, and undecided Formal SAT proofs walk
-    the conflict-budget ladder before degrading Formal -> Fast with a
-    recorded warning.  Every retry's knobs and reseeds derive from the
-    policy and the attempt index alone, so a retried flow remains
-    deterministic.  Recovery events (retries, escalations, degradations)
-    are recorded into [log] when supplied.
+    reseed at a cooler temperature.  The equivalence gates read no
+    policy: a [Formal] proof is one unbounded {!Vpga_verify.Cec.check},
+    and a counterexample fails the stage at once.  Every retry's knobs
+    and reseeds derive from the policy and the attempt index alone, so a
+    retried flow remains deterministic.  Recovery events (retries,
+    escalations, degradations) are recorded into [log] when supplied.
 
     [trace] (default {!Vpga_obs.Trace.null}, i.e. disabled) receives a
     hierarchical span per stage boundary (mapping, packing, placement,
@@ -139,5 +139,7 @@ val run :
     recovery-event trail. *)
 
 val check_equivalence : Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t -> unit
-(** Randomized equivalence gate used between flow stages.
-    @raise Failure on a mismatch. *)
+(** Randomized equivalence gate used between flow stages.  The two
+    netlists' PI/PO/flop counts are compared first.
+    @raise Failure on a changed interface (naming both sets of counts) or
+    a mismatch. *)

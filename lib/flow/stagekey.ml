@@ -34,7 +34,6 @@ let policy e (p : Policy.t) =
     anneal_cooling;
     pack_utilization;
     pack_relaxation;
-    cec_budgets;
   } =
     p
   in
@@ -45,8 +44,7 @@ let policy e (p : Policy.t) =
   E.opt E.float e anneal_t_start;
   E.float e anneal_cooling;
   E.float e pack_utilization;
-  E.float e pack_relaxation;
-  E.list (E.opt E.int) e cec_budgets
+  E.float e pack_relaxation
 
 (* Exhaustive over {!Defect.t}: the full map content, not a summary —
    two maps drawn from different seeds must never collide. *)
@@ -143,16 +141,16 @@ let buffer ~compacted ~max_fanout o =
       E.str e compacted;
       E.int e max_fanout)
 
-(* The Formal ladder consults the policy's conflict budgets, and the
-   degrade event it may record is part of the cached value — so both the
-   level and the budgets key the gate. *)
+(* A gate's verdict depends on its two endpoints and the verify level
+   alone — no retry ladder runs inside it — so every policy shares the
+   entry. *)
 let verify_gate ~stage ~source ~candidate o =
   let {
     seed = _;
     anneal_iterations = _;
     use_criticality = _;
     verify;
-    policy = p;
+    policy = _;
     defect = _;
   } =
     o
@@ -160,8 +158,7 @@ let verify_gate ~stage ~source ~candidate o =
   Key.make ~stage (fun e ->
       E.str e source;
       E.str e candidate;
-      E.int e verify;
-      policy e p)
+      E.int e verify)
 
 (* No defect feed: the healthy front-end is shared across defect maps —
    the property the stress sweep's compute-once-per-(design, arch)

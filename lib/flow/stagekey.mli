@@ -52,8 +52,9 @@ val verify_gate :
   stage:string -> source:string -> candidate:string -> options ->
   Vpga_cache.Key.t
 (** Keys a front-end equivalence gate ([verify:techmap] /
-    [verify:compact] / [verify:buffer]) on both endpoints, the verify
-    level and the policy's conflict budgets. *)
+    [verify:compact] / [verify:buffer]) on both endpoints and the verify
+    level.  No policy feed: the gate runs no retry ladder, so every
+    policy shares its entries. *)
 
 val place_global : buffered:string -> options -> Vpga_cache.Key.t
 (** Deliberately defect-free: the healthy front-end is shared across

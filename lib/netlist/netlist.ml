@@ -89,6 +89,9 @@ let inputs t = List.rev t.input_ids
 let outputs t = List.rev t.output_ids
 let flops t = List.rev t.flop_ids
 
+let interface t =
+  (List.length t.input_ids, List.length t.output_ids, List.length t.flop_ids)
+
 let fanout t =
   let deg = Array.make t.count 0 in
   for i = 0 to t.count - 1 do

@@ -43,6 +43,9 @@ val outputs : t -> int list
 
 val flops : t -> int list
 
+val interface : t -> int * int * int
+(** Primary input, output and flop counts, without building the lists. *)
+
 val fanout : t -> int array array
 (** [fanout t].(i) lists the ids of nodes reading node [i]. *)
 

@@ -247,29 +247,6 @@ let histograms = function
       Hashtbl.fold (fun name h acc -> (name, h) :: acc) s.hists []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-module Counter = struct
-  type t = float ref
-
-  (* On a null trace the handle is a fresh unregistered cell: writes land
-     nowhere visible, reads give back what was written — harmless. *)
-  let make tr name =
-    match tr with None -> ref 0.0 | Some s -> slot s.counters name
-
-  let add c v = c := !c +. v
-  let incr c = c := !c +. 1.0
-  let value c = !c
-end
-
-module Gauge = struct
-  type t = float ref
-
-  let make tr name =
-    match tr with None -> ref 0.0 | Some s -> slot s.gauges name
-
-  let set g v = g := v
-  let value g = !g
-end
-
 (* ---- ambient trace (domain-local) ---- *)
 
 let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> None)

@@ -114,28 +114,6 @@ val observe : t -> string -> float -> unit
 val histograms : t -> (string * Metrics.Histogram.t) list
 (** Name-sorted.  Empty for {!null}. *)
 
-(** Handle-style counter: resolve the registry slot once, bump it from a
-    hot loop without further lookups. *)
-module Counter : sig
-  type trace := t
-  type t
-
-  val make : trace -> string -> t
-  val add : t -> float -> unit
-  val incr : t -> unit
-  val value : t -> float
-end
-
-(** Latest-value gauge handle. *)
-module Gauge : sig
-  type trace := t
-  type t
-
-  val make : trace -> string -> t
-  val set : t -> float -> unit
-  val value : t -> float
-end
-
 (** {2 Ambient trace} *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a

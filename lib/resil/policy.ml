@@ -13,7 +13,6 @@ type t = {
   anneal_cooling : float;
   pack_utilization : float;
   pack_relaxation : float;
-  cec_budgets : int option list;
 }
 
 let default =
@@ -26,14 +25,6 @@ let default =
     anneal_cooling = 1.0 /. 16.0;
     pack_utilization = 0.9;
     pack_relaxation = 0.8;
-    cec_budgets = [ Some 50_000; None ];
   }
 
-let strict = { default with max_attempts = 1; cec_budgets = [ None ] }
-
-let name p = if p = strict then "strict" else "default"
-
-let of_name = function
-  | "default" -> Some default
-  | "strict" -> Some strict
-  | _ -> None
+let strict = { default with max_attempts = 1 }

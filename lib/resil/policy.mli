@@ -1,11 +1,14 @@
 (** Retry-with-escalation policy for the flow.
 
     One record carries every stage's knobs; {!Flow.run}[ ?policy] reads
-    the fields relevant to each stage.  Determinism rule: every ladder
-    value and every reseed is a pure function of the policy and the
-    attempt index (see {!Retry.reseed}), never of wall-clock, worker
-    count or completion order — a retried flow stays byte-identical
-    across [jobs] settings. *)
+    the fields relevant to each stage: detailed routing, annealing and
+    quadrisection.  The equivalence gates take no policy: a Formal proof
+    either holds or yields a counterexample.
+
+    Determinism rule: every ladder value and every reseed is a pure
+    function of the policy and the attempt index (see {!Retry.reseed}),
+    never of wall-clock, worker count or completion order — a retried
+    flow stays byte-identical across [jobs] settings. *)
 
 type t = {
   max_attempts : int;
@@ -27,23 +30,14 @@ type t = {
   pack_relaxation : float;
       (** utilization multiplier per packing retry (< 1): each retry
           sizes a roomier array *)
-  cec_budgets : int option list;
-      (** conflict-budget ladder for the Formal equivalence proofs;
-          [None] entries are unbounded.  When the ladder is exhausted by
-          [Undecided] verdicts (or empty), the stage degrades
-          Formal -> Fast with a recorded warning instead of aborting. *)
 }
 
 val default : t
 (** 4 attempts per stage, routing capacity x1.5 + 10 rip-up iterations
     per retry, cooling anneal restarts (x1/16), packing utilization x0.8
-    per retry, CEC ladder [50k conflicts, unbounded]. *)
+    per retry. *)
 
 val strict : t
-(** One attempt per stage, unbounded proofs: any stage failure is final.
-    This reproduces the pre-policy fail-fast behavior, with the typed
+(** One attempt per stage: any stage failure is final.  This reproduces
+    the pre-policy fail-fast behavior, with the typed
     {!Fail.Stage_failure} instead of a bare [Failure]. *)
-
-val name : t -> string
-val of_name : string -> t option
-(** ["default"] / ["strict"] (the [--policy] CLI values). *)

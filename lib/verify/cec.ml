@@ -32,25 +32,11 @@ type counterexample = {
 
 type verdict = Equivalent | Inequivalent of counterexample
 
-type bounded_verdict =
-  | Proved
-  | Refuted of counterexample
-  | Undecided (* the final solve ran out of its conflict budget *)
-
-let same_interface a b =
-  List.length (Netlist.inputs a) = List.length (Netlist.inputs b)
-  && List.length (Netlist.outputs a) = List.length (Netlist.outputs b)
-  && List.length (Netlist.flops a) = List.length (Netlist.flops b)
-
-(* The decision pipeline, optionally bounded: with [budget = Some mc]
-   each sweeping merge proof gets [min mc 4000] conflicts and the final
-   solve [mc], so the check may come back [Undecided]; [budget = None] is
-   the unbounded pipeline of {!check}, whose merge proofs keep {!Sweep}'s
-   default budget and whose final solve cannot time out.  Every merge is
-   SAT-proven, so the substitution is exact and a verdict on the swept
-   miter transfers to the original. *)
-let decide budget a b =
-  if not (same_interface a b) then
+(* Every sweeping merge is SAT-proven, so the substitution is exact and
+   a verdict on the swept miter transfers to the original; the final
+   solve is unbounded, so it always answers. *)
+let check a b =
+  if Netlist.interface a <> Netlist.interface b then
     invalid_arg "Cec.check: interface mismatch (PI/PO/flop counts differ)";
   let npi = List.length (Netlist.inputs a) in
   let nff = List.length (Netlist.flops a) in
@@ -78,29 +64,23 @@ let decide budget a b =
       | _ -> invalid_arg "Cec.check: SAT model does not distinguish outputs"
     in
     let k = find 0 roots_a roots_b in
-    Refuted
+    Inequivalent
       { root = (if k < npo then k else k - npo); root_is_flop = k >= npo; inputs }
   in
   let all_zero () = counterexample (Array.make (npi + nff) false) in
   let m = miter aig Fun.id in
-  if m = Aig.const0 then Proved
+  if m = Aig.const0 then Equivalent
   else if m = Aig.const1 then all_zero ()
   else
-    let swept, subst =
-      Sweep.reduce
-        ?merge_budget:(Option.map (fun mc -> min mc 4_000) budget)
-        aig
-    in
+    let swept, subst = Sweep.reduce aig in
     let m = miter swept subst in
-    if m = Aig.const0 then Proved
+    if m = Aig.const0 then Equivalent
     else if m = Aig.const1 then all_zero ()
     else
       let cnf = Cnf.of_cone swept m in
-      match
-        Sat.solve ?max_conflicts:budget ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses
-      with
-      | Sat.Unsat -> Proved
-      | Sat.Unknown -> Undecided (* only reachable when bounded *)
+      match Sat.solve ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
+      | Sat.Unsat -> Equivalent
+      | Sat.Unknown -> assert false (* only a budgeted solve gives up *)
       | Sat.Sat model ->
           counterexample
             (Array.map
@@ -109,15 +89,7 @@ let decide budget a b =
                  model.(Aig.node_of l') <> Aig.is_complement l')
                in_lits)
 
-let check_bounded ~max_conflicts a b = decide (Some max_conflicts) a b
-
-let check a b =
-  match decide None a b with
-  | Proved -> Equivalent
-  | Refuted cex -> Inequivalent cex
-  | Undecided -> assert false (* unbounded final solve cannot time out *)
-
-(* Hard-failure wrapper used by the flow gates. *)
+(* Hard-failure wrapper for [vpga lint --formal] and the tests. *)
 let prove ~stage reference candidate =
   match check reference candidate with
   | Equivalent -> ()

@@ -26,13 +26,14 @@
 module Aig = Vpga_aig.Aig
 
 let sim_words = 4 (* 4 x 62 random patterns per initial signature *)
+let seed = 97 (* of the initial random patterns *)
 let merge_budget = 4_000 (* CDCL conflicts per candidate merge proof *)
 
 (* Bit-parallel random simulation of the whole AIG: [sim_words] signature
    words per node, read as [sigs.(w).(id)].  PI words are drawn PI by PI, all
    of a PI's words at once; node 0 (constant false) keeps an all-zero
    signature, so constant cones class with it. *)
-let simulate aig ~seed =
+let simulate aig =
   let rng = Random.State.make [| seed |] in
   let draws =
     Array.init (Aig.num_pis aig) (fun _ ->
@@ -44,9 +45,9 @@ let simulate aig ~seed =
   Array.init sim_words (fun w ->
       Aig.simulate aig (Array.map (fun ws -> ws.(w)) draws))
 
-let reduce ?(seed = 97) ?(merge_budget = merge_budget) aig =
+let reduce aig =
   let n = Aig.size aig in
-  let sigs = simulate aig ~seed in
+  let sigs = simulate aig in
   (* Normalization phase per node: complement-equivalent nodes share a
      class.  The phase is fixed by the initial signature and never changes
      (refinement patterns are compared phase-relative). *)

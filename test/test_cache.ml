@@ -19,6 +19,8 @@ module Equiv = Vpga_netlist.Equiv
 module Techmap = Vpga_mapper.Techmap
 module Arch = Vpga_plb.Arch
 module Policy = Vpga_resil.Policy
+module Fail = Vpga_resil.Fail
+module Diag = Vpga_verify.Diag
 open Vpga_designs
 
 let alu2 = lazy (Alu.build ~width:2 ())
@@ -213,46 +215,53 @@ let test_disk_roundtrip () =
       Alcotest.(check int) "one entry" 1 d.Cache.d_entries
   | _ -> Alcotest.fail "expected one stage"
 
+let read_bin path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bin path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* Every damaged copy of one small entry — each truncation to 0 .. n-1
+   bytes and each single-bit flip over magic, MD5, length, newline and
+   payload — must read as a miss without raising, be unlinked, and let a
+   recompute store cleanly over it. *)
 let test_disk_corruption_falls_back () =
-  let corrupt mangle =
-    with_dir @@ fun dir ->
-    let k = Key.make ~stage:"s" (fun b -> Enc.str b "corrupt") in
-    let c1 = Cache.create ~dir () in
-    Cache.put c1 k [| 1.0; 2.0 |];
-    let path =
-      match files_under dir with [ p ] -> p | _ -> Alcotest.fail "one file"
-    in
-    mangle path;
-    let c2 = Cache.create ~dir () in
-    (match Cache.find c2 k with
-    | None -> ()
-    | Some (_ : float array) -> Alcotest.fail "corrupted entry revived");
-    (* the bad entry is gone; a recompute stores cleanly over it *)
-    Alcotest.(check (list string)) "bad entry unlinked" [] (files_under dir);
-    let v = Cache.memo c2 k (fun () -> [| 3.0 |]) in
-    Alcotest.(check (float 0.0)) "recomputed" 3.0 v.(0);
-    match Cache.find (Cache.create ~dir ()) k with
-    | Some (a : float array) ->
-        Alcotest.(check (float 0.0)) "restored" 3.0 a.(0)
-    | None -> Alcotest.fail "expected a hit after recompute"
+  let k = Key.make ~stage:"s" (fun b -> Enc.str b "corrupt") in
+  let stored dir =
+    Cache.put (Cache.create ~dir ()) k [| 1.0; 2.0 |];
+    match files_under dir with [ p ] -> p | _ -> Alcotest.fail "one file"
   in
-  corrupt (fun path ->
-      (* truncate mid-payload *)
-      let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
-      output_string oc "VPGACACHE1\n";
-      close_out oc);
-  corrupt (fun path ->
-      (* flip one payload byte, keeping the length intact *)
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let bytes = really_input_string ic n in
-      close_in ic;
-      let b = Bytes.of_string bytes in
-      let last = Bytes.length b - 1 in
-      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc)
+  let corrupt what mangle =
+    with_dir @@ fun dir ->
+    let path = stored dir in
+    write_bin path (mangle (read_bin path));
+    let c = Cache.create ~dir () in
+    (match Cache.find c k with
+    | None -> ()
+    | Some (_ : float array) -> Alcotest.failf "%s: entry revived" what);
+    if files_under dir <> [] then Alcotest.failf "%s: entry not unlinked" what;
+    ignore (Cache.memo c k (fun () -> [| 3.0 |]));
+    match Cache.find (Cache.create ~dir ()) k with
+    | Some [| 3.0 |] -> ()
+    | _ -> Alcotest.failf "%s: no clean store after recompute" what
+  in
+  let n = with_dir (fun dir -> String.length (read_bin (stored dir))) in
+  for len = 0 to n - 1 do
+    corrupt (Printf.sprintf "truncated to %d bytes" len) (fun s ->
+        String.sub s 0 len)
+  done;
+  for i = 0 to n - 1 do
+    for bit = 0 to 7 do
+      corrupt (Printf.sprintf "byte %d bit %d flipped" i bit) (fun s ->
+          let b = Bytes.of_string s in
+          Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl bit)));
+          Bytes.to_string b)
+    done
+  done
 
 let test_disk_gc_lru () =
   with_dir @@ fun dir ->
@@ -314,15 +323,8 @@ let prop_cache_hit_equals_recompute =
       && compare cold warm = 0
       && compare cold uncached = 0)
 
-(* A cached front-end artifact is a real netlist, not just equal bytes:
-   pull the [map] entry a warm flow hit on and drive it against the
-   source design with randomized simulation. *)
-let test_cached_map_is_equivalent () =
-  let nl = Lazy.force alu4 in
-  let arch = Arch.granular_plb in
-  let cache = Cache.create () in
-  ignore (Flow.run ~seed:1 ~cache arch nl);
-  let opts =
+let map_key arch nl =
+  Stagekey.map ~nl:(Key.netlist_hex nl) ~arch:(Key.arch_hex arch)
     {
       Stagekey.seed = 1;
       anneal_iterations = None;
@@ -331,11 +333,16 @@ let test_cached_map_is_equivalent () =
       policy = Policy.default;
       defect = None;
     }
-  in
-  let k =
-    Stagekey.map ~nl:(Key.netlist_hex nl) ~arch:(Key.arch_hex arch) opts
-  in
-  match Cache.find cache k with
+
+(* A cached front-end artifact is a real netlist, not just equal bytes:
+   pull the [map] entry a warm flow hit on and drive it against the
+   source design with randomized simulation. *)
+let test_cached_map_is_equivalent () =
+  let nl = Lazy.force alu4 in
+  let arch = Arch.granular_plb in
+  let cache = Cache.create () in
+  ignore (Flow.run ~seed:1 ~cache arch nl);
+  match Cache.find cache (map_key arch nl) with
   | None -> Alcotest.fail "no cached map artifact"
   | Some ((mapped, _events) : Netlist.t * _) ->
       (match Equiv.check ~seed:7 nl mapped with
@@ -346,6 +353,57 @@ let test_cached_map_is_equivalent () =
         "same structural digest"
         (Key.netlist_hex (Techmap.map arch nl))
         (Key.netlist_hex mapped)
+
+(* A [map] entry whose netlist gained a primary output (say, written to a
+   shared [--cache-dir] by other code) must fail the techmap gate with a
+   typed failure that names both interfaces, not escape the simulator's
+   [Invalid_argument]. *)
+let test_poisoned_map_fails_typed () =
+  let nl = Lazy.force alu4 in
+  let arch = Arch.granular_plb in
+  let cache = Cache.create () in
+  let mapped = Techmap.map arch nl in
+  ignore (Netlist.output mapped "extra" (List.hd (Netlist.inputs mapped)));
+  Cache.put cache (map_key arch nl) (mapped, []);
+  match Flow.run ~seed:1 ~cache arch nl with
+  | _ -> Alcotest.fail "poisoned map entry passed the gate"
+  | exception Fail.Stage_failure f -> (
+      Alcotest.(check string) "stage" "verify:techmap" f.Fail.stage;
+      match f.Fail.diags with
+      | [ d ] ->
+          Alcotest.(check string) "code" "verify-failed" d.Diag.code;
+          let npi = List.length (Netlist.inputs nl)
+          and npo = List.length (Netlist.outputs nl)
+          and nff = List.length (Netlist.flops nl) in
+          let counts po = Printf.sprintf "%d PI / %d PO / %d flop(s)" npi po nff in
+          Alcotest.(check string) "names both interfaces"
+            (Printf.sprintf
+               "stage changed the interface of design %s: source %s, \
+                candidate %s"
+               (Netlist.design_name nl) (counts npo) (counts (npo + 1)))
+            d.Diag.message
+      | _ -> Alcotest.fail "one diagnostic")
+
+(* The equivalence gates read no policy, so a Formal run under [strict]
+   hits every gate entry a [default] run stored, with identical results. *)
+let test_gate_entries_shared_across_policies () =
+  let nl = Lazy.force alu2 in
+  let cache = Cache.create () in
+  let run policy =
+    Flow.run ~seed:1 ~verify:Flow.Formal ~policy ~cache Arch.granular_plb nl
+  in
+  let first = run Policy.default in
+  let second = run Policy.strict in
+  let stages = (Cache.stats cache).Cache.stages in
+  List.iter
+    (fun stage ->
+      match List.assoc_opt stage stages with
+      | Some (hits, misses, _) ->
+          Alcotest.(check (pair int int)) (stage ^ " shared") (1, 1)
+            (hits, misses)
+      | None -> Alcotest.fail (stage ^ " never keyed"))
+    [ "verify:techmap"; "verify:compact"; "verify:buffer" ];
+  Alcotest.(check bool) "same pairs" true (compare first second = 0)
 
 (* The stress sweep's headline invariant: with a shared cache, the
    defect-independent front-end of each (design, arch) is computed
@@ -404,6 +462,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_hit_equals_recompute;
           Alcotest.test_case "cached map equivalent (CEC spot-check)" `Quick
             test_cached_map_is_equivalent;
+          Alcotest.test_case "poisoned map entry fails typed" `Quick
+            test_poisoned_map_fails_typed;
+          Alcotest.test_case "gate entries shared across policies" `Quick
+            test_gate_entries_shared_across_policies;
           Alcotest.test_case "stress front-end once" `Slow
             test_stress_frontend_computed_once;
         ] );

@@ -90,8 +90,6 @@ let test_null_trace_no_ops () =
   Trace.add t "c" 1.0;
   Trace.set t "g" 2.0;
   Trace.instant t "i";
-  let c = Trace.Counter.make t "c" in
-  Trace.Counter.incr c;
   Alcotest.(check int) "no events" 0 (List.length (Trace.events t));
   Alcotest.(check int) "no counters" 0 (List.length (Trace.counters t))
 
@@ -109,15 +107,7 @@ let test_counter_registry () =
     [ ("a", 2.0); ("b", 4.0) ]
     (Trace.counters t);
   Alcotest.(check (list (pair string (float 0.0))))
-    "gauge keeps latest" [ ("g", 9.0) ] (Trace.gauges t);
-  let h = Trace.Counter.make t "a" in
-  Trace.Counter.incr h;
-  Trace.Counter.add h 10.0;
-  Alcotest.(check (float 0.0)) "handle shares the slot" 13.0 (Trace.Counter.value h);
-  let g = Trace.Gauge.make t "g" in
-  Trace.Gauge.set g 1.0;
-  Alcotest.(check (list (pair string (float 0.0))))
-    "gauge handle" [ ("g", 1.0) ] (Trace.gauges t)
+    "gauge keeps latest" [ ("g", 9.0) ] (Trace.gauges t)
 
 let test_ambient_scoping () =
   let t = Trace.create () in

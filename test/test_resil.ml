@@ -39,12 +39,7 @@ let has_diag code f =
 (* --- policy / log / retry / fail plumbing ------------------------------ *)
 
 let test_policy_names () =
-  Alcotest.(check string) "default" "default" (Policy.name Policy.default);
-  Alcotest.(check string) "strict" "strict" (Policy.name Policy.strict);
-  (match Policy.of_name "strict" with
-  | Some p -> Alcotest.(check int) "strict is one attempt" 1 p.Policy.max_attempts
-  | None -> Alcotest.fail "strict must resolve");
-  Alcotest.(check bool) "unknown rejected" true (Policy.of_name "yolo" = None);
+  Alcotest.(check int) "strict is one attempt" 1 Policy.strict.Policy.max_attempts;
   Alcotest.(check bool) "default retries" true
     (Policy.default.Policy.max_attempts > 1)
 
@@ -425,68 +420,6 @@ let test_anneal_restart () =
     ]
     (Log.strings log)
 
-let test_cec_bounded_undecided () =
-  let nl = Alu.build ~width:4 () in
-  let compacted = Compact.run Arch.granular_plb nl in
-  (match Cec.check_bounded ~max_conflicts:1 nl compacted with
-  | Cec.Undecided -> ()
-  | Cec.Proved -> Alcotest.fail "1 conflict cannot prove the compacted ALU"
-  | Cec.Refuted _ -> Alcotest.fail "compaction is sound");
-  (* Unbounded, the same pair is provable. *)
-  match Cec.check nl compacted with
-  | Cec.Equivalent -> ()
-  | Cec.Inequivalent _ -> Alcotest.fail "compaction is sound"
-
-let test_cec_degrades_to_fast () =
-  (* An empty conflict-budget ladder (and a hopeless 1-conflict one) must
-     degrade Formal -> Fast with a recorded warning instead of aborting:
-     one Degraded event per formal stage (techmap, compact, buffer). *)
-  let nl = Alu.build ~width:2 () in
-  List.iter
-    (fun budgets ->
-      let policy = { Policy.default with Policy.cec_budgets = budgets } in
-      let log = Log.create () in
-      let pair =
-        Flow.run ~seed:3 ~anneal_iterations:1_000 ~verify:Flow.Formal ~policy
-          ~log Arch.granular_plb nl
-      in
-      Alcotest.(check bool) "flow completes" true
-        (pair.Flow.a.Flow.die_area > 0.0);
-      Alcotest.(check (list string))
-        "every formal stage degraded, nothing else"
-        (List.map
-           (fun stage ->
-             "degrade verify:" ^ stage
-             ^ ": SAT proof undecided within the policy's conflict budgets; \
-                relying on the randomized equivalence gate")
-           [ "techmap"; "compact"; "buffer" ])
-        (Log.strings log))
-    [ []; [ Some 1 ] ]
-
-let test_cec_budget_escalation () =
-  (* [Some 1; None]: the first budget comes back Undecided on at least the
-     compaction proof (see [test_cec_bounded_undecided]), so the ladder
-     must escalate to the unbounded solve and then prove — no degradation. *)
-  let nl = Alu.build ~width:4 () in
-  let policy = { Policy.default with Policy.cec_budgets = [ Some 1; None ] } in
-  let log = Log.create () in
-  let pair =
-    Flow.run ~seed:3 ~anneal_iterations:1_000 ~verify:Flow.Formal ~policy ~log
-      Arch.granular_plb nl
-  in
-  Alcotest.(check bool) "flow completes" true (pair.Flow.a.Flow.die_area > 0.0);
-  Alcotest.(check (list string))
-    "escalated once per formal stage, then proved"
-    (List.concat_map
-       (fun stage ->
-         [
-           "retry verify:" ^ stage
-           ^ " (attempt 1): SAT proof undecided within conflict budget";
-           "escalate verify:" ^ stage ^ ": conflict budget 1 -> unbounded";
-         ])
-       [ "techmap"; "compact"; "buffer" ])
-    (Log.strings log)
-
 (* --- sweep fault isolation --------------------------------------------- *)
 
 let test_sweep_isolation () =
@@ -600,12 +533,6 @@ let () =
             test_route_escalation_heals;
           Alcotest.test_case "route degrade" `Quick test_route_degrade;
           Alcotest.test_case "anneal restart" `Quick test_anneal_restart;
-          Alcotest.test_case "cec bounded undecided" `Quick
-            test_cec_bounded_undecided;
-          Alcotest.test_case "cec degrades to fast" `Quick
-            test_cec_degrades_to_fast;
-          Alcotest.test_case "cec budget escalation" `Slow
-            test_cec_budget_escalation;
         ] );
       ( "isolation",
         [ Alcotest.test_case "one bad design" `Quick test_sweep_isolation ] );
