@@ -2,9 +2,13 @@ type verdict =
   | Equivalent
   | Mismatch of { cycle : int; output : int; vectors : bool array list }
 
-let same_interface a b =
-  List.length (Netlist.inputs a) = List.length (Netlist.inputs b)
-  && List.length (Netlist.outputs a) = List.length (Netlist.outputs b)
+(* The shared primary input and output counts of [a] and [b]. *)
+let interface fn a b =
+  let npi, npo, _ = Netlist.interface a in
+  let npi_b, npo_b, _ = Netlist.interface b in
+  if npi <> npi_b || npo <> npo_b then
+    invalid_arg (fn ^ ": interface mismatch");
+  (npi, npo)
 
 (* Lanes [0 .. width-1] of a word. *)
 let lane_mask width = -1 lsr (Sys.int_size - width)
@@ -20,11 +24,8 @@ let bits_of_lane words l = Array.map (fun w -> (w lsr l) land 1 = 1) words
    one-sequence-at-a-time checker draws them in, so the verdict does not
    depend on the batch width. *)
 let check ?(vectors = 64) ?(sequence_length = 8) ~seed a b =
-  if not (same_interface a b) then
-    invalid_arg "Equiv.check: interface mismatch";
+  let npi, npo = interface "Equiv.check" a b in
   let rng = Random.State.make [| seed |] in
-  let npi = List.length (Netlist.inputs a) in
-  let npo = List.length (Netlist.outputs a) in
   let sima = Simulate.create a and simb = Simulate.create b in
   let pi = Array.make_matrix sequence_length npi 0 in
   (* Per lane: cycle and output of its first mismatch. *)
@@ -80,11 +81,8 @@ let check ?(vectors = 64) ?(sequence_length = 8) ~seed a b =
 
 (* Minterm [m0 + l] is lane [l] of the word starting at [m0]. *)
 let check_exhaustive a b =
-  if not (same_interface a b) then
-    invalid_arg "Equiv.check_exhaustive: interface mismatch";
-  let npi = List.length (Netlist.inputs a) in
+  let npi, npo = interface "Equiv.check_exhaustive" a b in
   if npi > 16 then invalid_arg "Equiv.check_exhaustive: too many inputs";
-  let npo = List.length (Netlist.outputs a) in
   let sima = Simulate.create a and simb = Simulate.create b in
   let pi = Array.make npi 0 in
   let total = 1 lsl npi in

@@ -45,16 +45,6 @@ module Vector = struct
       bufr = a.bufr + b.bufr;
     }
 
-  let sub a b =
-    {
-      lut = a.lut - b.lut;
-      nd3 = a.nd3 - b.nd3;
-      xoa = a.xoa - b.xoa;
-      mux = a.mux - b.mux;
-      ff = a.ff - b.ff;
-      bufr = a.bufr - b.bufr;
-    }
-
   let fits v ~cap =
     v.lut <= cap.lut && v.nd3 <= cap.nd3 && v.xoa <= cap.xoa
     && v.mux <= cap.mux && v.ff <= cap.ff && v.bufr <= cap.bufr

@@ -23,10 +23,6 @@ module Vector : sig
   val get : t -> resource -> int
   val add : t -> t -> t
 
-  val sub : t -> t -> t
-  (** componentwise difference (may go negative; callers subtract only
-      committed vectors they previously added) *)
-
   val fits : t -> cap:t -> bool
   (** componentwise [<=] *)
 

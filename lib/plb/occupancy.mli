@@ -1,18 +1,16 @@
 (** Mutable per-tile occupancy: the packer's hot-path replacement for
     recompute-from-scratch {!Packer.fits} queries.
 
-    A tile tracks the committed resource vector (one demand alternative per
-    resident item), the pin/output/flop counters, and a config-multiset
-    signature.  A feasibility query then runs in three tiers:
+    A tile keeps its resident items, the pin/output/flop counters and a
+    config-multiset signature (4 bits per configuration count; a pure
+    flop takes none).  A feasibility query runs in two tiers:
 
     + the counter checks of {!Packer.fits}, O(1);
-    + an O(alternatives) probe of the candidate's demand alternatives
-      against the committed residual capacity (sound accept: the committed
-      assignment plus the new alternative is a witness), after a sound
-      reject on a slot-count lower bound;
-    + full reference backtracking, memoized in a {!cache} keyed by the
-      tile's config-multiset signature — repeated queries on identical
-      contents hit the memo instead of re-running the search.
+    + one lookup in a memo shared by every tile of the {!cache}, keyed by
+      the would-be signature.  Past the counters, the verdict depends only
+      on the multiset of configurations, since each item's demand
+      alternatives are a function of its configuration.  A miss runs
+      {!Packer.fits} on the would-be resident list and records its verdict.
 
     Queries agree exactly with [Packer.fits arch (item :: items t)], which
     keeps legalization results bit-identical to the recompute-from-scratch
@@ -34,7 +32,8 @@ val fits_calls : cache -> int
 (** Total {!query} calls served through this cache. *)
 
 val cache_hits : cache -> int
-(** Queries answered from the config-multiset memo (tier 3 hits). *)
+(** Verdicts ({!query}, {!query_replacing} and {!add}) answered from the
+    config-multiset memo without running {!Packer.fits}. *)
 
 val set_writer : cache -> int -> unit
 (** Arm the ownership sanitizer for mutations through this cache: they
@@ -91,15 +90,16 @@ val query_replacing : t -> without:Packer.item -> Packer.item -> bool
 
 val add : t -> Packer.item -> bool
 (** Commit [it] if it fits (same predicate as {!query}); returns whether
-    it was added.  May recommit residents to different demand
-    alternatives when the backtracking tier finds the only witness.
+    it was added.  A tile therefore only ever holds a multiset that
+    {!Packer.fits} accepts.
     @raise Race when the armed ownership guard detects a cross-region
     write. *)
 
 val remove : t -> Packer.item -> unit
-(** Remove one resident equal to [it] (config, pins, flop).  The
-    remaining committed assignment stays valid, so a subsequent
-    [add t it] is guaranteed to succeed (undo).
+(** Remove one resident equal to [it] (config, pins, flop).  The tile
+    then holds a sub-multiset of one that fit, and [add t it] is
+    guaranteed to succeed, restoring the same counters, signature and
+    multiset (undo).
     @raise Invalid_argument when no such resident exists.
     @raise Race when the armed ownership guard detects a cross-region
     write. *)

@@ -58,13 +58,25 @@ let occupancy_matches_fits arch items =
   if Occupancy.count t <> List.length !shadow then
     QCheck.Test.fail_reportf "count %d after adds, expected %d"
       (Occupancy.count t) (List.length !shadow);
-  (* Remove every other resident (undo path), then the survivors must
-     still answer queries exactly like the reference predicate. *)
+  (* Remove every other resident, then the survivors must still answer
+     queries exactly like the reference predicate.  After each eviction
+     the undo guarantee holds: re-adding the evicted item succeeds, and
+     removing it again leaves the tile as it was. *)
   let keep, evict =
     List.partition (fun (i, _) -> i mod 2 = 0)
       (List.mapi (fun i it -> (i, it)) !shadow)
   in
-  List.iter (fun (_, it) -> Occupancy.remove t it) evict;
+  let state () = (Occupancy.count t, List.sort compare (Occupancy.items t)) in
+  List.iter
+    (fun (_, it) ->
+      Occupancy.remove t it;
+      let before = state () in
+      if not (Occupancy.add t it) then
+        QCheck.Test.fail_reportf "re-adding evicted %s failed" (item_print it);
+      Occupancy.remove t it;
+      if state () <> before then
+        QCheck.Test.fail_reportf "undo of %s changed the tile" (item_print it))
+    evict;
   shadow := List.map snd keep;
   if Occupancy.count t <> List.length !shadow then
     QCheck.Test.fail_reportf "count %d after removals, expected %d"
@@ -107,6 +119,36 @@ let prop_occupancy =
   QCheck.Test.make ~name:"occupancy query/add/remove == Packer.fits"
     ~count:500 items_arb (fun items ->
       List.for_all (fun arch -> occupancy_matches_fits arch items) Arch.all)
+
+(* [query_replacing] is a swap probe: a [without] that is not resident is
+   a caller bug, reported whatever the probed item, the tile's contents
+   or its health. *)
+let test_replacing_non_resident () =
+  let cache = Occupancy.create_cache Arch.granular_plb in
+  let without = { Packer.config = Config.Mx; pins = 3; flop = false } in
+  let nd2 = { Packer.config = Config.Nd2; pins = 2; flop = false } in
+  let probes =
+    [
+      { Packer.config = Config.Invb; pins = 1; flop = true };
+      { Packer.config = Config.Mx; pins = 99; flop = false };
+      nd2;
+    ]
+  in
+  let empty = Occupancy.create cache in
+  let other = Occupancy.create cache in
+  assert (Occupancy.add other nd2);
+  let dead = Occupancy.create cache in
+  Occupancy.set_dead dead true;
+  List.iter
+    (fun (name, t) ->
+      List.iter
+        (fun it ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s tile, probe %s" name (item_print it))
+            (Invalid_argument "Occupancy.query_replacing: item not present")
+            (fun () -> ignore (Occupancy.query_replacing t ~without it)))
+        probes)
+    [ ("empty", empty); ("other resident", other); ("dead", dead) ]
 
 (* --- Bit-identical packing across the rewrite ---------------------------- *)
 
@@ -334,7 +376,11 @@ let () =
   Alcotest.run "pack"
     [
       ( "occupancy",
-        [ QCheck_alcotest.to_alcotest prop_occupancy ] );
+        [
+          QCheck_alcotest.to_alcotest prop_occupancy;
+          Alcotest.test_case "query_replacing rejects a non-resident" `Quick
+            test_replacing_non_resident;
+        ] );
       ( "bit-identical",
         [
           Alcotest.test_case "golden checksums (all designs, both archs)"
