@@ -7,7 +7,7 @@
 #   make faults     fault-injection + retry/escalation resilience suite only
 #   make obs        observability suite only (spans, counters, trace export)
 #   make analyze    static-analysis suite only (dataflow passes, CEC-gated
-#                   simplifier, region-ownership sanitizer)
+#                   simplifier, static region-ownership proof)
 #   make bench      full paper reproduction (E1-E15) + kernel benchmarks;
 #                   writes BENCH_sweep.json (schema vpga-bench-sweep/6:
 #                   sweep wall + recovery, robustness cells, kernel

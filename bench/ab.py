@@ -16,14 +16,19 @@ traced pass per side, compares the per-layer metrics that
 perfbench/layers.json marks exact, and prints that pass's per-layer
 timings (BENCHMARK.json's per_layer metrics in s or ms, e.g.
 mapper.compact_s) for both sides, report-only, so a stage's part in a
-wall-time change shows in the same run.  Last, it runs 3 interleaved
-pairs of the Bechamel kernels (`bench/main.exe -perfdiff`) and prints
-each kernel's median ns/run per side; that table is report-only.
+wall-time change shows in the same run; a metric named with
+--expect-change that is not exact (a derived ratio such as
+pack.fits_hit_ratio) is printed there per side too, report-only.  Last,
+it runs 3 interleaved pairs of the Bechamel kernels (`bench/main.exe
+-perfdiff`) and prints each kernel's median ns/run per side; that table
+is report-only.
 
 Exits 1 when, on any workload, the working tree fails more operations in
 total over its runs, a QoR metric (die_area_mm2, path_delay_ps,
 wirelength_mm) differs, or an exact per-layer metric differs and is not
-named with --expect-change.  `make ab [REV=...] [EXPECT=...]` runs it.
+named with --expect-change.  --expect-change takes any per_layer metric
+of BENCHMARK.json; another name exits with an error at once.
+`make ab [REV=...] [EXPECT=...]` runs it.
 """
 
 import argparse
@@ -163,6 +168,14 @@ def compare_exact(workload, base, new, exact, expect):
     return bad
 
 
+def compare_declared(base, new, declared):
+    """Print each declared non-exact metric's traced-pass value per side."""
+    for name in declared:
+        b = base["metrics"].get(name, {}).get("value")
+        n = new["metrics"].get(name, {}).get("value")
+        print("declared %-25s %14s -> %-14s report only" % (name, b, n))
+
+
 def compare_timing(workload, base, new, timing):
     """Print the traced pass's per-layer timings per side (report only)."""
     print("-- %s traced pass, per-layer timing (1 run per side, report only)"
@@ -187,9 +200,12 @@ def main():
                    metavar="METRIC")
     a = p.parse_args()
     seconds = spec["run_seconds"]
-    unknown = [m for m in a.expect_change if m not in layers["exact"]]
+    per_layer = [m["name"] for m in spec["per_layer"]]
+    unknown = [m for m in a.expect_change if m not in per_layer]
     if unknown:
-        sys.exit("ab: not an exact metric: %s" % ", ".join(unknown))
+        sys.exit("ab: not a per_layer metric of BENCHMARK.json: %s"
+                 % ", ".join(unknown))
+    declared = [m for m in a.expect_change if m not in layers["exact"]]
     lower_better = {m["name"]: m["better"] == "lower"
                     for m in spec["end_to_end"]}
     timing = [m["name"] for m in spec["per_layer"] if m["unit"] in ("s", "ms")]
@@ -211,6 +227,7 @@ def main():
             traced_base, traced_new = bench(tmp, w, 1, 1), bench(ROOT, w, 1, 1)
             bad += compare_exact(w, traced_base, traced_new, layers["exact"],
                                  a.expect_change)
+            compare_declared(traced_base, traced_new, declared)
             compare_timing(w, traced_base, traced_new, timing)
             sys.stdout.flush()
         for tree in (tmp, ROOT):

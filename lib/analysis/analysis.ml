@@ -10,21 +10,9 @@ type t = {
   simplified : (Netlist.t * Simplify.stats * Diag.t list) option;
 }
 
-let pass_names = [ "constprop"; "xprop"; "redundancy"; "fanout" ]
-
-let run ?passes ?fanout_threshold ?(simplify = false) nl =
-  let wanted name =
-    match passes with None -> true | Some ps -> List.mem name ps
-  in
+let run ?(simplify = false) nl =
   let reports =
-    List.filter_map
-      (fun (name, f) -> if wanted name then Some (f nl) else None)
-      [
-        ("constprop", Constprop.run);
-        ("xprop", Xprop.run);
-        ("redundancy", Redund.run);
-        ("fanout", Fanout.run ?threshold:fanout_threshold);
-      ]
+    List.map (fun f -> f nl) [ Constprop.run; Xprop.run; Redund.run; Fanout.run ]
   in
   let simplified = if simplify then Some (Simplify.checked nl) else None in
   { reports; simplified }

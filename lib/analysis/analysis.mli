@@ -1,9 +1,9 @@
 (** The pass manager over the netlist dataflow analyses.
 
-    Runs {!Constprop}, {!Xprop}, {!Redund} and {!Fanout} (any subset, in
-    that fixed order) and optionally the CEC-gated {!Simplify} rewrite,
-    returning per-pass {!Pass.report}s.  Counters are named
-    ["analysis.*"]; [vpga analyze] prints them per stage. *)
+    Runs {!Constprop}, {!Xprop}, {!Redund} and {!Fanout}, in that order,
+    and optionally the CEC-gated {!Simplify} rewrite, returning per-pass
+    {!Pass.report}s.  Counters are named ["analysis.*"]; [vpga analyze]
+    prints them per stage. *)
 
 type t = {
   reports : Pass.report list;
@@ -14,16 +14,9 @@ type t = {
           certification diagnostics *)
 }
 
-val pass_names : string list
-(** ["constprop"; "xprop"; "redundancy"; "fanout"] — valid [?passes]. *)
-
-val run :
-  ?passes:string list ->
-  ?fanout_threshold:int ->
-  ?simplify:bool ->
-  Vpga_netlist.Netlist.t ->
-  t
-(** [run nl] executes the selected passes (default: all, no simplify). *)
+val run : ?simplify:bool -> Vpga_netlist.Netlist.t -> t
+(** [run nl] executes every pass; [simplify] (default false) adds the
+    simplifier. *)
 
 val diags : t -> Vpga_verify.Diag.t list
 (** All diagnostics across passes (and the simplifier, when run). *)

@@ -12,7 +12,7 @@ module Diag = Vpga_verify.Diag
 type result = {
   fanout : int array;  (* per-node reader count *)
   fanout_histogram : (int * int) list;  (* (bucket upper bound, nets) *)
-  high_fanout : int list;  (* driver ids with fanout > threshold *)
+  high_fanout : int list;  (* driver ids with fanout > [threshold] *)
   max_fanout : int;
   depth : int;  (* combinational depth; -1 when a loop prevents levelizing *)
   depth_histogram : (int * int) list;  (* (bucket upper bound, nodes) *)
@@ -36,7 +36,10 @@ let histogram values =
     (fun (a, _) (b, _) -> Int.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-let analyze ?(threshold = 8) nl =
+(* A net driving more sinks than this is reported as high-fanout. *)
+let threshold = 8
+
+let analyze nl =
   let fanout = Array.map Array.length (Netlist.fanout nl) in
   let n = Netlist.size nl in
   let high = ref [] and max_fanout = ref 0 in
@@ -67,9 +70,8 @@ let pp_histogram fmt h =
     (String.concat ", "
        (List.map (fun (b, c) -> Printf.sprintf "<=%d: %d" b c) h))
 
-let run ?threshold nl =
-  let r = analyze ?threshold nl in
-  let threshold = Option.value ~default:8 threshold in
+let run nl =
+  let r = analyze nl in
   let diags = ref [] in
   if r.high_fanout <> [] then
     diags :=

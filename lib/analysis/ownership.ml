@@ -1,4 +1,4 @@
-(* Static region-ownership sanitizer for the region-parallel refinement
+(* Static region-ownership proof for the region-parallel refinement
    machinery (PR 6): proves, for a concrete packing and region grid, that
 
    - the [region_bounds] rectangles tile the die exactly (no gap, no

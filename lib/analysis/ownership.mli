@@ -1,4 +1,4 @@
-(** Static region-ownership sanitizer for region-parallel refinement.
+(** Static region-ownership proof for region-parallel refinement.
 
     Proves, on a concrete {!Vpga_pack.Quadrisect.t} and region grid, that
     the region decomposition is race-free by construction: the

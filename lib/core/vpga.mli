@@ -77,7 +77,7 @@ module Fanout_analysis = Vpga_analysis.Fanout
 module Simplify = Vpga_analysis.Simplify
 
 module Ownership = Vpga_analysis.Ownership
-(** Static region-ownership sanitizer for region-parallel refinement. *)
+(** Static region-ownership proof for region-parallel refinement. *)
 
 module Sat = Vpga_verify.Sat
 module Cnf = Vpga_verify.Cnf

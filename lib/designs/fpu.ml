@@ -4,13 +4,9 @@ module Kind = Vpga_netlist.Kind
 (* Carry-save array multiplier (m x m -> 2m). *)
 let multiplier nl a b = Wordgen.csa_multiplier nl a b
 
-let build ?(exp_bits = 8) ?(mant_bits = 24) ?(pipelined = false) () =
+let build ?(exp_bits = 8) ?(mant_bits = 24) () =
   let e = exp_bits and m = mant_bits in
-  let nl =
-    Netlist.create
-      ~name:(Printf.sprintf "fpu_e%d_m%d%s" e m (if pipelined then "_p" else ""))
-      ()
-  in
+  let nl = Netlist.create ~name:(Printf.sprintf "fpu_e%d_m%d" e m) () in
   let op_in = Wordgen.input_bus nl "op" 1 in
   let sa_in = Wordgen.input_bus nl "sa" 1 in
   let ea_in = Wordgen.input_bus nl "ea" e in
@@ -85,13 +81,7 @@ let build ?(exp_bits = 8) ?(mant_bits = 24) ?(pipelined = false) () =
   let fmul_exp = Wordgen.mux_bus nl ~sel:top esum (Wordgen.incrementer nl esum) in
   let fmul_sign = Netlist.gate nl Kind.Xor2 [| sa; sb |] in
 
-  (* ---- optional mid-pipeline rank, then select and register ---- *)
-  let reg1 bus = if pipelined then Wordgen.register_bus nl bus else bus in
-  let fadd_mant = reg1 fadd_mant and fadd_exp = reg1 fadd_exp in
-  let fmul_mant = reg1 fmul_mant and fmul_exp = reg1 fmul_exp in
-  let fadd_sign = (reg1 [| fadd_sign |]).(0) in
-  let fmul_sign = (reg1 [| fmul_sign |]).(0) in
-  let op = (reg1 [| op |]).(0) in
+  (* ---- select and register ---- *)
   let mant = Wordgen.mux_bus nl ~sel:op fadd_mant fmul_mant in
   let exp = Wordgen.mux_bus nl ~sel:op fadd_exp fmul_exp in
   let sign = Netlist.gate nl Kind.Mux2 [| op; fadd_sign; fmul_sign |] in

@@ -8,12 +8,9 @@
     bit-exactly specified semantics shared by {!build} and {!reference}).
     op = 0 is add, op = 1 multiply. *)
 
-val build :
-  ?exp_bits:int -> ?mant_bits:int -> ?pipelined:bool -> unit ->
-  Vpga_netlist.Netlist.t
+val build : ?exp_bits:int -> ?mant_bits:int -> unit -> Vpga_netlist.Netlist.t
 (** Defaults: 8-bit exponent, 24-bit mantissa.  Inputs and result are
-    registered; [pipelined] (false) adds a mid-datapath register rank
-    (latency 3 instead of 2), halving the per-cycle critical path. *)
+    registered (latency 2). *)
 
 val reference :
   exp_bits:int -> mant_bits:int -> op:int ->

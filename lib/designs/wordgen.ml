@@ -241,15 +241,10 @@ let leading_zero_count nl a =
   in
   build (w - 1)
 
-let register_bus nl ?enable bus =
+let register_bus nl bus =
   Array.map
-    (fun b ->
+    (fun d ->
       let q = Netlist.dff nl in
-      let d =
-        match enable with
-        | None -> b
-        | Some en -> Netlist.gate nl Kind.Mux2 [| en; q; b |]
-      in
       Netlist.connect nl ~flop:q ~d;
       q)
     bus

@@ -64,8 +64,8 @@ val shift_right : Netlist.t -> bus -> amount:bus -> bus
 val leading_zero_count : Netlist.t -> bus -> bus
 (** Width [ceil(log2 (w+1))] count of leading (most-significant) zeros. *)
 
-val register_bus : Netlist.t -> ?enable:int -> bus -> bus
-(** A rank of D flops capturing the bus each cycle (or when [enable]). *)
+val register_bus : Netlist.t -> bus -> bus
+(** A rank of D flops capturing the bus each cycle. *)
 
 val counter : Netlist.t -> width:int -> enable:int -> bus
 (** Free-running binary counter with enable. *)

@@ -50,11 +50,9 @@ let memo_key m tt =
 
 let config_of m tt = m.cfg.(memo_key m tt)
 
-(* Cover selection over the AIG.  [`Area] minimizes area flow (the paper's
-   compaction objective); [`Depth] minimizes estimated arrival first, with
-   area flow as the tiebreak (the Design-Compiler-style timing-driven
-   mode). *)
-let select_cover ?(objective = `Area) m bound =
+(* Cover selection over the AIG: minimum area flow (the paper's compaction
+   objective), estimated arrival as the tiebreak. *)
+let select_cover m bound =
   let aig = bound.Aig.aig in
   let n = Aig.size aig in
   let cuts = Cut.enumerate aig ~k:cut_k ~max_cuts in
@@ -73,7 +71,6 @@ let select_cover ?(objective = `Area) m bound =
   let area_flow = Array.make n 0.0 in
   let arrival = Array.make n 0.0 in
   let best_cut = Array.make n None in
-  let area_first = match objective with `Area -> true | `Depth -> false in
   let no_cut = Cut.trivial 0 in
   for id = 1 to n - 1 do
     if not (Aig.is_pi aig id) then begin
@@ -99,11 +96,7 @@ let select_cover ?(objective = `Area) m bound =
                 if not (!at >= x) then at := x
               done;
               let a = !a and t = !at +. m.delay.(key) in
-              let wins =
-                if area_first then a < !ba || (a = !ba && t < !bt)
-                else t < !bt || (t = !bt && a < !ba)
-              in
-              if wins then begin
+              if a < !ba || (a = !ba && t < !bt) then begin
                 chosen := c;
                 have := true;
                 ba := a;
@@ -279,10 +272,10 @@ let emit m nl bound best_cut =
     bound.Aig.roots;
   dst
 
-let run ?objective arch nl =
+let run arch nl =
   let bound = Aig.of_netlist nl in
   let m = memo_create arch in
-  emit m nl bound (select_cover ?objective m bound)
+  emit m nl bound (select_cover m bound)
 
 let config_histogram nl =
   let counts = Hashtbl.create 16 in

@@ -12,15 +12,10 @@
     whose functions are the supernode truth tables; it is what the packing
     and placement stages consume. *)
 
-val run :
-  ?objective:[ `Area | `Depth ] ->
-  Vpga_plb.Arch.t ->
-  Vpga_netlist.Netlist.t ->
-  Vpga_netlist.Netlist.t
+val run : Vpga_plb.Arch.t -> Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t
 (** Equivalent compacted netlist.  Accepts generic or technology-mapped
-    input.  [`Area] (default) is the paper's compaction objective — minimum
-    area flow; [`Depth] is timing-driven covering (minimum estimated
-    arrival, area as tiebreak). *)
+    input.  The cover minimizes area flow, the paper's compaction
+    objective, with estimated arrival as the tiebreak. *)
 
 val config_histogram :
   Vpga_netlist.Netlist.t -> (Vpga_plb.Config.t * int) list

@@ -70,14 +70,13 @@ module Histogram = struct
     done;
     into.rejected <- into.rejected + src.rejected
 
-  (* Log-binned shape: geometric bins with ratio [gamma] (default 2^1/4,
-     about 12 bins per decade).  Samples <= 0 collapse into one (0, 0)
-     underflow bin; consecutive bin edges share the exact float
-     computation, so the edge sequence is monotone by construction. *)
-  let default_gamma = Float.pow 2.0 0.25
+  (* Log-binned shape: geometric bins with ratio [gamma] (2^1/4, about 12
+     bins per decade).  Samples <= 0 collapse into one (0, 0) underflow
+     bin; consecutive bin edges share the exact float computation, so the
+     edge sequence is monotone by construction. *)
+  let gamma = Float.pow 2.0 0.25
 
-  let bins ?(gamma = default_gamma) h =
-    if gamma <= 1.0 then invalid_arg "Histogram.bins: gamma must be > 1";
+  let bins h =
     let lg = log gamma in
     let tbl = Hashtbl.create 32 in
     let bump k =

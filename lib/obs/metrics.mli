@@ -27,10 +27,10 @@ module Histogram : sig
   val merge : into:t -> t -> unit
 
   (** Log-binned shape: [(lo, hi, count)] triples with geometric edges
-      (ratio [gamma], default 2{^1/4}), sorted by [lo]; samples <= 0
+      (ratio 2{^1/4}), sorted by [lo]; samples <= 0
       fall into a single [(0, 0, n)] underflow bin.  Edges are monotone
       and consecutive bins share their boundary exactly. *)
-  val bins : ?gamma:float -> t -> (float * float * int) list
+  val bins : t -> (float * float * int) list
 end
 
 (** One compared metric from a snapshot diff. *)

@@ -211,22 +211,7 @@ let walk ctx ~rng ~iterations =
   end;
   !accepted
 
-(* Ownership stamping for the dynamic race sanitizer: every tile of the
-   walk's occupancy array gets its owning region, the walk's cache gets
-   the region it writes for.  Stamps go on *after* [make_ctx] populated
-   the tiles, so only walk mutations are guarded.  The full-die pass
-   legitimately writes anywhere, so it is stamped as one region. *)
-let arm_full ctx =
-  Occupancy.set_writer ctx.cache 0;
-  Array.iter (fun o -> Occupancy.set_owner o 0) ctx.occ
-
-let arm_region ctx ~grid q r =
-  Occupancy.set_writer ctx.cache r;
-  Array.iteri
-    (fun t o -> Occupancy.set_owner o (Quadrisect.region_of_tile ~regions:grid q t))
-    ctx.occ
-
-let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
+let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1)
     ?(dead_tile = fun _ -> false) ~seed q pl =
   if jobs < 1 then invalid_arg "Refine.run: jobs must be positive";
   if regions < 1 then invalid_arg "Refine.run: regions must be positive";
@@ -322,7 +307,6 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
             ~bounds:(Quadrisect.region_bounds ~regions:g q r)
             ~ids ~tile_of ~view
         in
-        if sanitize then arm_region ctx ~grid:g q r;
         let rng = Random.State.make [| seed; r |] in
         let accepted = walk ctx ~rng ~iterations:share.(r) in
         Some (ctx, accepted)
@@ -333,7 +317,7 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
        disjoint id sets, so order only matters for reproducibility, not
        for the outcome). *)
     let accepted = ref 0 in
-    let fits = ref 0 and hits = ref 0 and guards = ref 0 in
+    let fits = ref 0 and hits = ref 0 in
     (* Per-region accepted-moves series, sampled on the calling domain
        during the deterministic region-order merge — worker domains
        never see the ambient trace, so this is the one place the
@@ -347,7 +331,6 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
             accepted := !accepted + acc;
             fits := !fits + Occupancy.fits_calls ctx.cache;
             hits := !hits + Occupancy.cache_hits ctx.cache;
-            guards := !guards + Occupancy.guard_checks ctx.cache;
             Array.iter
               (fun id ->
                 q.Quadrisect.tile_of_node.(id) <- ctx.tile_of.(id);
@@ -364,7 +347,6 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
         ~bounds:(0, 0, sh.cols, sh.rows)
         ~ids:packed ~tile_of:q.Quadrisect.tile_of_node ~view:pl
     in
-    if sanitize then arm_full bctx;
     let rng = Random.State.make [| seed |] in
     let bacc = walk bctx ~rng ~iterations:boundary_iters in
     (* A single-region run reports every move as a region move. *)
@@ -378,9 +360,6 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ?(sanitize = false)
       (float_of_int (!hits + Occupancy.cache_hits bctx.cache));
     Vpga_obs.Trace.emit "refine.region_moves" (float_of_int region_moves);
     Vpga_obs.Trace.emit "refine.boundary_moves" (float_of_int boundary_moves);
-    if sanitize then
-      Vpga_obs.Trace.emit "analysis.sanitizer_checks"
-        (float_of_int (!guards + Occupancy.guard_checks bctx.cache));
     Vpga_obs.Trace.emit_sample series (float_of_int bacc);
     {
       moves = iterations;

@@ -49,7 +49,6 @@ val run :
   ?criticality:float array ->
   ?jobs:int ->
   ?regions:int ->
-  ?sanitize:bool ->
   ?dead_tile:(int -> bool) ->
   seed:int ->
   Quadrisect.t ->
@@ -63,13 +62,6 @@ val run :
     [jobs] (default 1) bounds the worker domains used for region walks;
     it affects wall time only, never results.
 
-    [sanitize] (default false) arms the dynamic region-ownership guard:
-    every occupancy tile is stamped with its owning region and every
-    walk's cache with the region it writes for, so a cross-region
-    mutation raises {!Vpga_plb.Occupancy.Race} at the faulting write
-    instead of corrupting a neighbouring walk's state.  Stamping changes
-    no verdicts — results stay bit-identical to an unsanitized run.
-
     [dead_tile] (default [fun _ -> false]) marks defective tiles at this
     array's discretization: they answer every feasibility query false, so
     no move or swap ever lands on one.  An initial packing already
@@ -78,7 +70,5 @@ val run :
     Counters emitted on the ambient {!Vpga_obs.Trace}:
     [pack.fits_calls], [pack.fits_cache_hits], [refine.region_moves],
     [refine.boundary_moves] (single-region runs count every move as a
-    region move), and [analysis.sanitizer_checks] when sanitizing.
-    @raise Infeasible if the initial packing is infeasible.
-    @raise Vpga_plb.Occupancy.Race when [sanitize] catches a
-    cross-region write. *)
+    region move).
+    @raise Infeasible if the initial packing is infeasible. *)

@@ -1,4 +1,7 @@
-let place ?(min_bin = 8) ~seed pl =
+(* A region of at most this many cells stops splitting and is spread. *)
+let min_bin = 8
+
+let place ~seed pl =
   let g = pl.Placement.graph in
   let n = Hypergraph.num_vertices g in
   let rng = Random.State.make [| seed |] in

@@ -4,8 +4,8 @@
     annealer refines — together they substitute for the paper's Dolphin
     physical synthesis. *)
 
-val place : ?min_bin:int -> seed:int -> Placement.t -> unit
-(** Mutates the placement's cell coordinates.  [min_bin] (default 8) is the
-    number of cells below which a region stops splitting.  A region whose
-    bisection leaves one side empty (a cell heavier than the balance slack
-    can make that FM's zero-cut optimum) is spread as a leaf bin too. *)
+val place : seed:int -> Placement.t -> unit
+(** Mutates the placement's cell coordinates.  A region of 8 cells or
+    fewer stops splitting.  A region whose bisection leaves one side empty
+    (a cell heavier than the balance slack can make that FM's zero-cut
+    optimum) is spread as a leaf bin too. *)

@@ -27,28 +27,13 @@ type cache = {
   memo : (int, bool) Hashtbl.t;
   mutable fits_calls : int;
   mutable cache_hits : int;
-  mutable writer : int;
-      (* region id this cache's walk mutates for, or -1: sanitizer off *)
-  mutable guard_checks : int;
 }
 
-exception Race of { owner : int; writer : int }
-
 let create_cache arch =
-  {
-    arch;
-    memo = Hashtbl.create 256;
-    fits_calls = 0;
-    cache_hits = 0;
-    writer = -1;
-    guard_checks = 0;
-  }
+  { arch; memo = Hashtbl.create 256; fits_calls = 0; cache_hits = 0 }
 
 let fits_calls c = c.fits_calls
 let cache_hits c = c.cache_hits
-let set_writer c r = c.writer <- r
-let writer c = c.writer
-let guard_checks c = c.guard_checks
 
 type t = {
   cache : cache;
@@ -57,7 +42,6 @@ type t = {
   mutable outputs : int;
   mutable flops : int;
   mutable signature : int;
-  mutable owner : int; (* region id owning this tile, or -1: unstamped *)
   mutable dead : bool; (* defective tile: admits nothing *)
 }
 
@@ -69,28 +53,10 @@ let create cache =
     outputs = 0;
     flops = 0;
     signature = 0;
-    owner = -1;
     dead = false;
   }
 
-let arch t = t.cache.arch
-let cache t = t.cache
-let set_owner t r = t.owner <- r
-let owner t = t.owner
 let set_dead t b = t.dead <- b
-let dead t = t.dead
-
-(* Every mutation passes through here.  Armed (both stamps set), a
-   mutation from a walk whose cache writes for region [writer] against a
-   tile owned by another region is a cross-region write: the exact bug
-   class the region decomposition must exclude.  Fail fast, loudly. *)
-let guard t =
-  let c = t.cache in
-  if c.writer >= 0 && t.owner >= 0 then begin
-    c.guard_checks <- c.guard_checks + 1;
-    if t.owner <> c.writer then
-      raise (Race { owner = t.owner; writer = c.writer })
-  end
 let count t = t.outputs
 let is_empty t = t.items = []
 let items t = t.items
@@ -184,7 +150,6 @@ let query_replacing t ~without it =
   with Not_found -> memo_fill c key (it :: drop_one without t.items)
 
 let add t it =
-  guard t;
   fits t it
   && begin
        t.items <- it :: t.items;
@@ -196,7 +161,6 @@ let add t it =
      end
 
 let remove t it =
-  guard t;
   if not (resident it t.items) then
     invalid_arg "Occupancy.remove: item not present";
   t.items <- drop_one it t.items;

@@ -20,12 +20,6 @@ type cache
 (** The fits memo plus query statistics, shared by every tile of one
     packing run.  Single-domain use only (one flow task = one domain). *)
 
-exception Race of { owner : int; writer : int }
-(** A mutation crossed a region boundary while the ownership sanitizer
-    was armed: a tile stamped [owner] was written through a cache
-    stamped [writer <> owner].  In the region-parallel refinement this
-    is a would-be data race, so it aborts immediately. *)
-
 val create_cache : Arch.t -> cache
 
 val fits_calls : cache -> int
@@ -35,39 +29,16 @@ val cache_hits : cache -> int
 (** Verdicts ({!query}, {!query_replacing} and {!add}) answered from the
     config-multiset memo without running {!Packer.fits}. *)
 
-val set_writer : cache -> int -> unit
-(** Arm the ownership sanitizer for mutations through this cache: they
-    must target tiles owned by the given region.  [-1] (the default)
-    disarms the guard. *)
-
-val writer : cache -> int
-
-val guard_checks : cache -> int
-(** Mutations checked while the sanitizer was armed (both the cache's
-    writer and the tile's owner stamped). *)
-
 type t
 (** One tile's occupancy.  Mutable; not thread-safe. *)
 
 val create : cache -> t
-val arch : t -> Arch.t
-
-val cache : t -> cache
-(** The shared cache this tile was created from. *)
-
-val set_owner : t -> int -> unit
-(** Stamp the region that owns this tile.  [-1] (the default) exempts
-    the tile from the ownership guard. *)
-
-val owner : t -> int
 
 val set_dead : t -> bool -> unit
 (** Mark the tile defective: {!query}, {!query_replacing} and {!add} all
     answer [false] (zero capacity — nothing is ever placed or spilled
     into it).  Defaults to [false], leaving the healthy semantics
     untouched. *)
-
-val dead : t -> bool
 
 val count : t -> int
 (** Resident items. *)
@@ -78,8 +49,8 @@ val items : t -> Packer.item list
 (** Newest-first; a multiset — order carries no meaning. *)
 
 val query : t -> Packer.item -> bool
-(** [query t it] iff [Packer.fits (arch t) (it :: items t)].  Read-only
-    apart from cache statistics. *)
+(** [query t it] iff [Packer.fits arch (it :: items t)], [arch] being the
+    architecture of [t]'s cache.  Read-only apart from cache statistics. *)
 
 val query_replacing : t -> without:Packer.item -> Packer.item -> bool
 (** [query_replacing t ~without it] iff [it] would fit once resident
@@ -91,15 +62,11 @@ val query_replacing : t -> without:Packer.item -> Packer.item -> bool
 val add : t -> Packer.item -> bool
 (** Commit [it] if it fits (same predicate as {!query}); returns whether
     it was added.  A tile therefore only ever holds a multiset that
-    {!Packer.fits} accepts.
-    @raise Race when the armed ownership guard detects a cross-region
-    write. *)
+    {!Packer.fits} accepts. *)
 
 val remove : t -> Packer.item -> unit
 (** Remove one resident equal to [it] (config, pins, flop).  The tile
     then holds a sub-multiset of one that fit, and [add t it] is
     guaranteed to succeed, restoring the same counters, signature and
     multiset (undo).
-    @raise Invalid_argument when no such resident exists.
-    @raise Race when the armed ownership guard detects a cross-region
-    write. *)
+    @raise Invalid_argument when no such resident exists. *)

@@ -46,21 +46,21 @@ let rng seed = Random.State.make [| 0xDEF; seed |]
    die locations regardless of the actual array/grid dims.  Site centers
    (not corners) so a defect never sits exactly on a discretization
    boundary. *)
+let resolution = 16
+
 let site r i j =
   ((float_of_int i +. 0.5) /. float_of_int r,
    (float_of_int j +. 0.5) /. float_of_int r)
 
-let generate ?(dist = Uniform) ?(resolution = 16) ?(tile_rate = 0.0)
-    ?(edge_rate = 0.0) ?(derate_rate = 0.0) ?(derate_keep = 0.5) ~seed () =
-  if resolution < 2 then invalid_arg "Defect.generate: resolution < 2";
+let generate ?(dist = Uniform) ?(tile_rate = 0.0) ?(edge_rate = 0.0)
+    ?(derate_rate = 0.0) ?(derate_keep = 0.5) ~seed () =
   let st = rng seed in
   let r = resolution in
   let tiles = ref [] and edges = ref [] in
   (match dist with
   | Uniform ->
       (* Independent per-site coin flips, row-major so the draw order (and
-         with it the map) is a function of (seed, resolution, rates)
-         alone. *)
+         with it the map) is a function of (seed, rates) alone. *)
       for i = 0 to r - 1 do
         for j = 0 to r - 1 do
           if tile_rate > 0.0 && Random.State.float st 1.0 < tile_rate then

@@ -45,7 +45,6 @@ val is_empty : t -> bool
 
 val generate :
   ?dist:dist ->
-  ?resolution:int ->
   ?tile_rate:float ->
   ?edge_rate:float ->
   ?derate_rate:float ->
@@ -53,8 +52,7 @@ val generate :
   seed:int ->
   unit ->
   t
-(** Draw a map on a virtual [resolution x resolution] (default 16) site
-    grid: each site goes dead-tile with probability [tile_rate] and
+(** Draw a map on a virtual 16 x 16 site grid: each site goes dead-tile with probability [tile_rate] and
     dead-edge with probability [edge_rate] (default 0; [Clustered] scales
     the same rates into cluster counts); [derate_rate] (default 0) scales
     the number of derated rectangles, each keeping [derate_keep] (default

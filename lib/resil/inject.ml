@@ -20,8 +20,6 @@
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
 module Packer = Vpga_plb.Packer
-module Config = Vpga_plb.Config
-module Occupancy = Vpga_plb.Occupancy
 module Placement = Vpga_place.Placement
 module Quadrisect = Vpga_pack.Quadrisect
 module Grid = Vpga_route.Grid
@@ -195,40 +193,6 @@ let packing_overfill ~seed q nl =
           (fun () ->
             List.iter (fun (id, t) -> q.Quadrisect.tile_of_node.(id) <- t)
               !moved);
-      }
-
-(* Cross-region occupancy write: mutate a tile that the region-ownership
-   stamps say belongs to a different region than the one the tile's
-   cache writes for — exactly the bug class [Refine]'s region
-   decomposition must make impossible.  The written item is a pure flop
-   (zero comb demand), so the write itself is as benign as a real race
-   would look.  With the sanitizer armed, [Occupancy.add] raises
-   {!Occupancy.Race} at the faulting write and no undo is needed; with
-   the guard disarmed the write lands silently and [undo] removes it. *)
-let occupancy_cross_region ~seed tiles =
-  let st = rng seed in
-  let item = { Packer.config = Config.Invb; pins = 0; flop = true } in
-  let victims =
-    List.filter
-      (fun t ->
-        Occupancy.owner t >= 0
-        && Occupancy.owner t <> Occupancy.writer (Occupancy.cache t)
-        && Occupancy.query t item)
-      (Array.to_list tiles)
-  in
-  match pick st victims with
-  | None ->
-      invalid_arg "Inject.occupancy_cross_region: no cross-region victim tile"
-  | Some t ->
-      if not (Occupancy.add t item) then assert false;
-      {
-        what =
-          Printf.sprintf
-            "occupancy: wrote a flop into a tile owned by region %d through \
-             a cache writing for region %d"
-            (Occupancy.owner t)
-            (Occupancy.writer (Occupancy.cache t));
-        undo = (fun () -> Occupancy.remove t item);
       }
 
 (* Routing artifacts are consumed immutably, so route corruptors take the

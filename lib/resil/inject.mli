@@ -35,17 +35,6 @@ val packing_overfill :
     violate {!Vpga_plb.Packer.fits} ([tile-overflow]).
     @raise Invalid_argument if the design is too small to overfill. *)
 
-val occupancy_cross_region :
-  seed:int -> Vpga_plb.Occupancy.t array -> fault
-(** Write a pure-flop item into a tile whose ownership stamp differs
-    from its cache's writer stamp — a forced cross-region mutation.
-    With the sanitizer armed ([Occupancy.set_writer] >= 0) the faulting
-    write raises {!Vpga_plb.Occupancy.Race} before this function
-    returns; with the guard disarmed the write lands silently and
-    [undo] removes it again.
-    @raise Vpga_plb.Occupancy.Race when the sanitizer is armed.
-    @raise Invalid_argument when no tile qualifies as a victim. *)
-
 val route_drop_edge : seed:int -> Vpga_route.Pathfinder.result ref -> fault
 (** Rebind the ref to a copy of the routing result with one edge dropped
     from a multi-edge routing tree ([route-disconnected]); [undo]

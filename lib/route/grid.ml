@@ -99,16 +99,11 @@ let track_usable t e tr =
    layers at sub-um pitch (see DESIGN.md's synthetic technology). *)
 let tracks_per_um = 4.0
 
-let of_placement ?target_cols ?capacity ?tracks pl =
+let of_placement ?capacity ?tracks pl =
   let die_w = pl.Vpga_place.Placement.die_w in
   let die_h = pl.Vpga_place.Placement.die_h in
-  let cols =
-    match target_cols with
-    | Some c -> max 2 c
-    | None ->
-        (* target ~45 um bins *)
-        min 48 (max 8 (int_of_float (Float.round (die_w /. 45.0))))
-  in
+  (* target ~45 um bins *)
+  let cols = min 48 (max 8 (int_of_float (Float.round (die_w /. 45.0)))) in
   let rows =
     max 2
       (int_of_float (Float.round (float_of_int cols *. die_h /. max 1e-6 die_w)))

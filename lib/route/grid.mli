@@ -50,7 +50,6 @@ val create :
   t
 
 val of_placement :
-  ?target_cols:int ->
   ?capacity:int ->
   ?tracks:track_fn ->
   Vpga_place.Placement.t ->

@@ -12,8 +12,8 @@ let cap_per_um = 0.2 (* fF/um *)
 let res_per_um = 0.00008 (* kOhm/um = ps/fF/um *)
 let local_wire_um = 15.0 (* same-bin nets still have some local wire *)
 
-let route_placement ?grid_cols ?capacity ?tracks ?(max_iterations = 30) pl =
-  let grid = Grid.of_placement ?target_cols:grid_cols ?capacity ?tracks pl in
+let route_placement ?capacity ?tracks ?(max_iterations = 30) pl =
+  let grid = Grid.of_placement ?capacity ?tracks pl in
   let nets = Placement.nets_with_io pl in
   (* Each net's pin bins, sorted and deduplicated once for every pass. *)
   let pins_of net =
@@ -100,5 +100,6 @@ let wire_loads_with ~extra_per_edge r =
 
 let wire_loads r = wire_loads_with ~extra_per_edge:(0.0, 0.0) r
 
-let wire_loads_regular ?(switch_r = 0.35) ?(switch_c = 1.2) r =
-  wire_loads_with ~extra_per_edge:(switch_r, switch_c) r
+(* Regular routing: each bin crossing passes a programmable switch adding
+   0.35 ps/fF of resistance and 1.2 fF of capacitance. *)
+let wire_loads_regular r = wire_loads_with ~extra_per_edge:(0.35, 1.2) r

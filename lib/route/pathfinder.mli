@@ -10,7 +10,7 @@ type result = {
 }
 
 val route_placement :
-  ?grid_cols:int -> ?capacity:int -> ?tracks:Grid.track_fn ->
+  ?capacity:int -> ?tracks:Grid.track_fn ->
   ?max_iterations:int -> Vpga_place.Placement.t -> result
 (** Builds one multi-terminal net per driver from the placement's netlist
     and negotiates until overflow-free (or [max_iterations], default 30).
@@ -27,10 +27,8 @@ val wire_loads :
     the paper's ASIC-style {e custom} routing: plain metal on the upper
     layers. *)
 
-val wire_loads_regular : ?switch_r:float -> ?switch_c:float ->
-  result -> (int -> float * float)
+val wire_loads_regular : result -> (int -> float * float)
 (** The paper's future-work alternative: {e regular} (FPGA-style segmented)
     routing, where every bin crossing passes a programmable switch that adds
-    resistance and capacitance ([switch_r] ps/fF, default 0.35; [switch_c]
-    fF, default 1.2).  Same topology, heavier parasitics — experiment E14
-    compares the two. *)
+    resistance (0.35 ps/fF) and capacitance (1.2 fF).  Same topology,
+    heavier parasitics — experiment E14 compares the two. *)

@@ -5,9 +5,12 @@ module Cell = Vpga_cells.Cell
 module Characterize = Vpga_cells.Characterize
 module Config = Vpga_plb.Config
 
+(* Random input vectors driven per activity measurement. *)
+let cycles = 256
+
 (* Lane 0 of the word simulator: one stimulus per cycle, drawn in the same
    order as the bool API would take it. *)
-let activities ?(cycles = 256) ~seed nl =
+let activities ~seed nl =
   let n = Netlist.size nl in
   let rng = Random.State.make [| seed |] in
   let sim = Simulate.create nl in
@@ -33,6 +36,7 @@ type report = { dynamic_uw : float; leakage_uw : float; total_uw : float }
 (* Synthetic-technology constants (see DESIGN.md). *)
 let leakage_uw_per_um2 = 0.004
 let internal_cap_factor = 1.5
+let vdd = 1.8 (* volts *)
 
 let node_area n =
   match n.Netlist.kind with
@@ -44,7 +48,7 @@ let node_area n =
   | Kind.Buf | Kind.Inv -> (Characterize.find "inv").Cell.area
   | _ -> 0.0
 
-let estimate ?(period = 500.0) ?(vdd = 1.8) ?(wire = fun _ -> (0.0, 0.0))
+let estimate ?(period = 500.0) ?(wire = fun _ -> (0.0, 0.0))
     ~activities nl =
   let n = Netlist.size nl in
   if Array.length activities <> n then

@@ -36,11 +36,9 @@ type verdict = Equivalent | Inequivalent of counterexample
    a verdict on the swept miter transfers to the original; the final
    solve is unbounded, so it always answers. *)
 let check a b =
-  if Netlist.interface a <> Netlist.interface b then
+  let (npi, npo, nff) as ia = Netlist.interface a in
+  if ia <> Netlist.interface b then
     invalid_arg "Cec.check: interface mismatch (PI/PO/flop counts differ)";
-  let npi = List.length (Netlist.inputs a) in
-  let nff = List.length (Netlist.flops a) in
-  let npo = List.length (Netlist.outputs a) in
   let aig = Aig.create () in
   let in_lits = Array.init (npi + nff) (fun _ -> Aig.add_pi aig) in
   (* Root literals: POs first, then flop D pins. *)

@@ -1,24 +1,20 @@
 (* Tests for the static-analysis layer: the ternary lattice and its
    fixed-point evaluation, the dataflow passes against hand-seeded
    netlists, the CEC-certified simplifier over every benchmark x
-   architecture, the region-ownership sanitizer (statically via
-   [Ownership.check] and dynamically via a forced cross-region write),
-   and the guarantee that arming the sanitizer changes no refinement
-   results. *)
+   architecture, and the static region-ownership proof
+   ([Ownership.check]). *)
 
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
 module Arch = Vpga_plb.Arch
 module Config = Vpga_plb.Config
 module Packer = Vpga_plb.Packer
-module Occupancy = Vpga_plb.Occupancy
 module Techmap = Vpga_mapper.Techmap
 module Compact = Vpga_mapper.Compact
 module Placement = Vpga_place.Placement
 module Global = Vpga_place.Global
 module Buffering = Vpga_place.Buffering
 module Quadrisect = Vpga_pack.Quadrisect
-module Refine = Vpga_pack.Refine
 module Diag = Vpga_verify.Diag
 module Cec = Vpga_verify.Cec
 module Dataflow = Vpga_dataflow.Dataflow
@@ -30,7 +26,6 @@ module Simplify = Vpga_analysis.Simplify
 module Ownership = Vpga_analysis.Ownership
 module Analysis = Vpga_analysis.Analysis
 module Pass = Vpga_analysis.Pass
-module Inject = Vpga_resil.Inject
 module Experiments = Vpga_flow.Experiments
 
 (* --- ternary lattice --- *)
@@ -159,13 +154,10 @@ let test_redund_finds_structural_duplicate () =
 
 let test_analysis_pass_selection () =
   let nl = Vpga_designs.Alu.build ~width:4 () in
-  let a = Analysis.run ~passes:[ "constprop"; "fanout" ] nl in
-  Alcotest.(check (list string))
-    "only the selected passes ran" [ "constprop"; "fanout" ]
-    (List.map (fun r -> r.Pass.name) a.Analysis.reports);
   let full = Analysis.run nl in
   Alcotest.(check (list string))
-    "default runs all passes in order" Analysis.pass_names
+    "every pass runs, in order"
+    [ "constprop"; "xprop"; "redundancy"; "fanout" ]
     (List.map (fun r -> r.Pass.name) full.Analysis.reports);
   (* Every counter the manager aggregates is namespaced for the trace. *)
   List.iter
@@ -209,9 +201,9 @@ let test_simplify_preserves_equivalence () =
         [ Arch.lut_plb; Arch.granular_plb ])
     (Experiments.designs Experiments.Test)
 
-(* --- ownership sanitizer, static half --- *)
+(* --- region-ownership proof --- *)
 
-(* One legalized ALU, shared by the ownership and refinement tests. *)
+(* One legalized ALU, shared by the ownership tests. *)
 let packed =
   lazy
     (Config.prewarm ();
@@ -258,78 +250,6 @@ let test_ownership_catches_offdie_tile () =
     (Diag.has_code "tile-range" r.Ownership.diags
     && Diag.has_errors r.Ownership.diags)
 
-(* --- ownership sanitizer, dynamic half --- *)
-
-(* A 2x4 toy die: tiles 0-3 stamped region 0, tiles 4-7 region 1. *)
-let stamped_tiles cache =
-  let tiles = Array.init 8 (fun _ -> Occupancy.create cache) in
-  Array.iteri (fun i t -> Occupancy.set_owner t (if i < 4 then 0 else 1)) tiles;
-  tiles
-
-let test_inject_cross_region_caught_when_armed () =
-  let cache = Occupancy.create_cache Arch.granular_plb in
-  let tiles = stamped_tiles cache in
-  (* Arm as region 0's walk: any write into a region-1 tile must trap. *)
-  Occupancy.set_writer cache 0;
-  (match Inject.occupancy_cross_region ~seed:11 tiles with
-  | exception Occupancy.Race { owner; writer } ->
-      Alcotest.(check int) "victim owned by the other region" 1 owner;
-      Alcotest.(check int) "writer is region 0" 0 writer
-  | _ -> Alcotest.fail "armed sanitizer let a cross-region write land");
-  Alcotest.(check bool)
-    "the faulting write did not land" true
-    (Array.for_all Occupancy.is_empty tiles);
-  Alcotest.(check bool)
-    "guard evaluated at least once" true
-    (Occupancy.guard_checks cache > 0)
-
-let test_inject_cross_region_lands_when_disarmed () =
-  let cache = Occupancy.create_cache Arch.granular_plb in
-  let tiles = stamped_tiles cache in
-  (* Writer left at -1: the guard is disarmed, the fault lands silently —
-     exactly the latent race the sanitizer exists to catch. *)
-  let fault = Inject.occupancy_cross_region ~seed:11 tiles in
-  Alcotest.(check int)
-    "exactly one tile mutated" 1
-    (Array.fold_left (fun n t -> n + Occupancy.count t) 0 tiles);
-  fault.Inject.undo ();
-  Alcotest.(check bool)
-    "undo restores all tiles" true
-    (Array.for_all Occupancy.is_empty tiles)
-
-(* --- arming the sanitizer changes no refinement results --- *)
-
-let test_refine_sanitize_is_transparent () =
-  let q, pl = Lazy.force packed in
-  let run ~jobs ~regions ~sanitize =
-    let q' =
-      { q with Quadrisect.tile_of_node = Array.copy q.Quadrisect.tile_of_node }
-    in
-    let pl' =
-      {
-        pl with
-        Placement.x = Array.copy pl.Placement.x;
-        y = Array.copy pl.Placement.y;
-      }
-    in
-    let st =
-      Refine.run ~iterations:20_000 ~jobs ~regions ~sanitize ~seed:7 q' pl'
-    in
-    (q'.Quadrisect.tile_of_node, st)
-  in
-  List.iter
-    (fun (jobs, regions) ->
-      let plain, st_plain = run ~jobs ~regions ~sanitize:false in
-      let armed, st_armed = run ~jobs ~regions ~sanitize:true in
-      Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d regions=%d: identical packing" jobs regions)
-        (Array.to_list plain) (Array.to_list armed);
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d regions=%d: identical move counts" jobs
-           regions)
-        st_plain.Refine.accepted st_armed.Refine.accepted)
-    [ (1, 1); (2, 2); (4, 2) ]
-
 let () =
   Alcotest.run "analysis"
     [
@@ -363,11 +283,5 @@ let () =
             test_ownership_clean_on_real_legalization;
           Alcotest.test_case "off-die tile caught" `Quick
             test_ownership_catches_offdie_tile;
-          Alcotest.test_case "armed injection trapped" `Quick
-            test_inject_cross_region_caught_when_armed;
-          Alcotest.test_case "disarmed injection lands" `Quick
-            test_inject_cross_region_lands_when_disarmed;
-          Alcotest.test_case "sanitize is transparent" `Slow
-            test_refine_sanitize_is_transparent;
         ] );
     ]

@@ -95,7 +95,7 @@ let mapped_design () =
 
 let test_activities () =
   let nl = mapped_design () in
-  let a = Power.activities ~cycles:128 ~seed:3 nl in
+  let a = Power.activities ~seed:3 nl in
   Alcotest.(check int) "one entry per node" (Netlist.size nl) (Array.length a);
   Alcotest.(check bool) "activities in [0,1]" true
     (Array.for_all (fun x -> x >= 0.0 && x <= 1.0) a);
@@ -110,12 +110,12 @@ let test_activities () =
     true
     (mean > 0.35 && mean < 0.65);
   (* deterministic for a fixed seed *)
-  let b = Power.activities ~cycles:128 ~seed:3 nl in
+  let b = Power.activities ~seed:3 nl in
   Alcotest.(check bool) "deterministic" true (a = b)
 
 let test_power_estimate () =
   let nl = mapped_design () in
-  let activities = Power.activities ~cycles:128 ~seed:3 nl in
+  let activities = Power.activities ~seed:3 nl in
   let p = Power.estimate ~activities nl in
   Alcotest.(check bool) "positive dynamic" true (p.Power.dynamic_uw > 0.0);
   Alcotest.(check bool) "positive leakage" true (p.Power.leakage_uw > 0.0);
@@ -139,7 +139,7 @@ let test_power_lut_costs_more () =
   let nl = Vpga_designs.Alu.build ~width:6 () in
   let power arch =
     let mapped = Vpga_mapper.Compact.run arch nl in
-    let activities = Power.activities ~cycles:128 ~seed:3 mapped in
+    let activities = Power.activities ~seed:3 mapped in
     (Power.estimate ~activities mapped).Power.total_uw
   in
   Alcotest.(check bool) "granular uses less power" true

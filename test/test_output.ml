@@ -3,7 +3,6 @@
 
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
-module Levelize = Vpga_netlist.Levelize
 module Arch = Vpga_plb.Arch
 module Grid = Vpga_route.Grid
 module Router = Vpga_route.Router
@@ -354,62 +353,6 @@ let test_def_and_svg () =
   Sys.remove path;
   Alcotest.(check int) "file written" (String.length svg) len
 
-(* --- Depth-oriented compaction ------------------------------------------- *)
-
-let test_depth_objective () =
-  let nl = Vpga_designs.Alu.build ~width:8 () in
-  List.iter
-    (fun arch ->
-      let area_cover = Compact.run ~objective:`Area arch nl in
-      let depth_cover = Compact.run ~objective:`Depth arch nl in
-      (match Vpga_netlist.Equiv.check ~seed:5 nl depth_cover with
-      | Vpga_netlist.Equiv.Equivalent -> ()
-      | Vpga_netlist.Equiv.Mismatch _ ->
-          Alcotest.fail "depth cover broke the design");
-      (* the depth objective minimizes nominal-load estimated arrival (the
-         DP's own metric); real STA differs through fanout loading *)
-      let estimated_depth cover =
-        let topo = Levelize.run cover in
-        let at = Array.make (Netlist.size cover) 0.0 in
-        Array.iter
-          (fun id ->
-            let node = Netlist.node cover id in
-            match node.Netlist.kind with
-            | Kind.Mapped { cell; _ } -> (
-                match Vpga_plb.Config.of_cell_name cell with
-                | Some cfg ->
-                    let d = Vpga_plb.Config.delay cfg ~load:10.0 in
-                    at.(id) <-
-                      Array.fold_left
-                        (fun acc f -> max acc at.(f))
-                        0.0 node.Netlist.fanins
-                      +. d
-                | None -> ())
-            | _ ->
-                at.(id) <-
-                  Array.fold_left (fun acc f -> max acc at.(f)) 0.0
-                    node.Netlist.fanins)
-          topo.Levelize.order;
-        Array.fold_left max 0.0 at
-      in
-      Alcotest.(check bool)
-        (arch.Arch.name ^ ": depth cover has no worse estimated depth")
-        true
-        (estimated_depth depth_cover <= estimated_depth area_cover +. 1.0);
-      (* the area objective minimizes tile share, so compare that metric *)
-      let tile_cost cover =
-        List.fold_left
-          (fun acc (c, n) ->
-            acc +. (float_of_int n *. Vpga_plb.Config.tile_cost arch c))
-          0.0
-          (Compact.config_histogram cover)
-      in
-      Alcotest.(check bool)
-        (arch.Arch.name ^ ": area cover occupies no more tile share")
-        true
-        (tile_cost area_cover <= tile_cost depth_cover +. 1.0))
-    Arch.all
-
 let () =
   Alcotest.run "vpga_output"
     [
@@ -429,6 +372,4 @@ let () =
           Alcotest.test_case "packed placement on the array die" `Quick
             test_packed_on_array_die;
         ] );
-      ( "objectives",
-        [ Alcotest.test_case "depth vs area" `Quick test_depth_objective ] );
     ]

@@ -357,10 +357,17 @@ let test_regions2_golden () =
   List.iter
     (fun (name, q, pl) ->
       let tiles, _ = refine_copy ~jobs:1 ~regions:2 ~seed:7 (q, pl) in
+      let refined = { q with Quadrisect.tile_of_node = tiles } in
       Alcotest.(check int)
         (name ^ " regions=2 refine checksum")
         (List.assoc name regions2_golden)
-        (checksum { q with Quadrisect.tile_of_node = tiles }))
+        (checksum refined);
+      (* The merge of region walks must leave a legal packing. *)
+      let buffered = pl.Placement.graph.Vpga_place.Hypergraph.nl in
+      Alcotest.(check bool)
+        (name ^ " regions=2 packing invariants")
+        false
+        (Diag.has_errors (Phys.check_packing refined buffered)))
     (Lazy.force prepared)
 
 let test_same_seed_determinism () =
