@@ -144,6 +144,12 @@ let make_packed () =
 let fixture_packed = lazy (make_packed ())
 let fixture_packed_regions = lazy (make_packed ())
 
+(* The Test-scale FPU and its granular compaction: the pair the Formal
+   flow's compact gate proves equivalent. *)
+let fpu_test = lazy (List.assoc "FPU" (Experiments.designs Experiments.Test))
+let fixture_fpu_compacted =
+  lazy (Compact.run Arch.granular_plb (Lazy.force fpu_test))
+
 let bench_tests =
   [
     (* E1: the Section-2 classification *)
@@ -197,6 +203,13 @@ let bench_tests =
            let r = Pathfinder.route_placement (Lazy.force fixture_placed) in
            if r.Pathfinder.final_overflow = 0 then
              ignore (Detail.run r.Pathfinder.grid r.Pathfinder.routes)));
+    (* The Formal gate's proof for one stage: SAT sweeping of the shared
+       AIG, then the solve of the swept miter. *)
+    Test.make ~name:"cec_compact_fpu"
+      (Staged.stage (fun () ->
+           ignore
+             (Cec.check (Lazy.force fpu_test)
+                (Lazy.force fixture_fpu_compacted))));
     (* E15 kernel: the whole minimum-channel-width search (front-end once
        plus the probe bisection) on the small ALU, defect-free *)
     Test.make ~name:"minchan_alu8"

@@ -381,7 +381,7 @@ let legalize_result ?(utilization = 0.9) ?criticality ?dead_tile arch pl =
     (match dead with
     | None -> ()
     | Some dd ->
-        Array.iteri (fun t d -> if d then Occupancy.set_dead occ.(t) true) dd);
+        Array.iteri (fun t d -> if d then Occupancy.mark_dead occ.(t)) dd);
     let unplaced = ref 0 in
     let max_ring = cols + rows in
     let rings = Array.make (max_ring + 1) [||] in

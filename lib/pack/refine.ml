@@ -95,7 +95,7 @@ let make_ctx sh ~bounds:(bc0, br0, bc1, br1) ~ids ~tile_of ~view =
      moves nor swaps ever land on them; an initial packing that already
      occupies one fails the population below as infeasible. *)
   for t = 0 to n_tiles - 1 do
-    if sh.dead_tile t then Occupancy.set_dead occ.(t) true
+    if sh.dead_tile t then Occupancy.mark_dead occ.(t)
   done;
   Array.iter
     (fun id ->

@@ -56,7 +56,7 @@ let create cache =
     dead = false;
   }
 
-let set_dead t b = t.dead <- b
+let mark_dead t = t.dead <- true
 let count t = t.outputs
 let is_empty t = t.items = []
 let items t = t.items

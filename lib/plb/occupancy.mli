@@ -34,11 +34,10 @@ type t
 
 val create : cache -> t
 
-val set_dead : t -> bool -> unit
+val mark_dead : t -> unit
 (** Mark the tile defective: {!query}, {!query_replacing} and {!add} all
     answer [false] (zero capacity — nothing is ever placed or spilled
-    into it).  Defaults to [false], leaving the healthy semantics
-    untouched. *)
+    into it).  A tile never marked keeps the healthy semantics. *)
 
 val count : t -> int
 (** Resident items. *)

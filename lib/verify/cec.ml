@@ -75,17 +75,13 @@ let check a b =
     if m = Aig.const0 then Equivalent
     else if m = Aig.const1 then all_zero ()
     else
-      let cnf = Cnf.of_cone swept m in
+      let cnf = Cnf.of_cone (Cnf.scratch ()) swept m in
       match Sat.solve ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
       | Sat.Unsat -> Equivalent
       | Sat.Unknown -> assert false (* only a budgeted solve gives up *)
       | Sat.Sat model ->
-          counterexample
-            (Array.map
-               (fun l ->
-                 let l' = subst l in
-                 model.(Aig.node_of l') <> Aig.is_complement l')
-               in_lits)
+          (* [swept]'s PIs are [aig]'s, in order. *)
+          counterexample (Cnf.pi_values cnf swept model)
 
 (* Hard-failure wrapper for [vpga lint --formal] and the tests. *)
 let prove ~stage reference candidate =

@@ -3,10 +3,10 @@
    analysis with clause learning and non-chronological backjumping, VSIDS
    variable activities, phase saving, and geometric restarts.
 
-   Literal encoding matches the AIG's: variable [v] appears as literal
-   [2*v] (positive) and [2*v+1] (negated), so an AIG literal is directly a
-   SAT literal over the AIG node id.  An assignment maps variables to
-   booleans; a clause is an int array of literals. *)
+   Literal encoding follows the AIG's: variable [v] appears as literal
+   [2*v] (positive) and [2*v+1] (negated).  {!Cnf} numbers the variables
+   of a cone 0..k-1, so every array here is cone-sized.  An assignment maps
+   variables to booleans; a clause is an int array of literals. *)
 
 type result = Sat of bool array | Unsat | Unknown
 
@@ -220,19 +220,20 @@ let cancel_until s blevel =
     s.dlevel <- blevel
   end
 
-(* Branch only over [vars], the variables that occur in the input clauses;
-   on CNFs built from a cone of a large AIG most variables never appear,
-   and scanning them would dominate the solve. *)
-let decide s vars =
+(* Branch on the unassigned variable of highest activity, the lowest
+   index among ties.  The scan covers all [nvars]: a {!Cnf} encoding
+   numbers only its cone's nodes, each of which occurs in some clause.  A
+   variable no clause mentions is decided at its saved phase, [false],
+   which is the value an unassigned variable reads in a model. *)
+let decide s =
   let best = ref (-1) in
   let best_act = ref neg_infinity in
-  Array.iter
-    (fun v ->
-      if s.assign.(v) < 0 && s.activity.(v) > !best_act then begin
-        best := v;
-        best_act := s.activity.(v)
-      end)
-    vars;
+  for v = 0 to s.nvars - 1 do
+    if s.assign.(v) < 0 && s.activity.(v) > !best_act then begin
+      best := v;
+      best_act := s.activity.(v)
+    end
+  done;
   match !best with
   | -1 -> false
   | v ->
@@ -246,7 +247,8 @@ exception Trivially_unsat
 
 (* Preprocess one input clause: drop duplicate and false literals,
    recognize tautologies and satisfied clauses.  Level-0 units are enqueued
-   directly.  Returns [None] when the clause needs no watching. *)
+   directly.  Returns [None] when the clause needs no watching; the kept
+   literals come in reverse order. *)
 let simplify_clause s c =
   let lits = ref [] in
   let taut = ref false in
@@ -278,28 +280,29 @@ let simplify_clause s c =
 
 type stats = { conflicts : int; decisions : int; propagations : int }
 
+(* A literal [simplify_clause] would keep unchanged: valid and unassigned. *)
+let free s l = l >= 0 && var l < s.nvars && s.assign.(var l) < 0
+
+(* Load one input clause.  A Tseitin clause of 2 or 3 literals over
+   distinct unassigned variables is watched as is, reversed exactly as
+   [simplify_clause] would return it, without building its list; any other
+   clause goes through [simplify_clause]. *)
+let load_clause s c =
+  match c with
+  | [| a; b |] when free s a && free s b && var a <> var b ->
+      ignore (add_clause_watched s [| b; a |])
+  | [| a; b; d |]
+    when free s a && free s b && free s d
+         && var a <> var b && var a <> var d && var b <> var d ->
+      ignore (add_clause_watched s [| d; b; a |])
+  | _ -> (
+      match simplify_clause s c with
+      | None -> ()
+      | Some c -> ignore (add_clause_watched s c))
+
 let solve_counted ?max_conflicts ~nvars clauses =
   let s = create nvars in
-  let vars =
-    let mark = Array.make (max 1 nvars) false in
-    List.iter
-      (Array.iter (fun l ->
-           if l >= 0 && var l < nvars then mark.(var l) <- true))
-      clauses;
-    let acc = ref [] in
-    for v = nvars - 1 downto 0 do
-      if mark.(v) then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
-  match
-    List.iter
-      (fun c ->
-        match simplify_clause s c with
-        | None -> ()
-        | Some c -> ignore (add_clause_watched s c))
-      clauses
-  with
+  match List.iter (load_clause s) clauses with
   | exception Trivially_unsat -> (Unsat, s)
   | () ->
       let restart_limit = ref 100 in
@@ -337,7 +340,7 @@ let solve_counted ?max_conflicts ~nvars clauses =
             restart_limit := !restart_limit + (!restart_limit / 2);
             cancel_until s 0
           end
-          else if not (decide s vars) then
+          else if not (decide s) then
             answer :=
               Some (Sat (Array.map (fun a -> a = 1) (Array.sub s.assign 0 nvars)))
         done;

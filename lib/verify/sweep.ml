@@ -101,19 +101,8 @@ let reduce aig =
   let dst = Aig.create () in
   let subl = Array.make n Aig.const0 in
   let nimg id = subl.(id) lxor phase.(id) in
-  (* Primary inputs of [dst] are created in the same order as [aig]'s, so
-     PI k of the original reads the model value of PI k of [dst]. *)
-  let model_pattern model =
-    let pat = Array.make (Aig.num_pis aig) false in
-    for id = 1 to n - 1 do
-      if Aig.is_pi aig id then begin
-        let l = subl.(id) in
-        pat.(Aig.pi_index aig id) <-
-          model.(Aig.node_of l) <> Aig.is_complement l
-      end
-    done;
-    pat
-  in
+  (* One encoding scratch for every merge proof, grown with [dst]. *)
+  let scratch = Cnf.scratch () in
   for id = 1 to n - 1 do
     if Aig.is_pi aig id then subl.(id) <- Aig.add_pi dst
     else begin
@@ -140,7 +129,7 @@ let reduce aig =
                 finished := true
               end
               else
-                let cnf = Cnf.of_inequiv dst (nimg m) nfresh in
+                let cnf = Cnf.of_inequiv scratch dst (nimg m) nfresh in
                 match
                   Sat.solve ~max_conflicts:merge_budget
                     ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses
@@ -152,8 +141,10 @@ let reduce aig =
                 | Sat.Unknown -> go rest
                 | Sat.Sat model ->
                     (* [m] and [id] genuinely differ: refine and retry
-                       against the node's reduced class. *)
-                    refine (model_pattern model))
+                       against the node's reduced class.  Primary inputs
+                       of [dst] are created in the same order as [aig]'s,
+                       so PI k of [dst] is PI k of the original. *)
+                    refine (Cnf.pi_values cnf dst model))
         in
         go candidates
       done;

@@ -138,7 +138,7 @@ let test_replacing_non_resident () =
   let other = Occupancy.create cache in
   assert (Occupancy.add other nd2);
   let dead = Occupancy.create cache in
-  Occupancy.set_dead dead true;
+  Occupancy.mark_dead dead;
   List.iter
     (fun (name, t) ->
       List.iter

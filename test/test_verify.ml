@@ -142,20 +142,90 @@ let test_cnf_cone () =
   let a = Aig.add_pi aig and b = Aig.add_pi aig in
   let c = Aig.and_ aig a b in
   (* c is satisfiable (a=b=1)... *)
-  let cnf = Cnf.of_cone aig c in
+  let scratch = Cnf.scratch () in
+  let cnf = Cnf.of_cone scratch aig c in
   (match Sat.solve ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
   | Sat.Sat m ->
-      Alcotest.(check bool) "a" true m.(Aig.node_of a);
-      Alcotest.(check bool) "b" true m.(Aig.node_of b)
+      let pi = Cnf.pi_values cnf aig m in
+      Alcotest.(check bool) "a" true pi.(Aig.pi_index aig (Aig.node_of a));
+      Alcotest.(check bool) "b" true pi.(Aig.pi_index aig (Aig.node_of b))
   | _ -> Alcotest.fail "AND cone should be satisfiable");
   (* ...but a AND (not a) is not. *)
   let contradiction = Aig.and_ aig a (Aig.not_ a) in
   Alcotest.(check int) "strash folds to const0" Aig.const0 contradiction;
   (* Inequality of a literal with itself is unsat. *)
-  let cnf = Cnf.of_inequiv aig c c in
+  let cnf = Cnf.of_inequiv scratch aig c c in
   match Sat.solve ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
   | Sat.Unsat -> ()
   | _ -> Alcotest.fail "x <> x should be unsat"
+
+(* Cone-local encodings against evaluation.  A random AIG over at most 8
+   PIs is built in two halves; one scratch encodes a root of the first
+   half, then (after the AIG has grown) a root's cone and the inequality
+   of two roots.  Each CNF numbers exactly its cone's nodes; a SAT model,
+   read back through the CNF's own map, drives the roots as the CNF says,
+   and UNSAT holds only if exhaustive evaluation agrees. *)
+let prop_cnf_cone_vs_eval =
+  QCheck.Test.make ~name:"cone-local CNF vs Aig.eval" ~count:300
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, shape) ->
+      let rng = Random.State.make [| seed; shape |] in
+      let aig = Aig.create () in
+      let npi = 1 + Random.State.int rng 8 in
+      let lits = ref [ Aig.const0 ] in
+      for _ = 1 to npi do
+        lits := Aig.add_pi aig :: !lits
+      done;
+      let pick () =
+        let l = List.nth !lits (Random.State.int rng (List.length !lits)) in
+        if Random.State.bool rng then Aig.not_ l else l
+      in
+      let grow () =
+        for _ = 1 to Random.State.int rng 20 do
+          lits := Aig.and_ aig (pick ()) (pick ()) :: !lits
+        done
+      in
+      let cone_size roots =
+        let seen = Array.make (Aig.size aig) false in
+        let rec go id =
+          if seen.(id) then 0
+          else begin
+            seen.(id) <- true;
+            if Aig.is_const id || Aig.is_pi aig id then 1
+            else
+              let f0, f1 = Aig.fanins aig id in
+              1 + go (Aig.node_of f0) + go (Aig.node_of f1)
+          end
+        in
+        List.fold_left (fun acc l -> acc + go (Aig.node_of l)) 0 roots
+      in
+      let assignments =
+        List.init (1 lsl npi) (fun m ->
+            Array.init npi (fun k -> (m lsr k) land 1 = 1))
+      in
+      (* [holds pi] is what the CNF asserts of the roots under [pi]. *)
+      let agrees cnf roots holds =
+        cnf.Cnf.nvars = cone_size roots
+        &&
+        match Sat.solve ~nvars:cnf.Cnf.nvars cnf.Cnf.clauses with
+        | Sat.Sat model -> holds (Cnf.pi_values cnf aig model)
+        | Sat.Unsat -> not (List.exists holds assignments)
+        | Sat.Unknown -> false
+      in
+      let scratch = Cnf.scratch () in
+      grow ();
+      let r0 = pick () in
+      let first =
+        agrees (Cnf.of_cone scratch aig r0) [ r0 ] (fun pi -> Aig.eval aig pi r0)
+      in
+      grow ();
+      let p = pick () and q = pick () in
+      first
+      && agrees (Cnf.of_cone scratch aig p) [ p ] (fun pi -> Aig.eval aig pi p)
+      && agrees
+           (Cnf.of_inequiv scratch aig p q)
+           [ p; q ]
+           (fun pi -> Aig.eval aig pi p <> Aig.eval aig pi q))
 
 (* --- SAT sweeping --- *)
 
@@ -830,6 +900,7 @@ let () =
           Alcotest.test_case "random vs brute force" `Quick test_sat_random;
           Alcotest.test_case "tseitin cones" `Quick test_cnf_cone;
         ] );
+      ("cnf", [ QCheck_alcotest.to_alcotest prop_cnf_cone_vs_eval ]);
       ( "sweep",
         [
           Alcotest.test_case "merges equivalences" `Quick test_sweep_merges;
