@@ -105,11 +105,20 @@ def compare_kernels(base, new):
     print("== bench kernels: %d pairs, report only (ns/run medians)"
           % len(base))
     print("%-24s %14s %14s %8s" % ("kernel", "base", "new", "delta"))
-    for name in sorted(base[0]):
-        b = statistics.median(r[name] for r in base)
-        n = statistics.median(r[name] for r in new if name in r)
-        print("%-24s %14.0f %14.0f %+7.1f%%"
-              % (name, b, n, (n - b) / b * 100 if b else 0.0))
+    names = set().union(*base, *new)
+    for name in sorted(names):
+        b = [r[name] for r in base if name in r]
+        n = [r[name] for r in new if name in r]
+        if not n:
+            print("%-24s %14.0f %14s %8s" % (name, statistics.median(b), "-",
+                                            "(base only)"))
+        elif not b:
+            print("%-24s %14s %14.0f %8s" % (name, "-", statistics.median(n),
+                                            "(new only)"))
+        else:
+            b, n = statistics.median(b), statistics.median(n)
+            print("%-24s %14.0f %14.0f %+7.1f%%"
+                  % (name, b, n, (n - b) / b * 100 if b else 0.0))
 
 
 def quartiles(xs):

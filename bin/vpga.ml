@@ -161,8 +161,8 @@ let policy_arg =
     & info [ "policy" ]
         ~doc:
           "Retry-with-escalation policy: default (up to 4 attempts per \
-           stage with escalating channel capacity / array size / anneal \
-           restarts), or strict (one attempt, any stage failure is final). \
+           stage with escalating channel capacity / anneal restarts), or \
+           strict (one attempt, any stage failure is final). \
            Formal equivalence proofs are the same under both.")
 
 let fail_on_warning_flag =

@@ -7,7 +7,7 @@ module Cell = Vpga_cells.Cell
    into every key and names the on-disk store's subdirectory, so stale
    formats self-invalidate instead of deserializing garbage.  The OCaml
    version rides along because entry payloads are [Marshal] format. *)
-let schema = "vpga-cache/3"
+let schema = "vpga-cache/4"
 
 type t = { stage : string; hex : string }
 

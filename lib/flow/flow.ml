@@ -18,7 +18,6 @@ module Ownership = Vpga_analysis.Ownership
 module Cec = Vpga_verify.Cec
 module Phys = Vpga_verify.Phys
 module Diag = Vpga_verify.Diag
-module Defect = Vpga_resil.Defect
 module Policy = Vpga_resil.Policy
 module Retry = Vpga_resil.Retry
 module Trace = Vpga_obs.Trace
@@ -80,7 +79,7 @@ let period = 500.0
 let run ?(seed = 1) ?anneal_iterations ?(refine = true)
     ?(use_criticality = true) ?(jobs = 1) ?(verify = Fast)
     ?(policy = Policy.default) ?log ?(trace = Trace.null)
-    ?trace_labels:_ ?defect ?(cache = Cache.none) arch nl =
+    ?trace_labels:_ ?(cache = Cache.none) arch nl =
   (* Every stage key is built in [Stagekey] from the digests of the
      stage's actual inputs, so a cache hit is exactly a rerun of the same
      deterministic computation. *)
@@ -93,12 +92,10 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
           use_criticality;
           verify = (match verify with Off -> 0 | Fast -> 1 | Formal -> 2);
           policy;
-          defect;
+          defect = None;
         }
   in
   let { Stage.design; opts; _ } = s in
-  let defect = opts.Stagekey.defect in
-  let tracks = Option.map Defect.tracks defect in
   let span ?attrs name f = Stage.span ?attrs s name f in
   let vfast = verify <> Off in
   (* Verification gates abort with a *typed* failure: the stage name,
@@ -216,10 +213,8 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
             | Some t -> t *. policy.Policy.anneal_cooling
             | None -> 1.0 (* restart well below the adaptive default *)
           in
-          Some
-            ( Some t',
-              Printf.sprintf "restart with derived reseed at t_start %.3g" t'
-            ))
+          ( Some t',
+            Printf.sprintf "restart with derived reseed at t_start %.3g" t' ))
         ~exhausted:(fun reason () ->
           Retry.Degrade (reason ^ "; keeping the pre-anneal placement", ()))
         (fun attempt t_start ->
@@ -249,10 +244,10 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
   in
   (* Global + detailed routing under the escalation ladder, cached as
      one entry per placement: leftover channel overflow or a
-     track-assignment conflict buys the next attempt a wider channel and
-     a bigger rip-up budget.  Exhaustion with overflow degrades (detailed
-     routing is skipped, vias = -1); exhaustion on a track conflict is
-     fatal. *)
+     track-assignment conflict buys the next attempt a channel x1.5 wider
+     (at least one track more) and 10 more rip-up iterations.  Exhaustion
+     with overflow degrades (detailed routing is skipped, vias = -1);
+     exhaustion on a track conflict is fatal. *)
   let route tag pl d_pl =
     let stage = "route:" ^ tag in
     Stage.run s stage
@@ -263,23 +258,17 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
       ~next:(fun (_, iters) (routed, _) ->
         let base = routed.Pathfinder.grid.Grid.capacity in
         let cap =
-          max (base + 1)
-            (int_of_float
-               (ceil (float_of_int base *. policy.Policy.route_capacity_growth)))
+          max (base + 1) (int_of_float (ceil (float_of_int base *. 1.5)))
         in
-        let iters' = iters + policy.Policy.route_extra_iterations in
-        Some
-          ( (Some cap, iters'),
-            Printf.sprintf
-              "channel capacity %d -> %d, rip-up iterations %d -> %d" base cap
-              iters iters' ))
+        let iters' = iters + 10 in
+        ( (Some cap, iters'),
+          Printf.sprintf "channel capacity %d -> %d, rip-up iterations %d -> %d"
+            base cap iters iters' ))
       ~exhausted:(fun reason (routed, conflict) ->
         if conflict then Retry.Fatal (Diag.error "track-overflow" "%s" reason)
         else Retry.Degrade (reason ^ "; detailed routing skipped", (routed, -1)))
       (fun _ (capacity, max_iterations) ->
-        let routed =
-          Pathfinder.route_placement ?capacity ?tracks ~max_iterations pl
-        in
+        let routed = Pathfinder.route_placement ?capacity ~max_iterations pl in
         if routed.Pathfinder.final_overflow > 0 then
           Error
             ( Printf.sprintf
@@ -346,16 +335,7 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
         Stage.pack s ~stage:"pack:quadrisect" ~key:Stagekey.quadrisect
           ~criticality:(Some crit) d_buffered pl d_pl)
   in
-  (* One precomputed dead-tile view at the final packing's dims, shared
-     by the checker and the refinement loop. *)
-  let dead_pred =
-    Option.map
-      (fun d ->
-        Defect.dead_pred d ~cols:q.Quadrisect.cols ~rows:q.Quadrisect.rows)
-      defect
-  in
-  phys "verify:packing" (fun () ->
-      Phys.check_packing ?dead_tile:dead_pred q buffered);
+  phys "verify:packing" (fun () -> Phys.check_packing q buffered);
   let pl_b = span "pack:snap" (fun () -> Quadrisect.snap q pl) in
   (* The paper's packing <-> physical-synthesis iteration: refine tile
      assignments under the criticality-weighted wirelength cost. *)
@@ -386,7 +366,7 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
                  ignore
                    (Vpga_pack.Refine.run ~criticality:crit ~seed:(seed + 2)
                       ~iterations:(min 400_000 (60 * Netlist.size buffered))
-                      ~jobs ~regions ?dead_tile:dead_pred q pl_b)
+                      ~jobs ~regions q pl_b)
                with Vpga_pack.Refine.Infeasible msg ->
                  Stage.fail s ~attempts:1 stage
                    (Diag.error "pack-infeasible" "%s" msg));

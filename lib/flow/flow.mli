@@ -71,7 +71,6 @@ val run :
   ?log:Vpga_resil.Log.t ->
   ?trace:Vpga_obs.Trace.t ->
   ?trace_labels:bool ->
-  ?defect:Vpga_resil.Defect.t ->
   ?cache:Vpga_cache.Cache.t ->
   Vpga_plb.Arch.t ->
   Vpga_netlist.Netlist.t ->
@@ -90,11 +89,12 @@ val run :
 
     [policy] (default {!Vpga_resil.Policy.default}) controls what happens
     when a heuristic stage fails: global/detailed routing retries with
-    escalated channel capacity and rip-up budget, legalization retries
-    with a grown PLB array, a diverging anneal restarts with a derived
-    reseed at a cooler temperature.  The equivalence gates read no
-    policy: a [Formal] proof is one unbounded {!Vpga_verify.Cec.check},
-    and a counterexample fails the stage at once.  Every retry's knobs
+    escalated channel capacity and rip-up budget, and a diverging anneal
+    restarts with a derived reseed at a cooler temperature.
+    Legalization and the equivalence gates read no policy: quadrisection
+    grows its own PLB array until the design fits (an unfittable design
+    fails the stage at once), and a [Formal] proof is one unbounded
+    {!Vpga_verify.Cec.check} whose counterexample fails the stage.  Every retry's knobs
     and reseeds derive from the policy and the attempt index alone, so a
     retried flow remains deterministic.  Recovery events (retries,
     escalations, degradations) are recorded into [log] when supplied.
@@ -112,18 +112,13 @@ val run :
     [trace_labels] is ignored; it remains only for callers that still
     pass it and goes away with the next revision of this signature.
 
-    [defect] (default none) threads a manufacturing-defect map
-    ({!Vpga_resil.Defect}) through the physical stages: legalization and
-    refinement treat dead tiles as zero-capacity, both routing stages
-    price dead boundaries unroutable and negotiate around derated ones,
-    detailed routing skips dead tracks, and the physical checkers verify
-    no artifact uses a defective resource.  An empty map is normalized
-    away, so results are bit-identical to a run without the argument.
+    The flow runs on the healthy fabric; manufacturing-defect maps
+    ({!Vpga_resil.Defect}) enter through {!Minchan.search} alone.
 
     [cache] (default {!Vpga_cache.Cache.none}, i.e. disabled) memoizes
     every stage boundary content-addressed on the stage's actual inputs
     (netlist structural digest, architecture digest, seeds, policy,
-    verify level, defect-map fingerprint — see {!Stagekey}): rerunning
+    verify level — see {!Stagekey}): rerunning
     an identical (sub)flow replays stored artifacts instead of
     recomputing them, with byte-identical outcomes — the flow is
     deterministic, so a hit is exactly a rerun.  Recovery events

@@ -49,31 +49,30 @@ type search_result = {
 (* PathFinder's rip-up budget per probe. *)
 let max_iterations = 30
 
-let search ?(seed = 1) ?(policy = Policy.default) ?(w_max = 64) ?log
-    ?(trace = Trace.null) ?(defect = Defect.empty) ?(cache = Cache.none) arch
-    nl =
+let search ?(seed = 1) ?(w_max = 64) ?(trace = Trace.null)
+    ?(defect = Defect.empty) ?(cache = Cache.none) arch nl =
   if w_max < 1 then invalid_arg "Minchan.search: w_max < 1";
   (* The defect-free stages feed the same keys {!Flow.run} builds —
      identical computes — so a stress sweep shares its front-end with a
      paper sweep, and the defect maps of every rate share one
      (design, arch) front-end. *)
   let s =
-    Stage.create ~log ~trace ~cache arch nl
+    Stage.create ~log:None ~trace ~cache arch nl
       ~opts:
         {
           Stagekey.seed;
           anneal_iterations = None;
           use_criticality = false;
           verify = 0;
-          policy;
+          policy = Policy.default;
           defect = Some defect;
         }
   in
   let tracks = Option.map Defect.tracks s.Stage.opts.Stagekey.defect in
   let span ?attrs name f = Stage.span ?attrs s name f in
-  (* Shared front-end, run once per search.  Legalization walks the
-     policy's relaxation ladder, so an unfittable probe fails as a typed
-     [Stage_failure] instead of killing sibling tasks. *)
+  (* Shared front-end, run once per search.  An unfittable design fails
+     legalization as a typed [Stage_failure] instead of killing sibling
+     tasks. *)
   let buffered, q, pl_b = span "minchan:frontend" (fun () -> Stage.packed s) in
   (* One probe per capacity, memoized twice over: the per-search table
      (the bisection revisits endpoints, the metrics pass reuses the
@@ -249,10 +248,9 @@ let cell_of ~design ~arch ~rate points =
     c_area = mean (fun r -> r.array_area);
   }
 
-let stress ?(seed = 1) ?jobs ?(policy = Policy.default)
-    ?(dist = Defect.Uniform) ?(rates = [ 0.0; 0.02; 0.05; 0.10 ])
-    ?(maps_per_rate = 3) ?(w_max = 64) ?(traced = false) ?cache ?designs:ds
-    scale =
+let stress ?(seed = 1) ?jobs ?(dist = Defect.Uniform)
+    ?(rates = [ 0.0; 0.02; 0.05; 0.10 ]) ?(maps_per_rate = 3) ?(w_max = 64)
+    ?(traced = false) ?cache ?designs:ds scale =
   (* Populate every shared lazy table from this domain before workers
      race for them (Lazy.force is not domain-safe in OCaml 5). *)
   Config.prewarm ();
@@ -274,16 +272,16 @@ let stress ?(seed = 1) ?jobs ?(policy = Policy.default)
   let tasks =
     List.mapi
       (fun i (name, nl, arch, rate, k) () ->
-        (* Fault isolation: one probe exhausting its ladder becomes its
-           own failure record; sibling probes never see it. *)
+        (* Fault isolation: a task that cannot pack becomes its own
+           failure record; sibling tasks never see it. *)
         let ms = map_seed ~seed name arch rate k in
         let defect = Defect.at_rate ~dist ~seed:ms rate in
         let result, _, trace =
           Stage.isolate ~traced ~tid:i
             ~label:(Printf.sprintf "%s/%s@%.3g#%d" name arch.Arch.name rate k)
-            ~stage:"stress" ~design:name (fun ~log ~trace ->
-              search ~seed:(Experiments.task_seed ~seed name arch) ~policy
-                ~w_max ~log ~trace ~defect ?cache arch nl)
+            ~stage:"stress" ~design:name (fun ~log:_ ~trace ->
+              search ~seed:(Experiments.task_seed ~seed name arch) ~w_max
+                ~trace ~defect ?cache arch nl)
         in
         {
           p_design = name;

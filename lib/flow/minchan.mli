@@ -34,9 +34,7 @@ type search_result = {
 
 val search :
   ?seed:int ->
-  ?policy:Vpga_resil.Policy.t ->
   ?w_max:int ->
-  ?log:Vpga_resil.Log.t ->
   ?trace:Vpga_obs.Trace.t ->
   ?defect:Vpga_resil.Defect.t ->
   ?cache:Vpga_cache.Cache.t ->
@@ -45,10 +43,11 @@ val search :
   search_result
 (** Find the minimum routable channel capacity of one design on one
     architecture under one defect map.  The front-end (compact, buffer,
-    place, legalize, snap) runs once; legalization reuses the policy's
-    relaxation ladder and raises a typed failure when exhausted, so a
-    sweep task that cannot even pack fails in isolation.  Probes are
-    memoized per capacity and traced as [minchan:probe] spans with a
+    place, legalize, snap) runs once; legalization grows its own PLB
+    array and raises a typed failure when the design still does not fit,
+    so a sweep task that cannot even pack fails in isolation.  The
+    search reads no retry policy and records no recovery events.  Probes
+    are memoized per capacity and traced as [minchan:probe] spans with a
     [minchan.probes] counter.
 
     With [cache], the defect-independent front-end stages feed the same
@@ -58,8 +57,8 @@ val search :
     legalization and the routing probes key on the defect map's full
     fingerprint.  The [probes] count records {e requested} probes —
     identical whether the cache serves them or not.
-    @raise Vpga_resil.Fail.Stage_failure when legalization exhausts the
-    policy's relaxation ladder.
+    @raise Vpga_resil.Fail.Stage_failure when legalization cannot fit
+    the design.
     @raise Invalid_argument when [w_max < 1]. *)
 
 type point = {
@@ -101,7 +100,6 @@ type report = {
 val stress :
   ?seed:int ->
   ?jobs:int ->
-  ?policy:Vpga_resil.Policy.t ->
   ?dist:Vpga_resil.Defect.dist ->
   ?rates:float list ->
   ?maps_per_rate:int ->
@@ -117,7 +115,7 @@ val stress :
     [maps_per_rate] (default 3; the defect-free rate always runs exactly
     one map) seeded defect maps of distribution [dist].  Tasks run on
     {!Vpga_par.Pool} under [jobs] domains; a task that fails (e.g. its
-    relaxation ladder exhausts) is recorded as a non-survivor without
+    design does not fit the array) is recorded as a non-survivor without
     disturbing its siblings.  [traced] attaches a per-task
     {!Vpga_obs.Trace} to each point. *)
 

@@ -1,8 +1,10 @@
 (* The stage runner shared by {!Flow.run} and {!Minchan.search}: one [t]
    per run, [run] for a stage boundary (span, then memoization with
    recovery-event replay, then compute), the pieces a boundary is built
-   from — [memo], [revive], [fail], [ladder] — and the stage definitions
-   both drivers share, so their front-ends build identical cache keys. *)
+   from — [memo], [revive], [fail], and [ladder] for {!Flow.run}'s route
+   and anneal stages — and the stage definitions both drivers share, so
+   their front-ends build identical cache keys.  Only {!Minchan} sets a
+   defect map. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Arch = Vpga_plb.Arch
@@ -14,7 +16,6 @@ module Quadrisect = Vpga_pack.Quadrisect
 module Diag = Vpga_verify.Diag
 module Fail = Vpga_resil.Fail
 module Log = Vpga_resil.Log
-module Policy = Vpga_resil.Policy
 module Defect = Vpga_resil.Defect
 module Retry = Vpga_resil.Retry
 module Trace = Vpga_obs.Trace
@@ -34,9 +35,9 @@ type t = {
   d_arch : string Lazy.t;
 }
 
-(* An empty defect map is the healthy fabric: normalizing it away keeps a
-   defect-free run bit-identical to the pre-defect-layer code (shared
-   full-track arrays, no dead-tile plumbing). *)
+(* An empty defect map is the healthy fabric: normalizing it away keeps
+   {!Minchan}'s defect-free rate bit-identical to a run without a map
+   (shared full-track arrays, no dead-tile plumbing, the same keys). *)
 let create ~opts ~log ~trace ~cache arch nl =
   let defect =
     match opts.Stagekey.defect with
@@ -162,35 +163,23 @@ let place_global s buffered d_buffered =
     (fun () -> Global.place ~seed:s.opts.Stagekey.seed pl);
   pl
 
-(* Legalization under the relaxation ladder: an unfittable design buys
-   the next attempt a roomier array (lower target utilization).
-   Exhaustion is fatal — there is no packed flow without a legal
+(* Legalization: quadrisection grows its own array until the design
+   fits, so there is no retry ladder around it, and an unfittable design
+   fails the stage at once — there is no packed flow without a legal
    packing.  [key] is the stage's {!Stagekey} builder; dead tiles come
    from the run's defect map. *)
-let pack_rung policy u () =
-  let u' = u *. policy.Policy.pack_relaxation in
-  Some (u', Printf.sprintf "grow the array: target utilization %.2f -> %.2f" u u')
-
 let pack s ~stage ~key ~criticality d_buffered pl d_pl =
-  let policy = s.opts.Stagekey.policy in
   let dead_tile = Option.map Defect.tile_dead s.opts.Stagekey.defect in
   memo s stage
     (fun () ->
       key ~arch:(Lazy.force s.d_arch) ~buffered:(Lazy.force d_buffered)
         ~pl:d_pl s.opts)
   @@ fun () ->
-  ladder s ~stage ~max_attempts:policy.Policy.max_attempts
-    ~next:(pack_rung policy)
-    ~exhausted:(fun reason () ->
-      Retry.Fatal (Diag.error "pack-unfit" "%s" reason))
-    (fun _ utilization ->
-      match
-        Quadrisect.legalize_result ~utilization ?criticality ?dead_tile s.arch
-          pl
-      with
-      | Ok q -> Ok q
-      | Error fe -> Error (Quadrisect.fit_error_to_string fe, ()))
-    policy.Policy.pack_utilization
+  match Quadrisect.legalize_result ?criticality ?dead_tile s.arch pl with
+  | Ok q -> q
+  | Error fe ->
+      fail s ~attempts:1 stage
+        (Diag.error "pack-unfit" "%s" (Quadrisect.fit_error_to_string fe))
 
 (* The gate-free packed front-end: compact -> buffer -> place:global ->
    criticality-free legalization ([stress:pack]) -> snap.  Returns the

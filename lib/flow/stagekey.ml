@@ -25,26 +25,13 @@ type options = {
    here (or explicitly bound away), so policy-sensitive stages never hit
    on entries computed under a different ladder. *)
 let policy e (p : Policy.t) =
-  let {
-    Policy.max_attempts;
-    route_capacity;
-    route_capacity_growth;
-    route_extra_iterations;
-    anneal_t_start;
-    anneal_cooling;
-    pack_utilization;
-    pack_relaxation;
-  } =
+  let { Policy.max_attempts; route_capacity; anneal_t_start; anneal_cooling } =
     p
   in
   E.int e max_attempts;
   E.opt E.int e route_capacity;
-  E.float e route_capacity_growth;
-  E.int e route_extra_iterations;
   E.opt E.float e anneal_t_start;
-  E.float e anneal_cooling;
-  E.float e pack_utilization;
-  E.float e pack_relaxation
+  E.float e anneal_cooling
 
 (* Exhaustive over {!Defect.t}: the full map content, not a summary —
    two maps drawn from different seeds must never collide. *)
@@ -213,7 +200,9 @@ let activities ~buffered o =
       E.int e seed)
 
 (* Covers the whole escalation ladder including the embedded detailed
-   routing and its verify:tracks gate, hence policy + verify + defect. *)
+   routing and its verify:tracks gate, hence policy + verify.  No defect
+   feed here or in the other flow-only stages ([pack:quadrisect],
+   [pack:refine]): {!Flow.run} always runs the healthy fabric. *)
 let route ~tag ~buffered ~pl o =
   let {
     seed = _;
@@ -221,7 +210,7 @@ let route ~tag ~buffered ~pl o =
     use_criticality = _;
     verify;
     policy = p;
-    defect = d;
+    defect = _;
   } =
     o
   in
@@ -229,17 +218,19 @@ let route ~tag ~buffered ~pl o =
       E.str e buffered;
       E.str e pl;
       E.int e verify;
-      policy e p;
-      opt_defect e d)
+      policy e p)
 
+(* Legalization escalates only through its own array growth — no retry
+   ladder runs inside it — so, like the gates, every policy shares the
+   entry. *)
 let quadrisect ~arch ~buffered ~pl o =
   let {
     seed = _;
     anneal_iterations = _;
     use_criticality;
     verify = _;
-    policy = p;
-    defect = d;
+    policy = _;
+    defect = _;
   } =
     o
   in
@@ -247,9 +238,7 @@ let quadrisect ~arch ~buffered ~pl o =
       E.str e arch;
       E.str e buffered;
       E.str e pl;
-      E.bool e use_criticality;
-      policy e p;
-      opt_defect e d)
+      E.bool e use_criticality)
 
 let refine ~buffered ~q o =
   let {
@@ -258,7 +247,7 @@ let refine ~buffered ~q o =
     use_criticality;
     verify = _;
     policy = _;
-    defect = d;
+    defect = _;
   } =
     o
   in
@@ -266,8 +255,7 @@ let refine ~buffered ~q o =
       E.str e buffered;
       E.str e q;
       E.int e seed;
-      E.bool e use_criticality;
-      opt_defect e d)
+      E.bool e use_criticality)
 
 (* Minchan's criticality-free legalization: distinct stage (distinct
    compute, distinct value provenance) even though it shares the
@@ -278,7 +266,7 @@ let stress_pack ~arch ~buffered ~pl o =
     anneal_iterations = _;
     use_criticality = _;
     verify = _;
-    policy = p;
+    policy = _;
     defect = d;
   } =
     o
@@ -287,7 +275,6 @@ let stress_pack ~arch ~buffered ~pl o =
       E.str e arch;
       E.str e buffered;
       E.str e pl;
-      policy e p;
       opt_defect e d)
 
 let minchan_probe ~plb ~w ~max_iterations o =

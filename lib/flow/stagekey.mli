@@ -2,11 +2,11 @@
     flow inputs reach which stage's digest.
 
     {!options} gathers every {!Flow.run} option that can affect a
-    result.  Each builder destructures the {e full} record (no
-    wildcard), so adding a field here refuses to compile until every
-    stage has routed it into — or deliberately out of — its key; the
-    same compile-breaking discipline covers {!Vpga_resil.Policy.t} and
-    {!Vpga_resil.Defect.t}.
+    result, plus {!Minchan.search}'s defect map.  Each builder
+    destructures the {e full} record (no wildcard), so adding a field
+    here refuses to compile until every stage has routed it into — or
+    deliberately out of — its key; the same compile-breaking discipline
+    covers {!Vpga_resil.Policy.t} and {!Vpga_resil.Defect.t}.
 
     Stage value types (one stage = one marshalled type, see
     {!Vpga_cache.Key}): netlists for [map]/[compact]/[buffer], [unit]
@@ -25,7 +25,8 @@ type options = {
   verify : int;  (** 0 = Off, 1 = Fast, 2 = Formal *)
   policy : Vpga_resil.Policy.t;
   defect : Vpga_resil.Defect.t option;
-      (** normalized: [None] for the empty map *)
+      (** normalized: [None] for the empty map, and always [None] under
+          {!Flow.run} *)
 }
 
 val policy : Vpga_cache.Enc.t -> Vpga_resil.Policy.t -> unit
@@ -66,17 +67,22 @@ val activities : buffered:string -> options -> Vpga_cache.Key.t
 val route :
   tag:string -> buffered:string -> pl:string -> options -> Vpga_cache.Key.t
 (** [tag] is ["a"] or ["b"]; covers the whole escalation ladder
-    including detailed routing and its verify gates. *)
+    including detailed routing and its verify gates.  No defect feed
+    here, in {!quadrisect} or in {!refine}: only {!Flow.run} builds them,
+    and it runs the healthy fabric. *)
 
 val quadrisect :
   arch:string -> buffered:string -> pl:string -> options -> Vpga_cache.Key.t
+(** No policy feed: legalization runs no retry ladder (quadrisection
+    grows its own array), so every policy shares its entries. *)
 
 val refine : buffered:string -> q:string -> options -> Vpga_cache.Key.t
 
 val stress_pack :
   arch:string -> buffered:string -> pl:string -> options -> Vpga_cache.Key.t
 (** {!Minchan}'s criticality-free legalization — its own stage name
-    because its compute differs from [pack:quadrisect]. *)
+    because its compute differs from [pack:quadrisect].  Keyed on the
+    defect map, never on a policy. *)
 
 val minchan_probe :
   plb:string -> w:int -> max_iterations:int -> options -> Vpga_cache.Key.t

@@ -79,7 +79,11 @@ type work_item = {
   crit : float;
 }
 
-let legalize_result ?(utilization = 0.9) ?criticality ?dead_tile arch pl =
+(* Target resource utilization of the starting array; the growth loop
+   below adds room when legalization needs it. *)
+let utilization = 0.9
+
+let legalize_result ?criticality ?dead_tile arch pl =
   let nl = pl.Placement.graph.Vpga_place.Hypergraph.nl in
   let n = Netlist.size nl in
   let crit id = match criticality with None -> 0.0 | Some c -> c.(id) in
@@ -514,8 +518,8 @@ let legalize_result ?(utilization = 0.9) ?criticality ?dead_tile arch pl =
   Vpga_obs.Trace.emit "pack.drain_moves" (float_of_int !drain_moves);
   result
 
-let legalize ?utilization ?criticality ?dead_tile arch pl =
-  match legalize_result ?utilization ?criticality ?dead_tile arch pl with
+let legalize ?criticality ?dead_tile arch pl =
+  match legalize_result ?criticality ?dead_tile arch pl with
   | Ok t -> t
   | Error fe -> failwith ("Quadrisect.legalize: " ^ fit_error_to_string fe)
 

@@ -36,17 +36,16 @@ type fit_error = {
 val fit_error_to_string : fit_error -> string
 
 val legalize_result :
-  ?utilization:float ->
   ?criticality:float array ->
   ?dead_tile:(cols:int -> rows:int -> int -> bool) ->
   Vpga_plb.Arch.t ->
   Vpga_place.Placement.t ->
   (t, fit_error) result
-(** Sizes a PLB array (target resource [utilization], default 0.9, growing
-    it if legalization needs room), then quadrisects.  [Error] reports the
+(** Sizes a PLB array (target resource utilization 0.9, growing it if
+    legalization needs room), then quadrisects.  [Error] reports the
     design, the dims tried, and the residual unplaced-item count when the
-    design cannot fit even after growth retries — the retry policy's signal
-    to relax [utilization].
+    design cannot fit even after growth retries; the flow fails the
+    packing stage on it.
 
     [dead_tile ~cols ~rows t] marks tile [t] defective at the given array
     discretization (the defect map's view; see {!Vpga_resil.Defect}):
@@ -56,7 +55,6 @@ val legalize_result :
     fabric. *)
 
 val legalize :
-  ?utilization:float ->
   ?criticality:float array ->
   ?dead_tile:(cols:int -> rows:int -> int -> bool) ->
   Vpga_plb.Arch.t ->

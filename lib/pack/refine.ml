@@ -27,7 +27,6 @@ type shared = {
   side : float; (* tile side, um *)
   item_of : Packer.item option array;
   model : Wirecost.model;
-  dead_tile : int -> bool; (* defective tiles: no move may land on one *)
 }
 
 (* One annealing walk: a tile rectangle [c0,c1) x [r0,r1), the ids it may
@@ -91,12 +90,6 @@ let make_ctx sh ~bounds:(bc0, br0, bc1, br1) ~ids ~tile_of ~view =
   let n_tiles = sh.cols * sh.rows in
   let cache = Occupancy.create_cache sh.arch in
   let occ = Array.init n_tiles (fun _ -> Occupancy.create cache) in
-  (* Dead tiles answer every feasibility query false, so neither plain
-     moves nor swaps ever land on them; an initial packing that already
-     occupies one fails the population below as infeasible. *)
-  for t = 0 to n_tiles - 1 do
-    if sh.dead_tile t then Occupancy.mark_dead occ.(t)
-  done;
   Array.iter
     (fun id ->
       match sh.item_of.(id) with
@@ -211,8 +204,7 @@ let walk ctx ~rng ~iterations =
   end;
   !accepted
 
-let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1)
-    ?(dead_tile = fun _ -> false) ~seed q pl =
+let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1) ~seed q pl =
   if jobs < 1 then invalid_arg "Refine.run: jobs must be positive";
   if regions < 1 then invalid_arg "Refine.run: regions must be positive";
   let nl = pl.Placement.graph.Vpga_place.Hypergraph.nl in
@@ -247,7 +239,6 @@ let run ?iterations ?criticality ?(jobs = 1) ?(regions = 1)
         side = Quadrisect.tile_side q;
         item_of;
         model;
-        dead_tile;
       }
     in
     let initial_cost = Wirecost.cost model pl in

@@ -49,7 +49,6 @@ val run :
   ?criticality:float array ->
   ?jobs:int ->
   ?regions:int ->
-  ?dead_tile:(int -> bool) ->
   seed:int ->
   Quadrisect.t ->
   Vpga_place.Placement.t ->
@@ -61,11 +60,6 @@ val run :
     bit-identical to the historical implementation.
     [jobs] (default 1) bounds the worker domains used for region walks;
     it affects wall time only, never results.
-
-    [dead_tile] (default [fun _ -> false]) marks defective tiles at this
-    array's discretization: they answer every feasibility query false, so
-    no move or swap ever lands on one.  An initial packing already
-    occupying a dead tile raises {!Infeasible}.
 
     Counters emitted on the ambient {!Vpga_obs.Trace}:
     [pack.fits_calls], [pack.fits_cache_hits], [refine.region_moves],

@@ -2,11 +2,11 @@
 
     A defect map lives in {e normalized die coordinates} ([0,1] x [0,1]):
     the PLB array dims and the routing-grid discretization both vary
-    across retry escalations and array growth, so a map records physical
-    die locations and each stage projects them onto its own
-    discretization at construction time ({!tile_dead} / {!dead_pred} for
-    the packing stages, {!tracks} as a {!Vpga_route.Grid.track_fn} for
-    the routing stages).
+    with legalization's array growth and the channel-width probes, so a
+    map records physical die locations and each stage projects them onto
+    its own discretization at construction time ({!tile_dead} /
+    {!dead_pred} for the packing stages and checks, {!tracks} as a
+    {!Vpga_route.Grid.track_fn} for the routing stages).
 
     Three defect kinds:
     - {e dead tiles}: the PLB tile containing the site admits nothing
@@ -69,7 +69,8 @@ val tile_dead : t -> cols:int -> rows:int -> int -> bool
 
 val dead_pred : t -> cols:int -> rows:int -> int -> bool
 (** {!tile_dead} precomputed into a lookup array for one fixed
-    discretization (the refinement and checker hot paths). *)
+    discretization: the view [Phys.check_packing ~dead_tile] and
+    {!Inject.defect_dead_tile} take. *)
 
 val tracks :
   t ->

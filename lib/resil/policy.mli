@@ -1,9 +1,10 @@
 (** Retry-with-escalation policy for the flow.
 
-    One record carries every stage's knobs; {!Flow.run}[ ?policy] reads
-    the fields relevant to each stage: detailed routing, annealing and
-    quadrisection.  The equivalence gates take no policy: a Formal proof
-    either holds or yields a counterexample.
+    One record carries the knobs of the two ladders a flow runs;
+    {!Flow.run}[ ?policy] feeds them to detailed routing and annealing.
+    Legalization and the equivalence gates take no policy: quadrisection
+    grows its own array, and a Formal proof either holds or yields a
+    counterexample.
 
     Determinism rule: every ladder value and every reseed is a pure
     function of the policy and the attempt index (see {!Retry.reseed}),
@@ -16,26 +17,17 @@ type t = {
   route_capacity : int option;
       (** starting channel capacity for the routing grid ([None] = the
           geometric default of {!Vpga_route.Grid.of_placement}) *)
-  route_capacity_growth : float;
-      (** capacity multiplier per routing retry (> 1) *)
-  route_extra_iterations : int;
-      (** extra PathFinder rip-up iterations granted per retry *)
   anneal_t_start : float option;
       (** starting annealing temperature ([None] = adaptive default) *)
   anneal_cooling : float;
       (** temperature multiplier per anneal restart (< 1): restarts get
           {e cooler} so a diverging walk turns into a safe greedy pass *)
-  pack_utilization : float;
-      (** target PLB-array resource utilization for legalization *)
-  pack_relaxation : float;
-      (** utilization multiplier per packing retry (< 1): each retry
-          sizes a roomier array *)
 }
 
 val default : t
-(** 4 attempts per stage, routing capacity x1.5 + 10 rip-up iterations
-    per retry, cooling anneal restarts (x1/16), packing utilization x0.8
-    per retry. *)
+(** 4 attempts per stage and cooling anneal restarts (x1/16).  Each
+    routing retry grows the channel capacity x1.5 and grants 10 more
+    rip-up iterations (constants of the flow's route ladder). *)
 
 val strict : t
 (** One attempt per stage: any stage failure is final.  This reproduces

@@ -10,20 +10,21 @@ let run ~log ~stage ~design ~max_attempts ~next ~exhausted attempt rung =
     match attempt i rung with
     | Ok v -> v
     | Error (reason, failure) -> (
-        match if i + 1 < max_attempts then next rung failure else None with
-        | Some (rung', what) ->
-            Log.record log (Log.Retry { stage; attempt = i + 1; reason });
-            Log.record log (Log.Escalation { stage; what });
-            go (i + 1) rung'
-        | None -> (
-            match exhausted reason failure with
-            | Fatal diag ->
-                Fail.raise_
-                  (Fail.make ~stage ~design ~attempts:(i + 1) ~diags:[ diag ]
-                     ~events:(Log.strings log) ())
-            | Degrade (what, v) ->
-                Log.record log (Log.Degraded { stage; what });
-                v))
+        if i + 1 < max_attempts then begin
+          let rung', what = next rung failure in
+          Log.record log (Log.Retry { stage; attempt = i + 1; reason });
+          Log.record log (Log.Escalation { stage; what });
+          go (i + 1) rung'
+        end
+        else
+          match exhausted reason failure with
+          | Fatal diag ->
+              Fail.raise_
+                (Fail.make ~stage ~design ~attempts:(i + 1) ~diags:[ diag ]
+                   ~events:(Log.strings log) ())
+          | Degrade (what, v) ->
+              Log.record log (Log.Degraded { stage; what });
+              v)
   in
   go 0 rung
 

@@ -6,13 +6,12 @@
 
     - attempt [i] runs rung [i]; it fails with [Error (reason, detail)],
       where [detail] is whatever [next] and [exhausted] need;
-    - a failed attempt [i] with a next rung (fewer than [max_attempts]
-      attempts made, and [next rung detail = Some (rung', what)]) records
-      exactly [Retry {attempt = i + 1; reason}] then [Escalation {what}]
-      and runs attempt [i + 1] on [rung'];
-    - otherwise the ladder is exhausted (a [None] from [next] ends it
-      early: a rung list shorter than [max_attempts]) and
-      [exhausted reason detail] decides: {!Fatal} raises a typed
+    - a failed attempt [i] with fewer than [max_attempts] attempts made
+      takes [next rung detail = (rung', what)], records exactly
+      [Retry {attempt = i + 1; reason}] then [Escalation {what}] and runs
+      attempt [i + 1] on [rung'];
+    - otherwise the ladder is exhausted and [exhausted reason detail]
+      decides: {!Fatal} raises a typed
       {!Fail.Stage_failure} with [attempts = i + 1] and the full event
       trail, {!Degrade} records one [Degraded] event and returns its
       fallback value.
@@ -32,7 +31,7 @@ val run :
   stage:string ->
   design:string ->
   max_attempts:int ->
-  next:('k -> 'f -> ('k * string) option) ->
+  next:('k -> 'f -> 'k * string) ->
   exhausted:(string -> 'f -> 'a exhausted) ->
   (int -> 'k -> ('a, string * 'f) result) ->
   'k ->

@@ -384,9 +384,11 @@ let test_poisoned_map_fails_typed () =
             d.Diag.message
       | _ -> Alcotest.fail "one diagnostic")
 
-(* The equivalence gates read no policy, so a Formal run under [strict]
-   hits every gate entry a [default] run stored, with identical results. *)
-let test_gate_entries_shared_across_policies () =
+(* The equivalence gates and legalization read no policy, so a Formal run
+   under [strict] hits every gate entry a [default] run stored, and — its
+   anneal recomputing the same placement — the packing entry too, with
+   identical results. *)
+let test_gate_and_pack_entries_shared_across_policies () =
   let nl = Lazy.force alu2 in
   let cache = Cache.create () in
   let run policy =
@@ -402,7 +404,7 @@ let test_gate_entries_shared_across_policies () =
           Alcotest.(check (pair int int)) (stage ^ " shared") (1, 1)
             (hits, misses)
       | None -> Alcotest.fail (stage ^ " never keyed"))
-    [ "verify:techmap"; "verify:compact"; "verify:buffer" ];
+    [ "verify:techmap"; "verify:compact"; "verify:buffer"; "pack:quadrisect" ];
   Alcotest.(check bool) "same pairs" true (compare first second = 0)
 
 (* The stress sweep's headline invariant: with a shared cache, the
@@ -464,8 +466,8 @@ let () =
             test_cached_map_is_equivalent;
           Alcotest.test_case "poisoned map entry fails typed" `Quick
             test_poisoned_map_fails_typed;
-          Alcotest.test_case "gate entries shared across policies" `Quick
-            test_gate_entries_shared_across_policies;
+          Alcotest.test_case "policy-free gate and pack entries" `Quick
+            test_gate_and_pack_entries_shared_across_policies;
           Alcotest.test_case "stress front-end once" `Slow
             test_stress_frontend_computed_once;
         ] );

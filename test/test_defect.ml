@@ -21,8 +21,8 @@ module Diag = Vpga_verify.Diag
 module Phys = Vpga_verify.Phys
 module Defect = Vpga_resil.Defect
 module Inject = Vpga_resil.Inject
-module Flow = Vpga_flow.Flow
 module Minchan = Vpga_flow.Minchan
+module Cache = Vpga_cache.Cache
 module Experiments = Vpga_flow.Experiments
 open Vpga_designs
 
@@ -40,7 +40,7 @@ let frontend ?dead_tile arch nl =
   let pl = Placement.create buffered in
   Global.place ~seed:1 pl;
   let q =
-    match Quadrisect.legalize_result ~utilization:0.9 ?dead_tile arch pl with
+    match Quadrisect.legalize_result ?dead_tile arch pl with
     | Ok q -> q
     | Error e -> Alcotest.fail (Quadrisect.fit_error_to_string e)
   in
@@ -103,24 +103,27 @@ let prop_tracks_sorted_subset_monotone =
       let t1 = at 1 in
       ok_subset 1 t1 && mono 2 (Array.length t1))
 
-let test_empty_transparent_flow () =
-  (* Passing an explicitly empty defect map must be invisible: the flow
-     normalizes it away, so every outcome metric matches the plain run. *)
+let test_empty_transparent_search () =
+  (* A defect map that kills nothing is the healthy fabric whatever seed
+     drew it: the search normalizes it away, so it returns the default
+     search's result and replays that search's cache entries. *)
   let nl = Lazy.force alu2 in
-  let key (o : Flow.outcome) =
-    ( o.Flow.die_area,
-      o.Flow.wirelength,
-      o.Flow.wns,
-      o.Flow.routed_vias,
-      o.Flow.tiles_used,
-      o.Flow.array_dims )
-  in
-  let plain = Flow.run ~seed:2 Arch.granular_plb nl in
-  let mapped = Flow.run ~seed:2 ~defect:Defect.empty Arch.granular_plb nl in
-  Alcotest.(check bool) "flow a identical" true
-    (key plain.Flow.a = key mapped.Flow.a);
-  Alcotest.(check bool) "flow b identical" true
-    (key plain.Flow.b = key mapped.Flow.b)
+  let empty = Defect.generate ~seed:99 () in
+  Alcotest.(check bool) "map is empty" true (Defect.is_empty empty);
+  let cache = Cache.create () in
+  let plain = Minchan.search ~cache Arch.granular_plb nl in
+  let before = (Cache.stats cache).Cache.stages in
+  let mapped = Minchan.search ~defect:empty ~cache Arch.granular_plb nl in
+  let after = (Cache.stats cache).Cache.stages in
+  Alcotest.(check bool) "same search result" true (plain = mapped);
+  List.iter
+    (fun stage ->
+      match (List.assoc_opt stage before, List.assoc_opt stage after) with
+      | Some (h0, m0, _), Some (h1, m1, _) ->
+          Alcotest.(check int) (stage ^ " adds no miss") m0 m1;
+          Alcotest.(check bool) (stage ^ " adds hits") true (h1 > h0)
+      | _ -> Alcotest.fail (stage ^ " never keyed"))
+    [ "stress:pack"; "minchan:probe" ]
 
 let test_empty_transparent_routing () =
   (* Below the flow's normalization: routing with the empty map's track
@@ -355,8 +358,8 @@ let () =
         ] );
       ( "transparency",
         [
-          Alcotest.test_case "flow bit-identical" `Slow
-            test_empty_transparent_flow;
+          Alcotest.test_case "search bit-identical" `Slow
+            test_empty_transparent_search;
           Alcotest.test_case "routing bit-identical" `Quick
             test_empty_transparent_routing;
         ] );
