@@ -2,11 +2,12 @@
    evaluation (at paper-comparable design sizes), then times the flow's
    kernels with Bechamel.  Writes BENCH_sweep.json (sweep wall-clock and
    recovery counts, the E15 robustness cells, per-kernel estimates) as a
-   machine-readable history of each revision.  End-to-end and per-stage
-   timing, with repeated A/B runs against a parent commit, lives in
-   perfbench/, not here.
+   machine-readable history of each revision; nothing reads it back.
+   With -kernels it runs only the kernels and prints their ns/run, which
+   is what bench/ab.py compares against the parent commit built on the
+   same host.  End-to-end and per-stage timing lives in perfbench/.
 
-     dune exec bench/main.exe -- [-jobs N] [-json FILE]
+     dune exec bench/main.exe -- [-jobs N] [-json FILE] [-kernels]
 
    The experiment tables correspond to DESIGN.md's per-experiment index:
    E1/E2 (S3 classification, Figure 2), E3 (full adder), E4 (configuration
@@ -20,35 +21,24 @@ module Json = Obs.Json
 
 let jobs = ref (Vpga_par.Pool.default_jobs ())
 let json_path = ref "BENCH_sweep.json"
-let perfdiff = ref false
-let tolerance = ref 0.25
+let kernels_only = ref false
 
 let set_jobs n =
   if n < 1 then
     raise (Arg.Bad (Printf.sprintf "-jobs expects a positive count, got %d" n));
   jobs := n
 
-let set_tolerance f =
-  if f <= 0.0 then
-    raise (Arg.Bad (Printf.sprintf "-tolerance expects a positive fraction, got %g" f));
-  tolerance := f
-
 let () =
   Arg.parse
     [
       ("-jobs", Arg.Int set_jobs, "N  worker domains for the E6-E9 flow sweep");
       ("-json", Arg.Set_string json_path, "FILE  where to write the JSON record");
-      ( "-perfdiff",
-        Arg.Set perfdiff,
-        "  skip the tables; re-run the kernels and diff against the \
-         committed baseline, exiting nonzero on regression" );
-      ( "-tolerance",
-        Arg.Float set_tolerance,
-        "FRAC  allowed fractional per-kernel slowdown for -perfdiff \
-         (default 0.25)" );
+      ( "-kernels",
+        Arg.Set kernels_only,
+        "  skip the tables and the JSON record; run only the kernels" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench/main.exe [-jobs N] [-json FILE] [-perfdiff [-tolerance FRAC]]"
+    "bench/main.exe [-jobs N] [-json FILE] [-kernels]"
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -217,7 +207,7 @@ let bench_tests =
            ignore (Minchan.search ~w_max:32 Arch.granular_plb (Lazy.force alu8))));
     (* A fully warm flow — every stage a cache hit — so the hit path
        (key digesting, Marshal revival, event replay) sits under the same
-       perfdiff gate as the compute kernels. *)
+       kernel gate as the compute kernels. *)
     Test.make ~name:"cache_warm_flow_alu8"
       (Staged.stage
          (let warmed =
@@ -287,74 +277,9 @@ let write_json sweep kernels =
       output_char oc '\n');
   Format.printf "@.wrote %s@." !json_path
 
-(* Perf regression gate: re-run the kernels and compare against the
-   committed baseline record, failing loudly past the tolerance.  Bechamel
-   estimates on shared machines are noisy, so the tolerance is a fraction
-   (default 0.25 = fail on >25 % slowdown); speedups, kernels without a
-   baseline entry and baseline kernels that no longer run are reported
-   but never fail. *)
-let run_perfdiff () =
-  let baseline =
-    let s =
-      try In_channel.with_open_bin !json_path In_channel.input_all
-      with Sys_error msg ->
-        Format.printf "perfdiff: cannot read %s: %s@." !json_path msg;
-        exit 2
-    in
-    match Json.parse s with
-    | Error msg ->
-        Format.printf "perfdiff: cannot parse %s: %s@." !json_path msg;
-        exit 2
-    | Ok j -> (
-        match Json.member "kernels_ns_per_run" j with
-        | Some (Json.Obj fields) ->
-            List.filter_map
-              (fun (k, v) ->
-                Option.map (fun f -> (k, f)) (Json.to_float v))
-              fields
-        | Some _ | None ->
-            Format.printf "perfdiff: %s has no kernels_ns_per_run object@."
-              !json_path;
-            exit 2)
-  in
-  let kernels = run_benchmarks () in
-  section
-    (Printf.sprintf "Per-kernel delta vs %s (tolerance %.0f%%)" !json_path
-       (100.0 *. !tolerance));
-  let regressions = ref 0 in
-  List.iter
-    (fun (name, ns) ->
-      match List.assoc_opt name baseline with
-      | None -> Format.printf "  %-24s %12.0f ns/run  (no baseline)@." name ns
-      | Some base ->
-          let ratio = ns /. base in
-          let flag =
-            if ratio > 1.0 +. !tolerance then begin
-              incr regressions;
-              "  REGRESSION"
-            end
-            else ""
-          in
-          Format.printf "  %-24s %12.0f ns/run  %+7.1f%%%s@." name ns
-            (100.0 *. (ratio -. 1.0))
-            flag)
-    (List.rev kernels);
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem_assoc name kernels) then
-        Format.printf "  %-24s %12s ns/run  (baseline only)@." name "-")
-    baseline;
-  if !regressions > 0 then begin
-    Format.printf "@.perfdiff: %d kernel(s) regressed beyond %.0f%%@."
-      !regressions
-      (100.0 *. !tolerance);
-    exit 1
-  end
-  else Format.printf "@.perfdiff: all kernels within tolerance.@."
-
 let () =
   Format.printf "VPGA granularity exploration: paper-reproduction benchmark@.";
-  if !perfdiff then run_perfdiff ()
+  if !kernels_only then ignore (run_benchmarks ())
   else begin
     let sweep = reproduce_tables () in
     let kernels = run_benchmarks () in

@@ -117,8 +117,9 @@ type delta = {
 type unit_kind = Count | Seconds | Micros
 
 (* 10 ms either way: spans shorter than that jitter by tens of percent
-   under ordinary scheduler noise, and the Bechamel kernel perfdiff
-   already guards sub-10ms code paths with proper repetition. *)
+   under ordinary scheduler noise, and the Bechamel kernels that
+   `make ab` gates against the parent time sub-10ms code paths with
+   proper repetition. *)
 let floor_of = function Count -> 0.0 | Seconds -> 0.01 | Micros -> 10_000.0
 
 (* Histogram / series names carry their unit as a suffix; span-duration
