@@ -501,16 +501,22 @@ let lint_cmd =
       else Diag.pp_report Format.std_formatter ds;
       ds
     in
+    let prove (title, d) =
+      if d == nl then []
+      else
+        match Cec.prove nl d with
+        | [] ->
+            Format.printf "cec %s: proven equivalent@." title;
+            []
+        | ds ->
+            List.iter (Format.printf "cec %s: %a@." title Diag.pp) ds;
+            ds
+    in
     let stages = front_end_stages arch nl in
     let all = List.concat_map (fun (t, d) -> report t d) stages in
-    if formal then
-      List.iter
-        (fun (title, d) ->
-          if d != nl then begin
-            Cec.prove ~stage:("cec:" ^ title) nl d;
-            Format.printf "cec %s: proven equivalent@." title
-          end)
-        stages;
+    let all =
+      if formal then all @ List.concat_map prove stages else all
+    in
     diag_exit ~fail_on_warning ~errors:(Diag.has_errors all)
       ~warnings:(List.exists (fun d -> d.Diag.severity = Diag.Warning) all)
   in

@@ -56,22 +56,23 @@ let check_equivalence reference candidate =
   let ((ri, ro, rf) as r) = Netlist.interface reference
   and ((ci, co, cf) as c) = Netlist.interface candidate in
   if r <> c then
-    failwith
-      (Printf.sprintf
-         "stage changed the interface of design %s: source %d PI / %d PO / \
-          %d flop(s), candidate %d PI / %d PO / %d flop(s)"
-         (Netlist.design_name reference) ri ro rf ci co cf);
-  match Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024 reference candidate with
-  | Equiv.Equivalent -> ()
-  | Equiv.Mismatch { cycle; output; _ } ->
-      failwith
-        (Printf.sprintf "flow stage broke design %s (cycle %d, output %d)"
-           (Netlist.design_name reference) cycle output)
-
-let check_structure ~stage nl =
-  match Netlist.validate nl with
-  | Ok () -> ()
-  | Error msg -> failwith (Printf.sprintf "%s: invalid netlist: %s" stage msg)
+    [
+      Diag.error "interface-changed"
+        "stage changed the interface of design %s: source %d PI / %d PO / \
+         %d flop(s), candidate %d PI / %d PO / %d flop(s)"
+        (Netlist.design_name reference) ri ro rf ci co cf;
+    ]
+  else
+    match
+      Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024 reference candidate
+    with
+    | Equiv.Equivalent -> []
+    | Equiv.Mismatch { cycle; output; _ } ->
+        [
+          Diag.error "sim-mismatch"
+            "flow stage broke design %s (cycle %d, output %d)"
+            (Netlist.design_name reference) cycle output;
+        ]
 
 (* The paper's 0.5 ns target clock period, ps. *)
 let period = 500.0
@@ -98,25 +99,9 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
   let { Stage.design; opts; _ } = s in
   let span ?attrs name f = Stage.span ?attrs s name f in
   let vfast = verify <> Off in
-  (* Verification gates abort with a *typed* failure: the stage name,
-     attempt count and the diagnostics that condemned it. *)
-  let guard stage f =
-    try f ()
-    with Failure msg ->
-      Stage.fail s ~attempts:1 stage (Diag.error "verify-failed" "%s" msg)
-  in
-  (* The Formal proof: one unbounded [Cec.check], whose counterexample
-     fails the stage. *)
-  let formal_prove stage candidate =
-    match Cec.check nl candidate with
-    | Cec.Equivalent -> ()
-    | Cec.Inequivalent { Cec.root; root_is_flop; _ } ->
-        Stage.fail s ~attempts:1 stage
-          (Diag.error "cec-refuted"
-             "SAT equivalence check refuted design %s (%s %d differs)" design
-             (if root_is_flop then "flop D pin" else "output")
-             root)
-  in
+  (* Every verification gate hands its checker's diagnostics to
+     [Stage.check]: their errors fail the stage as they are. *)
+  let check = Stage.check s in
   (* A front-end gate: structural well-formedness stays live as a per-run
      spot check; functional equivalence against the source — the
      randomized simulation pre-filter, then at [Formal] the SAT proof —
@@ -126,28 +111,23 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
     let d = Stage.digest candidate in
     span stage (fun () ->
         if vfast then begin
-          guard stage (fun () -> check_structure ~stage candidate);
+          check stage (Lint.structure candidate);
           Stage.memo s stage
             (fun () ->
               Stagekey.verify_gate ~stage ~source:(Lazy.force s.Stage.d_nl)
                 ~candidate:(Lazy.force d) opts)
             (fun () ->
-              guard stage (fun () -> check_equivalence nl candidate);
-              if verify = Formal then formal_prove stage candidate)
+              check stage (check_equivalence nl candidate);
+              if verify = Formal then check stage (Cec.prove nl candidate))
         end);
     d
   in
-  let phys stage check =
-    if vfast then
-      span stage (fun () ->
-          guard stage (fun () -> Diag.fail_on_errors ~stage (check ())))
+  let phys stage diags =
+    if vfast then span stage (fun () -> check stage (diags ()))
   in
   let body () =
   span "verify:input" (fun () ->
-      if vfast then begin
-        guard "verify:input" (fun () -> check_structure ~stage:"verify:input" nl);
-        guard "verify:lint" (fun () -> Lint.check ~stage:"verify:lint" nl)
-      end);
+      if vfast then check "verify:input" (Lint.run nl));
   let gate_count = Stats.gate_count nl in
   (* Front-end: map, compact, buffer, each gated against the source. *)
   let mapped =
@@ -368,8 +348,7 @@ let run ?(seed = 1) ?anneal_iterations ?(refine = true)
                       ~iterations:(min 400_000 (60 * Netlist.size buffered))
                       ~jobs ~regions q pl_b)
                with Vpga_pack.Refine.Infeasible msg ->
-                 Stage.fail s ~attempts:1 stage
-                   (Diag.error "pack-infeasible" "%s" msg));
+                 Stage.fail s stage [ Diag.error "pack-infeasible" "%s" msg ]);
               (q.Quadrisect.tile_of_node, pl_b.Placement.x, pl_b.Placement.y))
         in
         Stage.revive tiles q.Quadrisect.tile_of_node;

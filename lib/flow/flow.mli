@@ -17,16 +17,16 @@ type verify = Off | Fast | Formal
 (** Verification level threaded through {!run}:
 
     - [Off] runs no checks at all (ablation / raw-speed benchmarking);
-    - [Fast] (the default) checks structural well-formedness
-      ({!Vpga_netlist.Netlist.validate}) and lint at every stage boundary,
-      gates each front-end stage with the randomized simulation
-      equivalence check, and enforces the physical invariants (placement
-      legality, PLB packing coverage and feasibility, the static
-      region-ownership proof for the region-parallel refinement
-      ([verify:regions], {!Vpga_analysis.Ownership.check} on the
-      legalized packing at the refiner's region grid, run whenever
-      [refine] is on), routing connectivity and capacity,
-      detailed-track consistency);
+    - [Fast] (the default) lints the input ({!Vpga_verify.Lint.run}),
+      checks structural well-formedness ({!Vpga_verify.Lint.structure})
+      at every front-end stage boundary, gates each front-end stage with
+      the randomized simulation equivalence check, and enforces the
+      physical invariants (placement legality, PLB packing coverage and
+      feasibility, the static region-ownership proof for the
+      region-parallel refinement ([verify:regions],
+      {!Vpga_analysis.Ownership.check} on the legalized packing at the
+      refiner's region grid, run whenever [refine] is on), routing
+      connectivity and capacity, detailed-track consistency);
     - [Formal] additionally {e proves} each front-end stage equivalent to
       the source netlist with the SAT-based combinational equivalence
       checker in {!Vpga_verify.Cec}. *)
@@ -131,10 +131,14 @@ val run :
     @raise Vpga_resil.Fail.Stage_failure when an enabled verification
     check finds a violation or a stage exhausts its retry policy; the
     payload carries the stage name, attempt count, diagnostics and the
-    recovery-event trail. *)
+    recovery-event trail.  A failed [verify:*] gate names its own span,
+    makes one attempt and carries its checker's error diagnostics as the
+    checker reported them (codes and node ids). *)
 
-val check_equivalence : Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t -> unit
-(** Randomized equivalence gate used between flow stages.  The two
-    netlists' PI/PO/flop counts are compared first.
-    @raise Failure on a changed interface (naming both sets of counts) or
-    a mismatch. *)
+val check_equivalence :
+  Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t -> Vpga_verify.Diag.t list
+(** Randomized equivalence gate used between flow stages: [[]] when the
+    candidate passes.  The two netlists' PI/PO/flop counts are compared
+    first; a changed interface is one [interface-changed] error naming both
+    sets of counts, a simulation mismatch one [sim-mismatch] error naming
+    the cycle and output. *)

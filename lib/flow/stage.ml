@@ -1,10 +1,10 @@
 (* The stage runner shared by {!Flow.run} and {!Minchan.search}: one [t]
    per run, [run] for a stage boundary (span, then memoization with
    recovery-event replay, then compute), the pieces a boundary is built
-   from — [memo], [revive], [fail], and [ladder] for {!Flow.run}'s route
-   and anneal stages — and the stage definitions both drivers share, so
-   their front-ends build identical cache keys.  Only {!Minchan} sets a
-   defect map. *)
+   from — [memo], [revive], [fail], [check] for the verification gates,
+   and [ladder] for {!Flow.run}'s route and anneal stages — and the stage
+   definitions both drivers share, so their front-ends build identical
+   cache keys.  Only {!Minchan} sets a defect map. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Arch = Vpga_plb.Arch
@@ -110,11 +110,17 @@ let memo_coords s stage key pl compute =
   revive x pl.Placement.x;
   revive y pl.Placement.y
 
-(* Raise the stage's typed failure, carrying the run's event trail. *)
-let fail s ~attempts stage diag =
+(* Raise the stage's typed failure after one attempt, carrying the run's
+   event trail. *)
+let fail s stage diags =
   Fail.raise_
-    (Fail.make ~stage ~design:s.design ~attempts ~diags:[ diag ]
+    (Fail.make ~stage ~design:s.design ~attempts:1 ~diags
        ~events:(Log.strings s.log) ())
+
+(* The one gate protocol: a checker's error diagnostics, as it reported
+   them, fail the stage; warnings and infos pass. *)
+let check s stage diags =
+  match Diag.errors diags with [] -> () | errs -> fail s stage errs
 
 (* The escalation-ladder driver ({!Vpga_resil.Retry.run}) on the run's
    log and design. *)
@@ -178,8 +184,8 @@ let pack s ~stage ~key ~criticality d_buffered pl d_pl =
   match Quadrisect.legalize_result ?criticality ?dead_tile s.arch pl with
   | Ok q -> q
   | Error fe ->
-      fail s ~attempts:1 stage
-        (Diag.error "pack-unfit" "%s" (Quadrisect.fit_error_to_string fe))
+      fail s stage
+        [ Diag.error "pack-unfit" "%s" (Quadrisect.fit_error_to_string fe) ]
 
 (* The gate-free packed front-end: compact -> buffer -> place:global ->
    criticality-free legalization ([stress:pack]) -> snap.  Returns the

@@ -110,22 +110,6 @@ let fanout t =
   done;
   out
 
-let validate t =
-  let errors = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
-  for i = 0 to t.count - 1 do
-    let n = node t i in
-    if Array.length n.fanins <> Kind.arity n.kind && n.kind <> Kind.Output then
-      err "node %d (%s): arity mismatch" i (Kind.name n.kind);
-    Array.iter
-      (fun f ->
-        if f < 0 || f >= t.count then
-          err "node %d (%s): dangling fanin %d" i (Kind.name n.kind) f)
-      n.fanins
-  done;
-  if t.output_ids = [] then err "netlist has no primary outputs";
-  match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
-
 let map_combinational ?name t f =
   let dst = create ?name:(Some (Option.value ~default:t.dname name)) () in
   let map = Array.make t.count (-1) in

@@ -49,9 +49,6 @@ val interface : t -> int * int * int
 val fanout : t -> int array array
 (** [fanout t].(i) lists the ids of nodes reading node [i]. *)
 
-val validate : t -> (unit, string) result
-(** Structural checks: fanin arities, id ranges, no dangling outputs. *)
-
 val map_combinational :
   ?name:string -> t -> (t -> node -> int array -> int) -> t
 (** [map_combinational t f] rebuilds the netlist, copying inputs, flops and

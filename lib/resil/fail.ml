@@ -3,8 +3,8 @@
    attempts were made, the verification diagnostics that condemned the
    last attempt, and the recovery events (retries/escalations) that led
    up to it.  [Stage_failure] is the only exception a policy-driven flow
-   run is supposed to die with; bare [Failure]s from stage internals are
-   converted at the stage boundary. *)
+   run is supposed to die with; a raw exception from stage code (a
+   compute kernel's [Failure], say) is converted at the task boundary. *)
 
 module Diag = Vpga_verify.Diag
 
@@ -22,7 +22,7 @@ let make ?(diags = []) ?(events = []) ~stage ~design ~attempts () =
   { stage; design; attempts; diags; events }
 
 (* Adopt an arbitrary exception as a typed failure (used at task
-   boundaries where legacy stages can still raise raw exceptions). *)
+   boundaries, where stage code can still raise raw exceptions). *)
 let of_exn ?(events = []) ~stage ~design ~attempts = function
   | Stage_failure f -> f
   | Failure msg ->

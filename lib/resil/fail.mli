@@ -5,7 +5,9 @@
     {!Vpga_verify.Diag} diagnostics that condemned the last attempt, and
     the recovery-event trail ({!Log.strings}) leading up to it.
     {!Stage_failure} is the one exception a policy-driven flow run dies
-    with; legacy [Failure]s are adopted via {!of_exn} at the boundary. *)
+    with: every verification gate raises it with its checker's own
+    diagnostics.  A raw exception from stage code (a compute kernel's
+    [Failure], say) is adopted via {!of_exn} at the task boundary. *)
 
 type t = {
   stage : string;  (** the stage boundary that gave up, e.g. ["route:a"] *)

@@ -132,32 +132,3 @@ let run grid routes =
   match run_result grid routes with
   | Ok t -> t
   | Error msg -> failwith ("Detail.run: " ^ msg)
-
-let track_of t ~net ~edge = Hashtbl.find_opt t.track (edge, net)
-
-let validate t routes =
-  let errors = ref [] in
-  let seen = Hashtbl.create 1024 in
-  List.iteri
-    (fun net rt ->
-      List.iter
-        (fun e ->
-          match track_of t ~net ~edge:e with
-          | None -> errors := Printf.sprintf "net %d unassigned on edge %d" net e :: !errors
-          | Some tr ->
-              if tr < 0 || not (Grid.track_usable t.grid e tr) then
-                errors :=
-                  Printf.sprintf "net %d track %d not usable on edge %d" net
-                    tr e
-                  :: !errors;
-              (match Hashtbl.find_opt seen (e, tr) with
-              | Some other when other <> net ->
-                  errors :=
-                    Printf.sprintf "edge %d track %d shared by nets %d and %d" e
-                      tr other net
-                    :: !errors
-              | Some _ | None -> ());
-              Hashtbl.replace seen (e, tr) net)
-        rt.Router.edges)
-    routes;
-  match !errors with [] -> Ok () | es -> Error (String.concat "; " es)

@@ -25,7 +25,3 @@ val run_result : Grid.t -> Router.route list -> (t, string) result
 val run : Grid.t -> Router.route list -> t
 (** {!run_result} as a hard gate.
     @raise Failure if an edge holds more nets than its capacity. *)
-
-val validate : t -> Router.route list -> (unit, string) result
-(** Checks that every crossing has a track, no (edge, track) pair is shared
-    by two nets, and every assigned track is usable on its edge. *)

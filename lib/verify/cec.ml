@@ -83,15 +83,15 @@ let check a b =
           (* [swept]'s PIs are [aig]'s, in order. *)
           counterexample (Cnf.pi_values cnf swept model)
 
-(* Hard-failure wrapper for [vpga lint --formal] and the tests. *)
-let prove ~stage reference candidate =
+(* The verdict as a gate's diagnostics: [] or one [cec-refuted]. *)
+let prove reference candidate =
   match check reference candidate with
-  | Equivalent -> ()
+  | Equivalent -> []
   | Inequivalent { root; root_is_flop; _ } ->
-      failwith
-        (Printf.sprintf
-           "%s: SAT equivalence check refuted design %s (%s %d differs)"
-           stage
-           (Netlist.design_name reference)
-           (if root_is_flop then "flop D pin" else "output")
-           root)
+      [
+        Diag.error "cec-refuted"
+          "SAT equivalence check refuted design %s (%s %d differs)"
+          (Netlist.design_name reference)
+          (if root_is_flop then "flop D pin" else "output")
+          root;
+      ]

@@ -62,14 +62,3 @@ let pp_report ppf ds =
   let n sev = List.length (List.filter (fun d -> d.severity = sev) ds) in
   Format.fprintf ppf "%d error(s), %d warning(s), %d info(s)@." (n Error)
     (n Warning) (n Info)
-
-(* Raise [Failure] when any diagnostic in [ds] is an error: the verification
-   entry points use this to turn structured reports into hard flow stops. *)
-let fail_on_errors ~stage ds =
-  match errors ds with
-  | [] -> ()
-  | errs ->
-      failwith
-        (Printf.sprintf "%s: %d verification error(s): %s" stage
-           (List.length errs)
-           (String.concat "; " (List.map to_string errs)))

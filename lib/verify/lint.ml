@@ -1,5 +1,6 @@
-(* Netlist lint: static well-formedness checks beyond the basic
-   [Netlist.validate] structural pass.
+(* Netlist lint: static well-formedness checks.  [structure] is the
+   cheap structural block (arity, undriven pins, missing outputs) that the
+   flow's front-end gates run on every candidate; [run] starts with it.
 
    - combinational loops, found as non-trivial SCCs of the combinational
      edge graph (flop D pins are sequential boundaries and cut the graph);
@@ -21,7 +22,7 @@ module Dataflow = Vpga_dataflow.Dataflow
 let in_range nl f = f >= 0 && f < Netlist.size nl
 
 (* Combinational fanins: a flop's D edge is a sequential boundary.  Dangling
-   ids are dropped here (reported separately by the structural pass). *)
+   ids are dropped here (reported by [structure]). *)
 let comb_fanins nl n =
   match n.Netlist.kind with
   | Kind.Dff -> [||]
@@ -61,12 +62,12 @@ let io_names nl ids =
             (Netlist.node nl i).Netlist.name))
     ids
 
-let run nl =
-  let n = Netlist.size nl in
+(* Structural well-formedness: arity, dangling / undriven pins and
+   missing outputs, in node order.  Every diagnostic is an error. *)
+let structure nl =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  (* Structural: arity and dangling / undriven pins. *)
-  for i = 0 to n - 1 do
+  for i = 0 to Netlist.size nl - 1 do
     let node = Netlist.node nl i in
     if
       Array.length node.Netlist.fanins <> Kind.arity node.Netlist.kind
@@ -92,9 +93,15 @@ let run nl =
                  (Kind.name node.Netlist.kind) k f))
       node.Netlist.fanins
   done;
-  (* Interface checks. *)
   if Netlist.outputs nl = [] then
     add (Diag.error "no-outputs" "netlist has no primary outputs");
+  List.rev !diags
+
+let run nl =
+  let n = Netlist.size nl in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  (* Interface checks. *)
   List.iter
     (fun (id, name) ->
       add
@@ -133,6 +140,4 @@ let run nl =
       (Diag.warning ~nodes:!dead_inputs "unused-input"
          "%d primary input(s) reach no primary output"
          (List.length !dead_inputs));
-  Diag.sort (List.rev !diags)
-
-let check ~stage nl = Diag.fail_on_errors ~stage (run nl)
+  Diag.sort (structure nl @ List.rev !diags)

@@ -1,5 +1,5 @@
-(* Physical invariant checkers for the back half of the flow, generalizing
-   the ad-hoc [Detail.validate] to every physical stage:
+(* Physical invariant checkers for the back half of the flow, one per
+   physical stage, each returning {!Diag.t}s:
 
    - placement legality: every item has finite coordinates inside the die;
    - PLB packing coverage: every packable netlist node is assigned exactly
@@ -9,9 +9,9 @@
      claims ([Config.feasible]);
    - routing connectivity: each global route is a connected *tree* (no
      cycles, one component) spanning exactly its net's pin bins, and the
-     per-edge channel capacities hold; the detailed-routing track
-     assignment is delegated to [Detail.validate] and reported through the
-     same diagnostics. *)
+     per-edge channel capacities hold;
+   - detailed-routing track assignment: every crossing on a usable track,
+     no track shared by two nets. *)
 
 module Netlist = Vpga_netlist.Netlist
 module Kind = Vpga_netlist.Kind
@@ -245,8 +245,37 @@ let check_routing (r : Pathfinder.result) (pl : Placement.t) =
          "global routing left %d unit(s) of channel overflow" !over);
   Diag.sort (List.rev !diags)
 
-(* Detailed-routing track assignment, reported as diagnostics. *)
+(* Detailed-routing track assignment: every crossing has a track, every
+   assigned track is usable on its edge, and no (edge, track) pair is
+   shared by two nets.  One [track-conflict] per violation, naming the net. *)
 let check_tracks (d : Detail.t) routes =
-  match Detail.validate d routes with
-  | Ok () -> []
-  | Error msg -> [ Diag.error "track-conflict" "%s" msg ]
+  let diags = ref [] in
+  let seen = Hashtbl.create 1024 in
+  List.iteri
+    (fun net rt ->
+      List.iter
+        (fun e ->
+          match Hashtbl.find_opt d.Detail.track (e, net) with
+          | None ->
+              diags :=
+                Diag.error ~nodes:[ net ] "track-conflict"
+                  "net %d unassigned on edge %d" net e
+                :: !diags
+          | Some tr ->
+              if tr < 0 || not (Grid.track_usable d.Detail.grid e tr) then
+                diags :=
+                  Diag.error ~nodes:[ net ] "track-conflict"
+                    "net %d track %d not usable on edge %d" net tr e
+                  :: !diags;
+              (match Hashtbl.find_opt seen (e, tr) with
+              | Some other when other <> net ->
+                  diags :=
+                    Diag.error ~nodes:[ net ] "track-conflict"
+                      "edge %d track %d shared by nets %d and %d" e tr other
+                      net
+                    :: !diags
+              | Some _ | None -> ());
+              Hashtbl.replace seen (e, tr) net)
+        rt.Router.edges)
+    routes;
+  List.rev !diags

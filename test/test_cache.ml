@@ -15,6 +15,7 @@ module Flow = Vpga_flow.Flow
 module Minchan = Vpga_flow.Minchan
 module Experiments = Vpga_flow.Experiments
 module Netlist = Vpga_netlist.Netlist
+module Kind = Vpga_netlist.Kind
 module Equiv = Vpga_netlist.Equiv
 module Techmap = Vpga_mapper.Techmap
 module Arch = Vpga_plb.Arch
@@ -371,7 +372,7 @@ let test_poisoned_map_fails_typed () =
       Alcotest.(check string) "stage" "verify:techmap" f.Fail.stage;
       match f.Fail.diags with
       | [ d ] ->
-          Alcotest.(check string) "code" "verify-failed" d.Diag.code;
+          Alcotest.(check string) "code" "interface-changed" d.Diag.code;
           let npi = List.length (Netlist.inputs nl)
           and npo = List.length (Netlist.outputs nl)
           and nff = List.length (Netlist.flops nl) in
@@ -383,6 +384,35 @@ let test_poisoned_map_fails_typed () =
                (Netlist.design_name nl) (counts npo) (counts (npo + 1)))
             d.Diag.message
       | _ -> Alcotest.fail "one diagnostic")
+
+(* A [map] entry with a gate reading past the last node fails the techmap
+   gate's structural spot check with lint's own diagnostic: its code and
+   the offending gate's id, not a message that only mentions them. *)
+let test_dangling_map_fails_typed () =
+  let nl = Lazy.force alu4 in
+  let arch = Arch.granular_plb in
+  let cache = Cache.create () in
+  let mapped = Techmap.map arch nl in
+  let n = Netlist.size mapped in
+  let gate =
+    List.find
+      (fun i ->
+        let k = (Netlist.node mapped i).Netlist.kind in
+        Kind.arity k > 0 && k <> Kind.Output && k <> Kind.Dff)
+      (List.init n Fun.id)
+  in
+  (Netlist.node mapped gate).Netlist.fanins.(0) <- n;
+  Cache.put cache (map_key arch nl) (mapped, []);
+  match Flow.run ~seed:1 ~cache arch nl with
+  | _ -> Alcotest.fail "dangling fanin passed the gate"
+  | exception Fail.Stage_failure f -> (
+      Alcotest.(check string) "stage" "verify:techmap" f.Fail.stage;
+      match f.Fail.diags with
+      | [ d ] ->
+          Alcotest.(check string) "code" "undriven-pin" d.Diag.code;
+          Alcotest.(check bool) "error" true (Diag.is_error d);
+          Alcotest.(check (list int)) "nodes" [ gate ] d.Diag.nodes
+      | ds -> Alcotest.failf "one diagnostic, got %d" (List.length ds))
 
 (* The equivalence gates and legalization read no policy, so a Formal run
    under [strict] hits every gate entry a [default] run stored, and — its
@@ -466,6 +496,8 @@ let () =
             test_cached_map_is_equivalent;
           Alcotest.test_case "poisoned map entry fails typed" `Quick
             test_poisoned_map_fails_typed;
+          Alcotest.test_case "dangling map entry fails with lint's diag" `Quick
+            test_dangling_map_fails_typed;
           Alcotest.test_case "policy-free gate and pack entries" `Quick
             test_gate_and_pack_entries_shared_across_policies;
           Alcotest.test_case "stress front-end once" `Slow

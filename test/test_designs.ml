@@ -5,6 +5,8 @@ module Netlist = Vpga_netlist.Netlist
 module Levelize = Vpga_netlist.Levelize
 module Simulate = Vpga_netlist.Simulate
 module Stats = Vpga_netlist.Stats
+module Diag = Vpga_verify.Diag
+module Lint = Vpga_verify.Lint
 open Vpga_designs
 
 let bits_of v w = Array.init w (fun i -> (v lsr i) land 1 = 1)
@@ -17,9 +19,9 @@ let int_of_bus bits lo w =
   !v
 
 let structurally_sound nl =
-  (match Netlist.validate nl with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  (match Lint.structure nl with
+  | [] -> ()
+  | d :: _ -> Alcotest.fail (Diag.to_string d));
   Alcotest.(check bool) "acyclic" true (Levelize.is_acyclic nl)
 
 (* --- wordgen ------------------------------------------------------------ *)

@@ -234,7 +234,8 @@ let prop_flow_fuzz =
 let test_flow_equivalence_gate () =
   (* identical designs pass the gate... *)
   let good = Vpga_designs.Alu.build ~width:4 () in
-  Flow.check_equivalence good (Vpga_designs.Alu.build ~width:4 ());
+  Alcotest.(check bool) "no diagnostics" true
+    (Flow.check_equivalence good (Vpga_designs.Alu.build ~width:4 ()) = []);
   (* ...and a behavioural difference under the same interface is caught *)
   let module N = Vpga_netlist.Netlist in
   let module K = Vpga_netlist.Kind in
@@ -246,8 +247,9 @@ let test_flow_equivalence_gate () =
     nl
   in
   match Flow.check_equivalence (mk K.And2) (mk K.Or2) with
-  | () -> Alcotest.fail "mutation not caught by the flow gate"
-  | exception Failure _ -> ()
+  | [ d ] ->
+      Alcotest.(check string) "code" "sim-mismatch" d.Vpga_verify.Diag.code
+  | _ -> Alcotest.fail "mutation not caught by the flow gate"
 
 let () =
   Alcotest.run "vpga_flow"

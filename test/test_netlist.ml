@@ -3,6 +3,8 @@
 
 open Vpga_netlist
 module Bfun = Vpga_logic.Bfun
+module Diag = Vpga_verify.Diag
+module Lint = Vpga_verify.Lint
 
 (* A 1-bit full adder over generic gates. *)
 let full_adder () =
@@ -41,9 +43,9 @@ let test_builder () =
   Alcotest.(check int) "inputs" 3 (List.length (Netlist.inputs nl));
   Alcotest.(check int) "outputs" 2 (List.length (Netlist.outputs nl));
   Alcotest.(check int) "no flops" 0 (List.length (Netlist.flops nl));
-  (match Netlist.validate nl with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  (match Lint.structure nl with
+  | [] -> ()
+  | d :: _ -> Alcotest.fail (Diag.to_string d));
   Alcotest.check_raises "arity mismatch"
     (Invalid_argument "Netlist.gate: xor2 expects 2 fanins, got 3")
     (fun () -> ignore (Netlist.gate nl Kind.Xor2 [| 0; 1; 2 |]))
@@ -51,9 +53,7 @@ let test_builder () =
 let test_validate_unconnected_flop () =
   let nl = Netlist.create () in
   let _q = Netlist.dff nl in
-  (match Netlist.validate nl with
-  | Ok () -> Alcotest.fail "expected validation failure"
-  | Error _ -> ())
+  if Lint.structure nl = [] then Alcotest.fail "expected validation failure"
 
 let test_fanout () =
   let nl = full_adder () in
@@ -222,8 +222,7 @@ let prop_random_netlists_valid =
   QCheck.Test.make ~name:"random DAGs validate and levelize" ~count:50
     QCheck.small_int (fun seed ->
       let nl = random_comb_netlist seed in
-      (match Netlist.validate nl with Ok () -> true | Error _ -> false)
-      && Levelize.is_acyclic nl)
+      Lint.structure nl = [] && Levelize.is_acyclic nl)
 
 let prop_identity_map_equiv =
   QCheck.Test.make ~name:"identity map preserves equivalence" ~count:25

@@ -7,6 +7,7 @@ module Arch = Vpga_plb.Arch
 module Grid = Vpga_route.Grid
 module Router = Vpga_route.Router
 module Detail = Vpga_route.Detail
+module Phys = Vpga_verify.Phys
 module Pathfinder = Vpga_route.Pathfinder
 module Placement = Vpga_place.Placement
 module Global = Vpga_place.Global
@@ -40,9 +41,8 @@ let test_detail_straight () =
         [ { Router.net = [| 0; 1 |]; edges; wirelength = 50.0 } ]
       in
       let d = Detail.run grid routes in
-      (match Detail.validate d routes with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "tracks consistent" true
+        (Phys.check_tracks d routes = []);
       (* a straight run stays on one track: no vias *)
       Alcotest.(check int) "straight run has no vias" 0 d.Detail.net_vias.(0)
   | None -> Alcotest.fail "unroutable"
@@ -67,9 +67,23 @@ let test_detail_on_design () =
   let r = Pathfinder.route_placement pl in
   Alcotest.(check int) "overflow-free global" 0 r.Pathfinder.final_overflow;
   let d = Detail.run r.Pathfinder.grid r.Pathfinder.routes in
-  (match Detail.validate d r.Pathfinder.routes with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "tracks consistent" true
+    (Phys.check_tracks d r.Pathfinder.routes = []);
+  (* An unassigned crossing is one conflict naming its net. *)
+  let net, e =
+    let rec first i = function
+      | { Router.edges = e :: _; _ } :: _ -> (i, e)
+      | _ :: rest -> first (i + 1) rest
+      | [] -> Alcotest.fail "no routed edge"
+    in
+    first 0 r.Pathfinder.routes
+  in
+  Hashtbl.remove d.Detail.track (e, net);
+  (match Phys.check_tracks d r.Pathfinder.routes with
+  | [ x ] ->
+      Alcotest.(check string) "code" "track-conflict" x.Vpga_verify.Diag.code;
+      Alcotest.(check (list int)) "names the net" [ net ] x.Vpga_verify.Diag.nodes
+  | xs -> Alcotest.failf "one conflict, got %d" (List.length xs));
   Alcotest.(check bool) "tracks within capacity" true
     (d.Detail.max_track < r.Pathfinder.grid.Grid.capacity);
   Alcotest.(check bool) "some vias on a real design" true (d.Detail.total_vias > 0)

@@ -326,11 +326,15 @@ let test_cec_proves_flow_stages () =
     (fun (_, nl) ->
       List.iter
         (fun arch ->
-          Cec.prove ~stage:"techmap" nl (Techmap.map arch nl);
+          let proved stage candidate =
+            match Cec.prove nl candidate with
+            | [] -> ()
+            | d :: _ -> Alcotest.failf "%s: %s" stage (Diag.to_string d)
+          in
+          proved "techmap" (Techmap.map arch nl);
           let compacted = Compact.run arch nl in
-          Cec.prove ~stage:"compact" nl compacted;
-          Cec.prove ~stage:"buffer" nl
-            (Buffering.insert ~max_fanout:8 compacted))
+          proved "compact" compacted;
+          proved "buffer" (Buffering.insert ~max_fanout:8 compacted))
         [ Arch.lut_plb; Arch.granular_plb ])
     (Vpga_flow.Experiments.designs Vpga_flow.Experiments.Test)
 
